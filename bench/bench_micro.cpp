@@ -56,7 +56,8 @@ void BM_BitstreamParsePartial(benchmark::State& state) {
   const bitstream::Builder builder{plan.device()};
   const auto stream = builder.buildModulePartial(plan.prr(0), 7);
   for (auto _ : state) {
-    const auto parsed = bitstream::parse(stream, plan.device());
+    const auto parsed =
+        bitstream::parse(std::span{stream.bytes()}, plan.device());
     benchmark::DoNotOptimize(parsed.writes.size());
   }
   state.SetBytesProcessed(state.iterations() *

@@ -27,14 +27,14 @@ int main(int argc, char** argv) {
       sim::Simulator sim;
       config::ConfigMemory memory{plan.device()};
       memory.enableReadback();
-      memory.applyFull(bitstream::parse(builder.buildFull(1), plan.device()));
+      memory.applyFull(*bitstream::parse(builder.buildFull(1), plan.device()));
       sim::SimplexLink link{sim, "HT-in",
                             util::DataRate::megabytesPerSecond(1400)};
       config::IcapController icap{sim, memory, link};
 
       const bitstream::Bitstream golden =
           builder.buildModulePartial(plan.prr(0), 7);
-      memory.applyPartial(bitstream::parse(golden, plan.device()));
+      memory.applyPartial(*bitstream::parse(golden, plan.device()));
 
       config::Scrubber scrubber{sim,    memory, icap, plan.device(), golden,
                                 util::Time::milliseconds(scrubMs)};

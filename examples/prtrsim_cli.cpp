@@ -63,17 +63,17 @@ std::map<std::string, std::string> parseArgs(
     const std::vector<std::string>& rest) {
   std::map<std::string, std::string> args;
   for (std::size_t i = 0; i < rest.size(); ++i) {
-    std::string key = rest[i];
-    if (key.rfind("--", 0) != 0) {
-      throw util::DomainError{"prtrsim: options start with --, got " + key};
+    const std::string& flag = rest[i];
+    if (flag.rfind("--", 0) != 0) {
+      throw util::DomainError{"prtrsim: options start with --, got " + flag};
     }
-    key = key.substr(2);
-    if (key == "timeline") {
-      args[key] = "1";
-      continue;
+    std::string key = flag.substr(2);
+    std::string value{"1"};  // --timeline is the one flag without a value
+    if (key != "timeline") {
+      util::require(i + 1 < rest.size(), "prtrsim: missing value for --" + key);
+      value = rest[++i];
     }
-    util::require(i + 1 < rest.size(), "prtrsim: missing value for --" + key);
-    args[key] = rest[++i];
+    args.insert_or_assign(std::move(key), std::move(value));
   }
   return args;
 }

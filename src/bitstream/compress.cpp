@@ -116,16 +116,16 @@ MfwPlan planMfw(const Bitstream& stream, const fabric::Device& device) {
   if (!stream.isPartial()) {
     throw util::BitstreamError{"planMfw: MFW applies to partial streams"};
   }
-  const ParsedStream parsed = parse(stream, device);
+  const ParsedRef parsed = parse(stream, device);
   const auto& enc = device.geometry().encoding();
 
   MfwPlan plan;
-  plan.totalFrames = static_cast<std::uint32_t>(parsed.writes.size());
+  plan.totalFrames = static_cast<std::uint32_t>(parsed->writes.size());
   plan.rawBytes = stream.size();
 
   // Group frames by payload content.
   std::map<std::vector<std::uint8_t>, std::uint32_t> groups;
-  for (const FrameWrite& write : parsed.writes) {
+  for (const FrameWrite& write : parsed->writes) {
     ++groups[std::vector<std::uint8_t>(write.payload.begin(),
                                        write.payload.end())];
   }

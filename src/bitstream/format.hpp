@@ -13,6 +13,7 @@
 /// Header fields live at the front of the header block; the remainder is
 /// zero padding standing in for the command preamble of a real stream.
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,7 +21,14 @@
 #include "fabric/geometry.hpp"
 #include "util/units.hpp"
 
+namespace prtr::fabric {
+class Device;
+}  // namespace prtr::fabric
+
 namespace prtr::bitstream {
+
+class ParsedRef;
+struct ParseMemoEntry;  // defined in parser.cpp
 
 /// Stream type discriminator.
 enum class StreamType : std::uint8_t { kFull = 1, kPartial = 2 };
@@ -37,6 +45,35 @@ struct Header {
   std::uint32_t frameCount = 0;   ///< frames carried
   std::uint32_t frameBytes = 0;   ///< payload bytes per frame
   std::uint64_t moduleId = 0;     ///< identity of the configured design
+};
+
+/// Holds the parse a Bitstream publishes on its first successful
+/// bitstream::parse (see parser.hpp). The published view points into the
+/// stream's bytes, so a copy starts empty and a move carries the view along
+/// with the buffer it points into.
+class ParseMemo {
+ public:
+  ParseMemo() noexcept = default;
+  ParseMemo(const ParseMemo& /*other*/) noexcept {}
+  ParseMemo(ParseMemo&& other) noexcept
+      : entry(other.entry.exchange(nullptr, std::memory_order_relaxed)) {}
+  ParseMemo& operator=(const ParseMemo& other) noexcept {
+    if (this != &other) reset(nullptr);
+    return *this;
+  }
+  ParseMemo& operator=(ParseMemo&& other) noexcept {
+    if (this != &other) {
+      reset(other.entry.exchange(nullptr, std::memory_order_relaxed));
+    }
+    return *this;
+  }
+  ~ParseMemo() { reset(nullptr); }
+
+  /// Written once, by the first successful parse; read with acquire loads.
+  std::atomic<const ParseMemoEntry*> entry{nullptr};
+
+ private:
+  void reset(const ParseMemoEntry* next) noexcept;
 };
 
 /// An encoded bitstream plus its decoded identity.
@@ -57,8 +94,11 @@ class Bitstream {
   }
 
  private:
+  friend ParsedRef parse(const Bitstream& stream, const fabric::Device& device);
+
   Header header_;
   std::vector<std::uint8_t> bytes_;
+  mutable ParseMemo memo_;
 };
 
 /// CRC-32 tag for a device name, stored in headers for compatibility checks.

@@ -6,6 +6,7 @@
 /// on top — see config/vendor_api.hpp).
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,11 +34,43 @@ struct ParsedStream {
 [[nodiscard]] ParsedStream parse(std::span<const std::uint8_t> bytes,
                                  const fabric::Device& device);
 
-/// Convenience overload.
-[[nodiscard]] inline ParsedStream parse(const Bitstream& stream,
-                                        const fabric::Device& device) {
-  return parse(std::span{stream.bytes()}, device);
-}
+/// A validated view of a Bitstream, as returned by parse(const Bitstream&).
+/// It points either at the stream's memo or at a parse it owns; either way
+/// it stays valid while the stream lives and is not assigned to.
+class ParsedRef {
+ public:
+  explicit ParsedRef(const ParsedStream& memo) noexcept : view_(&memo) {}
+  explicit ParsedRef(std::unique_ptr<const ParsedStream> owned) noexcept
+      : owned_(std::move(owned)), view_(owned_.get()) {}
+
+  [[nodiscard]] const ParsedStream& operator*() const noexcept { return *view_; }
+  [[nodiscard]] const ParsedStream* operator->() const noexcept { return view_; }
+
+ private:
+  std::unique_ptr<const ParsedStream> owned_;
+  const ParsedStream* view_ = nullptr;
+};
+
+/// Validates an immutable stream once per process and device. The first
+/// successful parse of a Bitstream object publishes its ParsedStream next
+/// to the bytes it views; every later call with an equivalent device gets
+/// that same view back, from any thread, without taking a lock.
+///
+/// Lifetime: the memo lives as long as the Bitstream and dies with it. A
+/// copied Bitstream starts with an empty memo (its view must point into its
+/// own bytes); a moved one keeps it.
+///
+/// Device key: the memo is keyed on everything the parse reads from the
+/// device: the name tag, the total frame count, and the encoding's frame,
+/// full/partial overhead and frame-address bytes. A call with a device that
+/// differs in any of them parses uncached into a view the ParsedRef owns,
+/// and never replaces the memo, so views already handed out stay valid.
+///
+/// Failures are never memoized: an invalid stream throws BitstreamError on
+/// every call. Concurrent first calls may each parse; the first to publish
+/// wins and the others return its view.
+[[nodiscard]] ParsedRef parse(const Bitstream& stream,
+                              const fabric::Device& device);
 
 /// Cheap header-only peek (no CRC walk); used by size/type checks.
 [[nodiscard]] Header peekHeader(std::span<const std::uint8_t> bytes);

@@ -79,7 +79,7 @@ sim::Process IcapController::load(const bitstream::Bitstream& stream) {
         "IcapController: full streams must go through the external port"};
   }
   // Validate before touching the hardware; an invalid stream fails fast.
-  const auto& parsed = memory_->parsedFor(stream);
+  const bitstream::ParsedRef parsed = memory_->parsedFor(stream);
   const util::Bytes bytes = wireBytes(stream);
 
   // A fault decision is drawn up front (deterministic: one draw per load in
@@ -115,10 +115,10 @@ sim::Process IcapController::load(const bitstream::Bitstream& stream) {
     std::rethrow_exception(fault->abort);
   }
 
-  memory_->applyPartial(parsed);
+  memory_->applyPartial(*parsed);
   ++loads_;
   bytesWritten_ += bytes.count();
-  if (writeFaultHook_) writeFaultHook_(parsed, nullptr);
+  if (writeFaultHook_) writeFaultHook_(*parsed, nullptr);
 }
 
 }  // namespace prtr::config

@@ -140,7 +140,7 @@ sim::Process Manager::verifyAndRepair(const bitstream::Bitstream& stream,
                                       bool& ok) {
   ConfigMemory& memory = icap_->memory();
   ++recoveryStats_.verifications;
-  const auto& parsed = memory.parsedFor(stream);
+  const bitstream::ParsedRef parsed = memory.parsedFor(stream);
   // Readback costs ICAP port time over the written region, like a scrub
   // pass (scrubber.hpp models the same drain rate).
   const util::Time verifyStart = sim_->now();
@@ -148,7 +148,7 @@ sim::Process Manager::verifyAndRepair(const bitstream::Bitstream& stream,
   recoveryStats_.verifyTime += sim_->now() - verifyStart;
   recordRecoverySpan("verify", 'v', verifyStart);
 
-  std::vector<std::uint32_t> bad = corruptedFrames(memory, parsed, nullptr);
+  std::vector<std::uint32_t> bad = corruptedFrames(memory, *parsed, nullptr);
   if (bad.empty()) {
     ok = true;
     co_return;
@@ -167,13 +167,13 @@ sim::Process Manager::verifyAndRepair(const bitstream::Bitstream& stream,
     co_await sim_->delay(icap_->drainTime(repairBytes));
     recoveryStats_.repairTime += sim_->now() - repairStart;
     recordRecoverySpan("repair", 'x', repairStart);
-    recoveryStats_.frameRepairs += memory.repairFrames(parsed, bad);
+    recoveryStats_.frameRepairs += memory.repairFrames(*parsed, bad);
     // Repairs ride the same fallible write path as the original load.
-    icap_->applyWriteFaults(parsed, bad);
+    icap_->applyWriteFaults(*parsed, bad);
     const util::Time recheckStart = sim_->now();
     co_await sim_->delay(icap_->drainTime(repairBytes));
     recoveryStats_.verifyTime += sim_->now() - recheckStart;
-    bad = corruptedFrames(memory, parsed, &bad);
+    bad = corruptedFrames(memory, *parsed, &bad);
   }
   ok = bad.empty();
 }

@@ -110,15 +110,11 @@ void ConfigMemory::reset() noexcept {
   framesWritten_ = 0;
   upsets_ = 0;
   if (!image_.empty()) image_.assign(image_.size(), 0);
-  parseCache_.clear();
 }
 
-const bitstream::ParsedStream& ConfigMemory::parsedFor(
-    const bitstream::Bitstream& stream) {
-  const auto it = parseCache_.find(&stream);
-  if (it != parseCache_.end()) return it->second;
-  return parseCache_.emplace(&stream, bitstream::parse(stream, *device_))
-      .first->second;
+bitstream::ParsedRef ConfigMemory::parsedFor(
+    const bitstream::Bitstream& stream) const {
+  return bitstream::parse(stream, *device_);
 }
 
 }  // namespace prtr::config

@@ -6,7 +6,6 @@
 /// a full stream resets the whole array.
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -71,12 +70,13 @@ class ConfigMemory {
   std::uint64_t repairFrames(const bitstream::ParsedStream& stream,
                              const std::vector<std::uint32_t>& frames);
 
-  /// Parses `stream` once and caches the result by identity, so repeated
-  /// loads of the same library stream do not re-walk megabytes of CRC.
-  /// The stream must outlive this ConfigMemory (the bitstream::Library
-  /// used by the runtime guarantees that).
-  [[nodiscard]] const bitstream::ParsedStream& parsedFor(
-      const bitstream::Bitstream& stream);
+  /// The validated view of `stream` for this memory's device. The stream
+  /// memoizes it (bitstream::parse), so every node loading the same library
+  /// stream shares one parse and one CRC walk per process. The view stays
+  /// valid while the stream lives (the bitstream::Library used by the
+  /// runtime keeps its streams alive).
+  [[nodiscard]] bitstream::ParsedRef parsedFor(
+      const bitstream::Bitstream& stream) const;
 
  private:
   void retainPayloads(const bitstream::ParsedStream& stream);
@@ -87,7 +87,6 @@ class ConfigMemory {
   std::uint64_t framesWritten_ = 0;
   std::uint64_t upsets_ = 0;
   std::vector<std::uint8_t> image_;  ///< empty unless readback is enabled
-  std::map<const bitstream::Bitstream*, bitstream::ParsedStream> parseCache_;
 };
 
 }  // namespace prtr::config

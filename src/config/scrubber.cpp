@@ -10,9 +10,9 @@ std::vector<std::uint32_t> verifyRegion(ConfigMemory& memory,
                                         const bitstream::Bitstream& golden) {
   util::require(memory.readbackEnabled(),
                 "verifyRegion: enable readback on the configuration memory");
-  const auto& parsed = memory.parsedFor(golden);
+  const bitstream::ParsedRef parsed = memory.parsedFor(golden);
   std::vector<std::uint32_t> corrupted;
-  for (const bitstream::FrameWrite& write : parsed.writes) {
+  for (const bitstream::FrameWrite& write : parsed->writes) {
     const auto current = memory.frameContent(write.frame);
     if (!std::equal(current.begin(), current.end(), write.payload.begin())) {
       corrupted.push_back(write.frame);

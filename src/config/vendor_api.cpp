@@ -44,11 +44,11 @@ sim::Process VendorApi::load(const bitstream::Bitstream& stream,
     co_return;
   }
   co_await sim_->delay(loadTime(stream.size()));
-  const auto& parsed = memory_->parsedFor(stream);
+  const bitstream::ParsedRef parsed = memory_->parsedFor(stream);
   if (stream.isPartial()) {
-    memory_->applyPartial(parsed);
+    memory_->applyPartial(*parsed);
   } else {
-    memory_->applyFull(parsed);
+    memory_->applyFull(*parsed);
   }
   ++loads_;
   bytesWritten_ += stream.size().count();

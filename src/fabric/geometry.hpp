@@ -61,6 +61,8 @@ class DeviceGeometry {
     std::uint32_t fullOverheadBytes = 1004; ///< full-stream header+commands+CRC
     std::uint32_t partialOverheadBytes = 68;///< partial-stream header+CRC
     std::uint32_t frameAddressBytes = 4;    ///< per-frame address word (partial)
+
+    friend bool operator==(const Encoding&, const Encoding&) = default;
   };
 
   DeviceGeometry(std::string name, std::uint32_t rows,

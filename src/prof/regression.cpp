@@ -127,7 +127,8 @@ BenchDoc BenchDoc::parseFile(const std::string& path) {
 bool ComparePolicy::isWallClockScalar(std::string_view name) noexcept {
   return name == "threads" || contains(name, "wall") ||
          endsWith(name, "_ms") || startsWith(name, "time_") ||
-         startsWith(name, "chassis_") || startsWith(name, "speedup_");
+         startsWith(name, "chassis_") || startsWith(name, "speedup_") ||
+         startsWith(name, "host_");
 }
 
 bool ComparePolicy::isWallClockTable(std::string_view name) noexcept {

@@ -62,7 +62,7 @@ struct ComparePolicy {
 
   /// True for scalars whose value depends on the host machine rather than
   /// the simulation: "threads", "*_ms", "time_*", "chassis_*", "speedup_*",
-  /// and anything containing "wall".
+  /// "host_*", and anything containing "wall".
   [[nodiscard]] static bool isWallClockScalar(std::string_view name) noexcept;
 
   /// True for tables whose cells render wall-clock measurements ("*time*",

@@ -1115,9 +1115,9 @@ TEST(RuleCoverage, EveryDocumentedCodeIsEmittableByAChecker) {
      // one width-1 run can provide (DT003).
     const auto us = [](long long v) { return util::Time::microseconds(v); };
     const std::vector<verify::TraceProcess> left{
-        {"prtr", {{"CPU", "task", '#', us(0), us(1)}}}};
+        {"prtr", {{"CPU", "task", '#', us(0), us(1)}}, {}, {}}};
     const std::vector<verify::TraceProcess> right{
-        {"prtr", {{"CPU", "task", '#', us(0), us(2)}}}};
+        {"prtr", {{"CPU", "task", '#', us(0), us(2)}}, {}, {}}};
     DiagnosticSink sink;
     verify::compareTraces(left, right, sink);  // DT002
     verify::ExploreOptions explore;

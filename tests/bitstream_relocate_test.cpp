@@ -35,7 +35,7 @@ TEST(RelocateTest, RelocatedStreamParsesAndTargetsNewRegion) {
       relocate(original, plan.device(), plan.prr(0), plan.prr(2));
 
   EXPECT_EQ(moved.size(), original.size());
-  const ParsedStream parsed = parse(moved, plan.device());
+  const ParsedStream parsed = *parse(moved, plan.device());
   const fabric::FrameRange target = plan.prr(2).frames(plan.device());
   ASSERT_EQ(parsed.writes.size(), target.count);
   for (const FrameWrite& w : parsed.writes) {
@@ -51,8 +51,8 @@ TEST(RelocateTest, PayloadsArePreservedBitExact) {
   const Bitstream moved =
       relocate(original, plan.device(), plan.prr(1), plan.prr(3));
 
-  const ParsedStream before = parse(original, plan.device());
-  const ParsedStream after = parse(moved, plan.device());
+  const ParsedStream before = *parse(original, plan.device());
+  const ParsedStream after = *parse(moved, plan.device());
   ASSERT_EQ(before.writes.size(), after.writes.size());
   for (std::size_t i = 0; i < before.writes.size(); ++i) {
     EXPECT_TRUE(std::equal(before.writes[i].payload.begin(),
@@ -65,12 +65,12 @@ TEST(RelocateTest, RelocatedStreamLoadsIntoConfigMemory) {
   const fabric::Floorplan plan = fabric::makeQuadPrrLayout();
   const Builder builder{plan.device()};
   config::ConfigMemory memory{plan.device()};
-  memory.applyFull(parse(builder.buildFull(1), plan.device()));
+  memory.applyFull(*parse(builder.buildFull(1), plan.device()));
 
   const Bitstream original = builder.buildModulePartial(plan.prr(0), 42);
   const Bitstream moved =
       relocate(original, plan.device(), plan.prr(0), plan.prr(3));
-  memory.applyPartial(parse(moved, plan.device()));
+  memory.applyPartial(*parse(moved, plan.device()));
 
   const fabric::FrameRange target = plan.prr(3).frames(plan.device());
   EXPECT_EQ(memory.frameOwner(target.first), 42u);

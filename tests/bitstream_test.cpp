@@ -2,9 +2,16 @@
 // difference-based flow accounting of paper section 2.2.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <string>
+#include <thread>
+
 #include "bitstream/builder.hpp"
 #include "bitstream/library.hpp"
 #include "bitstream/parser.hpp"
+#include "exec/pool.hpp"
 #include "fabric/floorplan.hpp"
 #include "util/error.hpp"
 
@@ -53,7 +60,7 @@ TEST_F(BitstreamTest, DifferenceOfIdenticalModulesIsEmpty) {
 
 TEST_F(BitstreamTest, ParseRoundTripsFull) {
   const Bitstream full = builder_.buildFull(3);
-  const ParsedStream parsed = parse(full, plan_.device());
+  const ParsedStream parsed = *parse(full, plan_.device());
   EXPECT_EQ(parsed.header.moduleId, 3u);
   EXPECT_EQ(parsed.writes.size(), 2246u);
   EXPECT_EQ(parsed.writes.front().frame, 0u);
@@ -62,7 +69,7 @@ TEST_F(BitstreamTest, ParseRoundTripsFull) {
 
 TEST_F(BitstreamTest, ParseRoundTripsPartialWithRegionAddresses) {
   const Bitstream part = builder_.buildModulePartial(plan_.prr(1), 5);
-  const ParsedStream parsed = parse(part, plan_.device());
+  const ParsedStream parsed = *parse(part, plan_.device());
   const fabric::FrameRange range = plan_.prr(1).frames(plan_.device());
   EXPECT_EQ(parsed.writes.size(), range.count);
   for (const FrameWrite& w : parsed.writes) {
@@ -90,6 +97,135 @@ TEST_F(BitstreamTest, ParseRejectsBadMagic) {
   EXPECT_THROW(parse(std::span{junk}, plan_.device()), util::BitstreamError);
   std::vector<std::uint8_t> tiny(8, 0);
   EXPECT_THROW(parse(std::span{tiny}, plan_.device()), util::BitstreamError);
+}
+
+// ---- the parse memo: one validation per stream object and device -------
+
+/// A device with `base`'s name (so its tag matches every stream built for
+/// `base`) but a different geometry: one extra column, and `frameBytes`.
+fabric::Device variantOf(const fabric::Device& base, std::uint32_t frameBytes) {
+  const fabric::DeviceGeometry& geometry = base.geometry();
+  std::vector<fabric::ColumnSpec> columns(geometry.columns().begin(),
+                                          geometry.columns().end());
+  columns.push_back(columns.back());
+  fabric::DeviceGeometry::Encoding encoding = geometry.encoding();
+  encoding.frameBytes = frameBytes;
+  return fabric::Device{
+      fabric::DeviceGeometry{base.name(), geometry.rows(), std::move(columns),
+                             encoding},
+      base.usableResources(), "variant"};
+}
+
+/// `stream` with one payload byte flipped, so its CRC no longer matches.
+Bitstream corrupted(const Bitstream& stream) {
+  std::vector<std::uint8_t> bytes = stream.bytes();
+  bytes[bytes.size() / 2] ^= 0xFF;
+  return Bitstream{stream.header(), std::move(bytes)};
+}
+
+TEST_F(BitstreamTest, ParseMemoizesOneViewPerStream) {
+  const Bitstream part = builder_.buildModulePartial(plan_.prr(0), 5);
+  const ParsedStream* first = &*parse(part, plan_.device());
+  EXPECT_EQ(&*parse(part, plan_.device()), first);
+  // A separately built device with the same geometry shares the memo.
+  const fabric::Floorplan twin = fabric::makeDualPrrLayout();
+  ASSERT_NE(&twin.device(), &plan_.device());
+  EXPECT_EQ(&*parse(part, twin.device()), first);
+  // The span overload never consults the memo.
+  EXPECT_EQ(parse(std::span{part.bytes()}, plan_.device()).writes.size(),
+            first->writes.size());
+}
+
+TEST_F(BitstreamTest, CorruptStreamThrowsOnEveryParse) {
+  const Bitstream bad =
+      corrupted(builder_.buildModulePartial(plan_.prr(0), 5));
+  for (int call = 0; call < 3; ++call) {
+    try {
+      (void)parse(bad, plan_.device());
+      FAIL() << "call " << call << " accepted a corrupt stream";
+    } catch (const util::BitstreamError& e) {
+      EXPECT_NE(std::string{e.what()}.find("BS006"), std::string::npos);
+    }
+  }
+}
+
+TEST_F(BitstreamTest, OtherDeviceNeverReplacesTheMemo) {
+  const Bitstream part = builder_.buildModulePartial(plan_.prr(0), 5);
+  const ParsedRef memo = parse(part, plan_.device());
+  const std::size_t writes = memo->writes.size();
+
+  auto expectCode = [&](const fabric::Device& device, const char* code) {
+    try {
+      (void)parse(part, device);
+      ADD_FAILURE() << "parsed against " << device.name();
+    } catch (const util::BitstreamError& e) {
+      EXPECT_NE(std::string{e.what()}.find(code), std::string::npos)
+          << e.what();
+    }
+  };
+  expectCode(fabric::makeXc2vp30(), "BS004");
+  const std::uint32_t frameBytes =
+      plan_.device().geometry().encoding().frameBytes;
+  expectCode(variantOf(plan_.device(), frameBytes + 4), "BS005");
+
+  // A same-named device with more frames accepts the stream; it gets a
+  // private view, and the memo keeps serving the original device.
+  const fabric::Device moreFrames = variantOf(plan_.device(), frameBytes);
+  const ParsedRef other = parse(part, moreFrames);
+  EXPECT_NE(&*other, &*memo);
+  EXPECT_EQ(other->writes.size(), writes);
+
+  EXPECT_EQ(&*parse(part, plan_.device()), &*memo);
+  EXPECT_EQ(memo->writes.size(), writes);
+}
+
+TEST_F(BitstreamTest, CopiedStreamViewsItsOwnBytes) {
+  Bitstream original = builder_.buildModulePartial(plan_.prr(1), 6);
+  const ParsedStream* originalView = &*parse(original, plan_.device());
+
+  const Bitstream copy = original;
+  const ParsedRef copyView = parse(copy, plan_.device());
+  EXPECT_NE(&*copyView, originalView);
+  const std::uint8_t* begin = copy.bytes().data();
+  const std::uint8_t* end = begin + copy.bytes().size();
+  for (const FrameWrite& write : copyView->writes) {
+    ASSERT_GE(write.payload.data(), begin);
+    ASSERT_LE(write.payload.data() + write.payload.size(), end);
+  }
+
+  // A move keeps the buffer, so it keeps the view too.
+  const Bitstream moved = std::move(original);
+  EXPECT_EQ(&*parse(moved, plan_.device()), originalView);
+}
+
+TEST_F(BitstreamTest, PoolWorkersShareOneFirstParse) {
+  constexpr std::size_t kWorkers = 8;
+  const Bitstream fresh = builder_.buildModulePartial(plan_.prr(0), 9);
+  exec::Pool pool{kWorkers};
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::future<const ParsedStream*>> views;
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    views.push_back(pool.submit([&] {
+      // Gather every worker at the start line (bounded, so a pool that
+      // runs fewer tasks at once cannot hang the test), then race.
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (arrived.load() < kWorkers &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      return &*parse(fresh, plan_.device());
+    }));
+  }
+  std::vector<const ParsedStream*> got;
+  for (auto& view : views) got.push_back(view.get());
+  for (const ParsedStream* view : got) {
+    EXPECT_EQ(view, got.front());
+  }
+  EXPECT_EQ(&*parse(fresh, plan_.device()), got.front());
+  EXPECT_EQ(got.front()->writes.size(),
+            plan_.prr(0).frames(plan_.device()).count);
 }
 
 TEST_F(BitstreamTest, PayloadsAreDeterministic) {

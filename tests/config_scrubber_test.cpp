@@ -14,7 +14,7 @@ class ScrubFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     memory_.enableReadback();
-    memory_.applyFull(bitstream::parse(builder_.buildFull(1), plan_.device()));
+    memory_.applyFull(*bitstream::parse(builder_.buildFull(1), plan_.device()));
   }
 
   fabric::Floorplan plan_ = fabric::makeDualPrrLayout();
@@ -38,13 +38,13 @@ TEST_F(ScrubFixture, ReadbackRequiresOptIn) {
 
 TEST_F(ScrubFixture, RetainedContentMatchesLoadedStream) {
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
   EXPECT_TRUE(verifyRegion(memory_, part).empty());
 }
 
 TEST_F(ScrubFixture, InjectedUpsetIsDetectedPrecisely) {
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
 
   const fabric::FrameRange range = plan_.prr(0).frames(plan_.device());
   memory_.injectUpset(range.first + 17, 100, 0x10);
@@ -58,7 +58,7 @@ TEST_F(ScrubFixture, DoubleUpsetSameBitSelfCancels) {
   // Two flips of the same bit restore the original content: the scrubber
   // correctly sees nothing (XOR semantics).
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
   const fabric::FrameRange range = plan_.prr(0).frames(plan_.device());
   memory_.injectUpset(range.first, 5, 0x08);
   memory_.injectUpset(range.first, 5, 0x08);
@@ -67,7 +67,7 @@ TEST_F(ScrubFixture, DoubleUpsetSameBitSelfCancels) {
 
 TEST_F(ScrubFixture, ScrubberRepairsCorruption) {
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
   const fabric::FrameRange range = plan_.prr(0).frames(plan_.device());
 
   Scrubber scrubber{sim_, memory_, icap_, plan_.device(), part,
@@ -92,7 +92,7 @@ TEST_F(ScrubFixture, ScrubberRepairsCorruption) {
 
 TEST_F(ScrubFixture, CleanRegionNeverRepairs) {
   const auto part = builder_.buildModulePartial(plan_.prr(1), 9);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
   Scrubber scrubber{sim_, memory_, icap_, plan_.device(), part,
                     util::Time::milliseconds(50)};
   sim_.spawn(scrubber.run(5));
@@ -104,7 +104,7 @@ TEST_F(ScrubFixture, CleanRegionNeverRepairs) {
 
 TEST_F(ScrubFixture, InjectorPoissonRateIsRoughlyRight) {
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
   const fabric::FrameRange range = plan_.prr(0).frames(plan_.device());
 
   UpsetInjector injector{sim_, memory_, range, util::Time::milliseconds(10),
@@ -131,7 +131,7 @@ TEST_F(ScrubFixture, ApproxExposureIsHalfPeriodPerDetectedUpset) {
   // Without an attached injector the scrubber can only report the
   // blind-window model: half a scrub period per detected upset.
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
   const fabric::FrameRange range = plan_.prr(0).frames(plan_.device());
 
   Scrubber scrubber{sim_, memory_, icap_, plan_.device(), part,
@@ -156,7 +156,7 @@ TEST_F(ScrubFixture, ObservedExposureReportsActualLatencyAlongsideModel) {
   // repair latency next to the half-period approximation, so the blind-
   // window model can be judged instead of trusted.
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
   const fabric::FrameRange range = plan_.prr(0).frames(plan_.device());
 
   UpsetInjector injector{sim_, memory_, range, util::Time::milliseconds(20),

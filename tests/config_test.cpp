@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bitstream/builder.hpp"
+#include "bitstream/library.hpp"
 #include "config/icap_controller.hpp"
 #include "config/manager.hpp"
 #include "config/memory.hpp"
@@ -66,16 +67,16 @@ TEST_F(ConfigFixture, MemoryStartsUnconfigured) {
 TEST_F(ConfigFixture, PartialBeforeFullIsRejected) {
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
   const auto parsed = bitstream::parse(part, plan_.device());
-  EXPECT_THROW(memory_.applyPartial(parsed), util::ConfigError);
+  EXPECT_THROW(memory_.applyPartial(*parsed), util::ConfigError);
 }
 
 TEST_F(ConfigFixture, FullThenPartialUpdatesOnlyRegionFrames) {
   const auto full = builder_.buildFull(1);
-  memory_.applyFull(bitstream::parse(full, plan_.device()));
+  memory_.applyFull(*bitstream::parse(full, plan_.device()));
   EXPECT_TRUE(memory_.done());
 
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
-  memory_.applyPartial(bitstream::parse(part, plan_.device()));
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
 
   const fabric::FrameRange range = plan_.prr(0).frames(plan_.device());
   EXPECT_EQ(memory_.frameOwner(range.first), 7u);
@@ -84,10 +85,42 @@ TEST_F(ConfigFixture, FullThenPartialUpdatesOnlyRegionFrames) {
 
 TEST_F(ConfigFixture, ResetClearsState) {
   const auto full = builder_.buildFull(1);
-  memory_.applyFull(bitstream::parse(full, plan_.device()));
+  memory_.applyFull(*bitstream::parse(full, plan_.device()));
   memory_.reset();
   EXPECT_FALSE(memory_.done());
   EXPECT_EQ(memory_.frameOwner(0), 0u);
+}
+
+TEST_F(ConfigFixture, NodesShareOneParsePerLibraryStream) {
+  bitstream::Library library{plan_, {{11, "a", 0.5}}};
+  const bitstream::Bitstream& full = library.full();
+  const bitstream::Bitstream& part = library.modulePartial(0, 11);
+  // A second node: its own floorplan, device object and memory.
+  const fabric::Floorplan otherPlan = fabric::makeDualPrrLayout();
+  ConfigMemory other{otherPlan.device()};
+
+  const bitstream::ParsedStream* fullView = &*memory_.parsedFor(full);
+  EXPECT_EQ(&*other.parsedFor(full), fullView);
+  EXPECT_EQ(&*other.parsedFor(part), &*memory_.parsedFor(part));
+  // Resetting a node drops its configuration, not the stream's memo.
+  memory_.applyFull(*memory_.parsedFor(full));
+  memory_.reset();
+  EXPECT_EQ(&*memory_.parsedFor(full), fullView);
+}
+
+TEST_F(ConfigFixture, CorruptStreamIsNeverCached) {
+  const auto clean = builder_.buildModulePartial(plan_.prr(0), 7);
+  std::vector<std::uint8_t> bytes = clean.bytes();
+  bytes[bytes.size() / 2] ^= 0x5A;
+  const bitstream::Bitstream bad{clean.header(), std::move(bytes)};
+  const fabric::Floorplan otherPlan = fabric::makeDualPrrLayout();
+  ConfigMemory other{otherPlan.device()};
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_THROW((void)memory_.parsedFor(bad), util::BitstreamError);
+    EXPECT_THROW((void)other.parsedFor(bad), util::BitstreamError);
+  }
+  EXPECT_EQ(memory_.parsedFor(clean)->writes.size(),
+            plan_.prr(0).frames(plan_.device()).count);
 }
 
 TEST_F(ConfigFixture, VendorApiRejectsPartialBySize) {
@@ -125,7 +158,7 @@ TEST_F(ConfigFixture, VendorApiAcceptsFullAndMatchesCalibration) {
 
 TEST_F(ConfigFixture, ModifiedLoaderAcceptsPartials) {
   const auto full = builder_.buildFull(1);
-  memory_.applyFull(bitstream::parse(full, plan_.device()));
+  memory_.applyFull(*bitstream::parse(full, plan_.device()));
   VendorApi api{sim_, memory_, ApiTiming{}, /*modifiedLoader=*/true};
   const auto part = builder_.buildModulePartial(plan_.prr(1), 9);
   EXPECT_EQ(api.check(part), ApiStatus::kOk);
@@ -154,7 +187,7 @@ TEST_F(ConfigFixture, IcapEffectiveThroughputMatchesCalibration) {
 
 TEST_F(ConfigFixture, IcapLoadRunsPipelineAndApplies) {
   const auto full = builder_.buildFull(1);
-  memory_.applyFull(bitstream::parse(full, plan_.device()));
+  memory_.applyFull(*bitstream::parse(full, plan_.device()));
 
   sim::SimplexLink link{sim_, "HT-in",
                         util::DataRate::megabytesPerSecond(1400)};

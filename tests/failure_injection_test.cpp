@@ -29,7 +29,7 @@ class FailureFixture : public ::testing::Test {
   config::Manager manager_{sim_, plan_, api_, icap_};
 
   void fullConfigure() {
-    memory_.applyFull(bitstream::parse(builder_.buildFull(1), plan_.device()));
+    memory_.applyFull(*bitstream::parse(builder_.buildFull(1), plan_.device()));
   }
 
   bitstream::Bitstream corrupt(bitstream::Bitstream stream, std::size_t at) {

@@ -204,7 +204,7 @@ TEST(MetricsSnapshot, MoveMergeMatchesCopyMerge) {
   b.set(ratio, 0.9);
   b.observe(latency, 300);
 
-  for (const std::string prefix : {std::string{}, std::string{"blade1."}}) {
+  for (const std::string& prefix : {std::string{}, std::string{"blade1."}}) {
     obs::MetricsSnapshot viaCopy = a.snapshot();
     viaCopy.merge(b.snapshot(), prefix);
     obs::MetricsSnapshot viaMove = a.snapshot();

@@ -109,6 +109,11 @@ TEST(RegressionCompare, WallClockDriftIsInformationalUnlessGated) {
   EXPECT_TRUE(prof::compare(baseline, current, gated).pass);
 }
 
+TEST(RegressionCompare, HostProbesAreNotSimulatedScalars) {
+  EXPECT_TRUE(prof::ComparePolicy::isWallClockScalar("host_concurrency"));
+  EXPECT_FALSE(prof::ComparePolicy::isWallClockScalar("cache_hit_rate"));
+}
+
 TEST(RegressionCompare, MissingScalarFailsAndNewScalarIsInformational) {
   prof::BenchDoc baseline;
   baseline.bench = "demo";

@@ -212,7 +212,7 @@ TEST(TraceLoad, MalformedJsonThrows) {
 
 TEST(TraceDiff, IdenticalTracesHaveNoFindings) {
   const std::vector<verify::TraceProcess> capture{
-      {"prtr", {span("CPU", "a", 0, 1), span("config", "b", 1, 2)}}};
+      {"prtr", {span("CPU", "a", 0, 1), span("config", "b", 1, 2)}, {}, {}}};
   DiagnosticSink sink;
   verify::compareTraces(capture, capture, sink);
   EXPECT_TRUE(sink.codes().empty()) << sink.toText();
@@ -220,15 +220,15 @@ TEST(TraceDiff, IdenticalTracesHaveNoFindings) {
 
 TEST(TraceDiff, DifferencesAreDt002) {
   const std::vector<verify::TraceProcess> left{
-      {"prtr", {span("CPU", "a", 0, 1)}}};
+      {"prtr", {span("CPU", "a", 0, 1)}, {}, {}}};
   const std::vector<verify::TraceProcess> endDiffers{
-      {"prtr", {span("CPU", "a", 0, 2)}}};
+      {"prtr", {span("CPU", "a", 0, 2)}, {}, {}}};
   DiagnosticSink sink;
   verify::compareTraces(left, endDiffers, sink);
   EXPECT_TRUE(has(sink, "DT002")) << sink.toText();
 
   const std::vector<verify::TraceProcess> spanCountDiffers{
-      {"prtr", {span("CPU", "a", 0, 1), span("CPU", "b", 1, 2)}}};
+      {"prtr", {span("CPU", "a", 0, 1), span("CPU", "b", 1, 2)}, {}, {}}};
   DiagnosticSink sink2;
   verify::compareTraces(left, spanCountDiffers, sink2);
   EXPECT_TRUE(has(sink2, "DT002")) << sink2.toText();
