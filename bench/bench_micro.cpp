@@ -8,6 +8,7 @@
 
 #include "bench/options.hpp"
 #include "bitstream/builder.hpp"
+#include "bitstream/library.hpp"
 #include "bitstream/parser.hpp"
 #include "fabric/floorplan.hpp"
 #include "obs/metrics.hpp"
@@ -15,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "tasks/kernels.hpp"
 #include "tasks/workload.hpp"
+#include "xd1/node.hpp"
 
 namespace {
 
@@ -36,6 +38,40 @@ void BM_SimKernelEvents(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimKernelEvents)->Arg(1'000)->Arg(100'000);
+
+/// One dual-PRR library partial through IcapController::load per iteration:
+/// host link -> 16 KiB BRAM buffer -> ICAP FSM, the per-chunk kernel traffic
+/// every H = 0 Fig-9 call is made of. BM_SimKernelEvents' one-event
+/// ping-pong cannot see pending-set or per-chunk costs; this can. Items are
+/// 2 KiB host chunks; events_per_chunk is kernel events per chunk.
+void BM_IcapPartialLoad(benchmark::State& state) {
+  sim::Simulator sim;
+  xd1::NodeConfig config;
+  config.layout = xd1::Layout::kDualPrr;
+  xd1::Node node{sim, config};
+  bitstream::Library library{node.floorplan(), {{1, "median", 1.0}}};
+  node.configMemory().applyFull(*bitstream::parse(library.full(), node.device()));
+  const bitstream::Bitstream& partial = library.modulePartial(0, 1);
+  config::IcapController& icap = node.icap();
+  const std::uint64_t chunkBytes = icap.timing().chunkBytes.count();
+  const auto chunks = static_cast<std::int64_t>(
+      (icap.wireBytes(partial).count() + chunkBytes - 1) / chunkBytes);
+  const auto load = [](config::IcapController& c,
+                       const bitstream::Bitstream& s) -> sim::Process {
+    co_await c.load(s);
+  };
+  const std::uint64_t eventsBefore = sim.eventsProcessed();
+  for (auto _ : state) {
+    sim.spawn(load(icap, partial));
+    sim.run();
+    benchmark::DoNotOptimize(icap.loadsPerformed());
+  }
+  state.SetItemsProcessed(state.iterations() * chunks);
+  state.counters["events_per_chunk"] =
+      static_cast<double>(sim.eventsProcessed() - eventsBefore) /
+      static_cast<double>(state.iterations() * chunks);
+}
+BENCHMARK(BM_IcapPartialLoad);
 
 void BM_BitstreamBuildPartial(benchmark::State& state) {
   const fabric::Floorplan plan = fabric::makeDualPrrLayout();

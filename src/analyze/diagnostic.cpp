@@ -410,10 +410,6 @@ constexpr std::array kCatalog{
              "than requested",
              "raise the seed count or widen the pool; a narrow pool "
              "collapses many seeds onto one schedule"},
-    RuleInfo{"DT004", Category::kDeterminism, Severity::kError,
-             "event-queue implementation changed the simulated bytes",
-             "both sim::EventQueue implementations must realize the same "
-             "(timePs, seq) total order; fix the queue, not the model"},
 };
 
 }  // namespace

@@ -55,10 +55,14 @@ sim::Process IcapController::produce(util::Bytes total,
 sim::Process IcapController::drain(util::Bytes total,
                                    sim::Channel<std::uint64_t>& buffer,
                                    sim::WaitGroup& wg) {
+  // Every chunk but a short last one is full-sized: time it once per load.
+  const std::uint64_t fullChunk = timing_.chunkBytes.count();
+  const util::Time fullChunkDrain = drainTime(timing_.chunkBytes);
   std::uint64_t remaining = total.count();
   while (remaining > 0) {
     const std::uint64_t chunk = co_await buffer.get();
-    co_await sim_->delay(drainTime(util::Bytes{chunk}));
+    co_await sim_->delay(chunk == fullChunk ? fullChunkDrain
+                                            : drainTime(util::Bytes{chunk}));
     remaining -= chunk;
   }
   wg.done();

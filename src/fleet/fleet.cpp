@@ -4,11 +4,11 @@
 #include <cmath>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <sstream>
 
 #include "exec/pool.hpp"
 #include "prof/profiler.hpp"
+#include "sim/event_queue.hpp"
 #include "trace/recorder.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -98,13 +98,6 @@ struct Event {
                           ///< schedule order, making the heap a total order
   EventKind kind = EventKind::kArrival;
   std::uint32_t arg = 0;  ///< blade index (completion) or request index
-};
-
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const noexcept {
-    if (a.timePs != b.timePs) return a.timePs > b.timePs;
-    return a.seq > b.seq;
-  }
 };
 
 struct Request {
@@ -199,7 +192,7 @@ struct Cell {
   obs::Registry reg;
   std::vector<Blade> blades;
   std::vector<Request> requests;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
+  sim::EventHeap<Event> heap;
   util::Rng rng;
   std::uint64_t seq = 0;
   std::uint64_t quota = 0;      ///< fresh requests this cell generates
@@ -776,8 +769,7 @@ struct Cell {
     requests.reserve(quota);
     if (quota > 0) scheduleNextArrival();
     while (!heap.empty()) {
-      const Event e = heap.top();
-      heap.pop();
+      const Event e = heap.pop();
       nowPs = e.timePs;
       endPs = std::max(endPs, nowPs);
       switch (e.kind) {

@@ -2,10 +2,12 @@
 /// \file arena.hpp
 /// Thread-local free-list arena for coroutine frames.
 ///
-/// Every `co_await link.transfer(...)` and ICAP produce/drain pipeline step
-/// allocates a coroutine frame; at ~200 frames per partial load the general
-/// allocator dominated kernel time. Frames instead come from a per-thread
-/// arena: blocks are carved from large chunks, rounded to a size class, and
+/// Every process allocates a coroutine frame: executor and prepare loops,
+/// each ICAP load with its producer and drain, and each contended or
+/// fault-hooked link transfer (an uncontended one needs no frame; see
+/// SimplexLink::Transfer). These are short-lived and recycled at a high
+/// rate, and the general allocator once dominated kernel time. Frames
+/// instead come from a per-thread arena: blocks are carved from large chunks, rounded to a size class, and
 /// recycled through intrusive free lists, so steady-state spawn/finish
 /// cycles allocate nothing.
 ///

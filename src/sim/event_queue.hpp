@@ -1,20 +1,19 @@
 #pragma once
 /// \file event_queue.hpp
-/// Pending-event set implementations behind the Simulator's queue seam.
+/// The pending-event set: one binary min-heap ordered by exact
+/// (timePs, seq). The order is total (every schedule gets a fresh seq), so
+/// the pop sequence — and every simulated byte — is a pure function of the
+/// push sequence. Push and pop are inline; the Simulator and the fleet's
+/// per-cell loop both hold an EventHeap by value.
 ///
-/// Both queues order events by exact (timePs, seq) — a total order, so any
-/// correct implementation pops the same sequence and simulated output is
-/// bit-identical regardless of which one runs. BinaryHeapQueue is the
-/// original std::priority_queue kernel, kept for A/B comparison under the
-/// schedule explorer; CalendarQueue is the throughput rewrite: a ring of
-/// near-future buckets over a fixed time window plus a binary-heap overflow
-/// ladder for events beyond it. Bucket vectors retain their capacity across
-/// the run, so steady-state push/pop allocates nothing.
+/// A heap fits the measured traffic: the kernel's pending set is a handful
+/// of events (executor, prepare, ICAP producer, drain), so a push or pop
+/// touches two or three levels however far apart the event times are.
 
+#include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace prtr::sim {
@@ -26,99 +25,41 @@ struct Event {
   std::int64_t timePs;
   std::uint64_t seq;
   std::coroutine_handle<> handle;
-
-  /// Exact total order: earlier time first, then earlier schedule.
-  [[nodiscard]] bool before(const Event& other) const noexcept {
-    return timePs != other.timePs ? timePs < other.timePs : seq < other.seq;
-  }
 };
 
-/// Queue seam. One queue per simulator; not thread-safe.
-class EventQueue {
+/// Min-heap of `E`s on (E::timePs, E::seq): earlier time first, then
+/// earlier schedule. Not thread-safe. Capacity is retained across pops, so
+/// steady-state push/pop allocates nothing.
+template <typename E>
+class EventHeap {
  public:
-  virtual ~EventQueue() = default;
+  void push(const E& event) {
+    heap_.push_back(event);
+    std::push_heap(heap_.begin(), heap_.end(), After{});
+  }
 
-  virtual void push(Event event) = 0;
   /// Removes and returns the minimum event. Precondition: !empty().
-  virtual Event pop() = 0;
-  /// Time of the minimum event. Precondition: !empty().
-  [[nodiscard]] virtual std::int64_t peekTimePs() const = 0;
-  [[nodiscard]] virtual bool empty() const noexcept = 0;
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-  /// Implementation tag ("calendar", "binary-heap") for reports and A/B logs.
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-};
-
-/// The original kernel queue: one std::priority_queue-style binary heap.
-class BinaryHeapQueue final : public EventQueue {
- public:
-  void push(Event event) override;
-  Event pop() override;
-  [[nodiscard]] std::int64_t peekTimePs() const override;
-  [[nodiscard]] bool empty() const noexcept override { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept override { return heap_.size(); }
-  [[nodiscard]] const char* name() const noexcept override { return "binary-heap"; }
-
- private:
-  std::vector<Event> heap_;  // min-heap on Event::before
-};
-
-/// Calendar queue: `kBuckets` bucket ring over a near-future window of
-/// `kBuckets * kBucketWidthPs`, plus a binary-heap ladder for events past
-/// the window. The cursor bucket is kept heap-ordered so same-time pushes
-/// (zero-delay wake-ups) interleave exactly as the total order demands;
-/// other buckets stay unsorted until the cursor reaches them. When the ring
-/// drains, the window jumps to the ladder's minimum and near-future ladder
-/// events reseed the ring.
-class CalendarQueue final : public EventQueue {
- public:
-  CalendarQueue();
-
-  void push(Event event) override;
-  Event pop() override;
-  [[nodiscard]] std::int64_t peekTimePs() const override;
-  [[nodiscard]] bool empty() const noexcept override { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept override { return size_; }
-  [[nodiscard]] const char* name() const noexcept override { return "calendar"; }
-
- private:
-  // Geometry: 256 buckets x 2^23 ps (~8.4 us) covers a ~2.1 ms near window —
-  // a few partial-reconfiguration loads' worth of chunk events — while task
-  // and k-queue lookahead events ride the overflow ladder. Fixed (never
-  // adapted), so queue behavior is a pure function of the event sequence.
-  static constexpr std::size_t kBuckets = 256;
-  static constexpr int kBucketWidthShift = 23;
-  static constexpr std::int64_t kBucketWidthPs = std::int64_t{1}
-                                                 << kBucketWidthShift;
-
-  [[nodiscard]] std::size_t bucketOf(std::int64_t timePs) const noexcept {
-    return static_cast<std::size_t>(
-               static_cast<std::uint64_t>(timePs) >> kBucketWidthShift) &
-           (kBuckets - 1);
-  }
-  [[nodiscard]] std::int64_t windowEndPs() const noexcept {
-    return windowStartPs_ + static_cast<std::int64_t>(kBuckets) * kBucketWidthPs;
+  E pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), After{});
+    const E event = heap_.back();
+    heap_.pop_back();
+    return event;
   }
 
-  /// Advances the cursor to the next non-empty bucket, reseeding from the
-  /// ladder when the ring is empty. Precondition: size_ > 0.
-  void advanceToPending() const;
-  /// Heap-orders the cursor bucket if it is not already.
-  void activateCursorBucket() const;
+  /// The minimum event. Precondition: !empty().
+  [[nodiscard]] const E& top() const noexcept { return heap_.front(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
-  mutable std::vector<Event> buckets_[kBuckets];
-  mutable std::vector<Event> ladder_;  // min-heap on Event::before
-  mutable std::int64_t windowStartPs_ = 0;
-  mutable std::size_t cursor_ = 0;
-  mutable std::size_t inRing_ = 0;   // events currently in bucket vectors
-  mutable bool cursorActive_ = false;  // cursor bucket is heap-ordered
-  std::size_t size_ = 0;
+ private:
+  /// std::push_heap-style "less" that yields a MIN-heap on (timePs, seq).
+  struct After {
+    bool operator()(const E& a, const E& b) const noexcept {
+      return a.timePs != b.timePs ? a.timePs > b.timePs : a.seq > b.seq;
+    }
+  };
+
+  std::vector<E> heap_;
 };
-
-/// Selects which queue a Simulator builds by default.
-enum class QueueKind { kCalendar, kBinaryHeap };
-
-[[nodiscard]] const char* toString(QueueKind kind) noexcept;
-[[nodiscard]] std::unique_ptr<EventQueue> makeEventQueue(QueueKind kind);
 
 }  // namespace prtr::sim

@@ -5,6 +5,7 @@
 /// latency + size/rate. Used for the XD1 RapidArray/HyperTransport channels
 /// (one instance per direction — the "dual channel link" of paper §4.1).
 
+#include <coroutine>
 #include <exception>
 #include <functional>
 #include <optional>
@@ -54,8 +55,64 @@ class SimplexLink {
     return latency_ + rate_.transferTime(size);
   }
 
-  /// Coroutine: waits for the link, holds it for `occupancy(size)`.
-  [[nodiscard]] Process transfer(util::Bytes size) {
+  /// Awaitable returned by transfer(). An uncontended transfer on a link
+  /// without a fault hook runs without a child coroutine: it takes the
+  /// permit, suspends the caller for the occupancy (not at all when that is
+  /// zero, as with delay(0)), then counts the bytes and releases the permit
+  /// on resume — the same kernel calls, in the same order, as
+  /// transferBody(). Every other transfer awaits transferBody() as a child.
+  class [[nodiscard]] Transfer {
+   public:
+    Transfer(SimplexLink& link, util::Bytes size) noexcept
+        : link_(&link), size_(size) {}
+
+    bool await_ready() {
+      if (!link_->faultHook_ && link_->busy_.tryAcquire()) {
+        occupancy_ = link_->occupancy(size_);
+        return occupancy_ == util::Time::zero();
+      }
+      body_ = link_->transferBody(size_);
+      return false;
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
+      if (body_.valid()) return body_.await_suspend(parent);
+      link_->sim_->scheduleAfter(occupancy_, parent);
+      return std::noop_coroutine();
+    }
+    void await_resume() {
+      if (body_.valid()) {
+        body_.await_resume();
+        return;
+      }
+      link_->totalBytes_ += size_;
+      ++link_->totalTransfers_;
+      link_->busy_.release();
+    }
+
+   private:
+    SimplexLink* link_;
+    util::Bytes size_;
+    util::Time occupancy_;
+    Process body_{};  ///< set when the transfer takes the coroutine path
+  };
+
+  /// Waits for the link, holds it for `occupancy(size)`; co_await it.
+  [[nodiscard]] Transfer transfer(util::Bytes size) noexcept {
+    return Transfer{*this, size};
+  }
+
+  /// Installs (or clears, with nullptr) the per-transfer fault hook.
+  void setFaultHook(TransferFaultHook hook) { faultHook_ = std::move(hook); }
+
+  [[nodiscard]] util::Bytes totalBytes() const noexcept { return totalBytes_; }
+  [[nodiscard]] std::uint64_t totalTransfers() const noexcept {
+    return totalTransfers_;
+  }
+
+ private:
+  /// Contended or fault-hooked transfers: queue for the link, apply the
+  /// hook's stall/abort, hold the link for the occupancy.
+  [[nodiscard]] Process transferBody(util::Bytes size) {
     co_await busy_.acquire();
     ScopedPermit permit{busy_};
     if (faultHook_) {
@@ -75,15 +132,6 @@ class SimplexLink {
     ++totalTransfers_;
   }
 
-  /// Installs (or clears, with nullptr) the per-transfer fault hook.
-  void setFaultHook(TransferFaultHook hook) { faultHook_ = std::move(hook); }
-
-  [[nodiscard]] util::Bytes totalBytes() const noexcept { return totalBytes_; }
-  [[nodiscard]] std::uint64_t totalTransfers() const noexcept {
-    return totalTransfers_;
-  }
-
- private:
   Simulator* sim_;
   std::string name_;
   util::DataRate rate_;

@@ -50,8 +50,9 @@ class [[nodiscard]] Process {
     void unhandled_exception() noexcept { exception = std::current_exception(); }
 
     // Frames are recycled through the thread-local arena (see arena.hpp):
-    // model code spawns ~200 short-lived coroutines per partial load, and
-    // the general allocator was the kernel's hottest path.
+    // model code spawns short-lived coroutines per load, executor step and
+    // contended link transfer, and the general allocator was once the
+    // kernel's hottest path.
     static void* operator new(std::size_t size) {
       return detail::frameArena().allocate(size);
     }

@@ -1,24 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <atomic>
-
 namespace prtr::sim {
-namespace {
-
-std::atomic<QueueKind>& defaultKind() noexcept {
-  static std::atomic<QueueKind> kind{QueueKind::kCalendar};
-  return kind;
-}
-
-}  // namespace
-
-QueueKind Simulator::defaultQueueKind() noexcept {
-  return defaultKind().load(std::memory_order_relaxed);
-}
-
-void Simulator::setDefaultQueueKind(QueueKind kind) noexcept {
-  defaultKind().store(kind, std::memory_order_relaxed);
-}
 
 void Simulator::spawn(Process process) {
   if (!process.valid()) {
@@ -49,19 +31,17 @@ void Simulator::rethrowRootFailures() {
 }
 
 void Simulator::run() {
-  EventQueue& queue = *queue_;
-  while (!queue.empty()) {
-    step(queue.pop());
+  while (!queue_.empty()) {
+    step(queue_.pop());
     if ((events_ & 0xFFFu) == 0 && roots_.size() > 64) rethrowRootFailures();
   }
   rethrowRootFailures();
 }
 
 util::Time Simulator::runUntil(util::Time deadline) {
-  EventQueue& queue = *queue_;
-  while (!queue.empty() &&
-         util::Time::picoseconds(queue.peekTimePs()) <= deadline) {
-    step(queue.pop());
+  while (!queue_.empty() &&
+         util::Time::picoseconds(queue_.top().timePs) <= deadline) {
+    step(queue_.pop());
     if ((events_ & 0xFFFu) == 0 && roots_.size() > 64) rethrowRootFailures();
   }
   rethrowRootFailures();

@@ -8,14 +8,11 @@
 /// primitives, and child processes. Time is integer picoseconds
 /// (util::Time), so event order is exact and runs are bit-reproducible.
 ///
-/// The pending set sits behind an EventQueue seam (see event_queue.hpp):
-/// the default CalendarQueue is the throughput rewrite, and the original
-/// BinaryHeapQueue remains constructible so the schedule explorer can A/B
-/// both implementations and prove their pop sequences identical.
+/// The pending set is an inline EventHeap held by value (see
+/// event_queue.hpp): scheduling and dispatch make no virtual call.
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -29,27 +26,9 @@ namespace prtr::sim {
 /// parameter sweeps parallelize by running independent simulators.
 class Simulator {
  public:
-  /// Builds with the process-wide default queue kind (calendar unless
-  /// overridden via setDefaultQueueKind, e.g. for A/B experiments).
-  Simulator() : Simulator(defaultQueueKind()) {}
-  explicit Simulator(QueueKind kind) : queue_(makeEventQueue(kind)) {}
-  /// Takes a caller-built queue (custom implementations, instrumentation).
-  explicit Simulator(std::unique_ptr<EventQueue> queue)
-      : queue_(std::move(queue)) {
-    util::require(queue_ != nullptr, "Simulator: null event queue");
-  }
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// Queue kind newly-default-constructed simulators use. Not thread-safe;
-  /// flip it only from a quiescent process (the schedule explorer does).
-  static QueueKind defaultQueueKind() noexcept;
-  static void setDefaultQueueKind(QueueKind kind) noexcept;
-
-  /// Implementation tag of this simulator's queue ("calendar", ...).
-  [[nodiscard]] const char* queueName() const noexcept {
-    return queue_->name();
-  }
 
   /// Current simulated time.
   [[nodiscard]] util::Time now() const noexcept { return now_; }
@@ -59,7 +38,7 @@ class Simulator {
     if (t < now_) {
       throw util::SimulationError{"Simulator: event scheduled in the past"};
     }
-    queue_->push(Event{t.ps(), seq_++, handle});
+    queue_.push(Event{t.ps(), seq_++, handle});
   }
 
   /// Schedules `handle` to resume after `delay`.
@@ -100,7 +79,7 @@ class Simulator {
   void step(const Event& event);
   void rethrowRootFailures();
 
-  std::unique_ptr<EventQueue> queue_;
+  EventHeap<Event> queue_;
   std::vector<Process> roots_;
   util::Time now_;
   std::uint64_t seq_ = 0;

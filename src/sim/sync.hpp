@@ -61,17 +61,21 @@ class Semaphore {
   [[nodiscard]] auto acquire() noexcept {
     struct Awaiter {
       Semaphore* sem;
-      bool await_ready() const noexcept {
-        if (sem->count_ > 0) {
-          --sem->count_;
-          return true;
-        }
-        return false;
-      }
+      bool await_ready() const noexcept { return sem->tryAcquire(); }
       void await_suspend(std::coroutine_handle<> h) { sem->waiters_.push(h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{this};
+  }
+
+  /// Takes a permit without suspending; false when none is free. A free
+  /// permit implies no waiters (release hands permits to waiters first).
+  [[nodiscard]] bool tryAcquire() noexcept {
+    if (count_ > 0) {
+      --count_;
+      return true;
+    }
+    return false;
   }
 
   void release() {

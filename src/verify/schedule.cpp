@@ -8,7 +8,6 @@
 #include "analysis/figures.hpp"
 #include "exec/artifact_cache.hpp"
 #include "exec/pool.hpp"
-#include "sim/simulator.hpp"
 #include "util/crc32.hpp"
 #include "verify/oracle.hpp"
 
@@ -66,40 +65,11 @@ ExploreResult exploreSchedules(const ExploreOptions& options,
   // hundreds of interleavings.
   exec::ArtifactCache artifacts;
 
-  // Reference: the serial schedule — width 1, no oracle, the first queue
-  // kind. Every perturbed replay must reproduce these bytes exactly.
-  const sim::QueueKind priorKind = sim::Simulator::defaultQueueKind();
-  if (!options.queueKinds.empty()) {
-    sim::Simulator::setDefaultQueueKind(options.queueKinds.front());
-  }
+  // Reference: the serial schedule — width 1, no oracle. Every perturbed
+  // replay must reproduce these bytes exactly.
   exec::Pool::setGlobalThreads(1);
   const std::string reference = runSweep(options, &artifacts);
   result.referenceDigest = crcHex(reference);
-
-  // Queue A/B: one serial replay per alternate EventQueue implementation.
-  // Both queues realize the same (timePs, seq) total order, so the bytes
-  // must be identical; anything else is a kernel bug, not a model one.
-  for (std::size_t k = 1; k < options.queueKinds.size(); ++k) {
-    const sim::QueueKind kind = options.queueKinds[k];
-    sim::Simulator::setDefaultQueueKind(kind);
-    const std::string bytes = runSweep(options, &artifacts);
-    QueueRun run;
-    run.kind = kind;
-    run.identical = bytes == reference;
-    if (!run.identical) {
-      ++result.queueMismatches;
-      sink.emit("DT004",
-                std::string{"fig9 sweep, event queue "} + toString(kind),
-                std::string{"queue implementation "} + toString(kind) +
-                    " produced bytes with digest " + crcHex(bytes) +
-                    " != reference " + result.referenceDigest + " (queue " +
-                    toString(options.queueKinds.front()) + ")");
-    }
-    result.queueRuns.push_back(run);
-  }
-  if (!options.queueKinds.empty()) {
-    sim::Simulator::setDefaultQueueKind(options.queueKinds.front());
-  }
 
   std::set<std::pair<std::size_t, std::uint64_t>> schedules;
   std::uint64_t seed = options.baseSeed;
@@ -135,7 +105,6 @@ ExploreResult exploreSchedules(const ExploreOptions& options,
     }
   }
   exec::Pool::setGlobalThreads(0);  // restore the default-width pool
-  sim::Simulator::setDefaultQueueKind(priorKind);
 
   result.distinctSchedules = schedules.size();
   if (options.minDistinctSchedules != 0 &&

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "analyze/diagnostic.hpp"
-#include "sim/event_queue.hpp"
 
 namespace prtr::verify {
 
@@ -40,13 +39,6 @@ struct ExploreOptions {
   /// Used by the negative tests to prove the explorer actually catches a
   /// schedule-dependent result (DT001); production callers leave it unset.
   std::function<std::string()> sweep;
-  /// Event-queue implementations to A/B. The first kind drives the whole
-  /// width x seed matrix; each further kind gets one serial replay whose
-  /// bytes must equal the reference (the queue axis is orthogonal to pool
-  /// interleaving, so one replay proves the total order). A divergence is
-  /// a DT004 error.
-  std::vector<sim::QueueKind> queueKinds{sim::QueueKind::kCalendar,
-                                         sim::QueueKind::kBinaryHeap};
 };
 
 /// One perturbed replay.
@@ -58,22 +50,14 @@ struct ScheduleRun {
   bool identical = false;        ///< bytes matched the reference run
 };
 
-/// One alternate-queue replay of the serial reference.
-struct QueueRun {
-  sim::QueueKind kind = sim::QueueKind::kCalendar;
-  bool identical = false;  ///< bytes matched the reference run
-};
-
 struct ExploreResult {
   std::vector<ScheduleRun> runs;
-  std::vector<QueueRun> queueRuns;  ///< one per alternate queue kind
   std::size_t distinctSchedules = 0;
-  std::size_t mismatches = 0;       ///< schedule-perturbation divergences
-  std::size_t queueMismatches = 0;  ///< queue-implementation divergences
+  std::size_t mismatches = 0;   ///< schedule-perturbation divergences
   std::string referenceDigest;  ///< CRC-32 (hex) of the reference bytes
 
   [[nodiscard]] bool deterministic() const noexcept {
-    return mismatches == 0 && queueMismatches == 0;
+    return mismatches == 0;
   }
 };
 

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "sim/link.hpp"
-#include "sim/process.hpp"
 #include "sim/simulator.hpp"
 #include "util/units.hpp"
 
@@ -27,12 +26,12 @@ class QdrBank {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] util::Bytes capacity() const noexcept { return capacity_; }
 
-  /// Coroutine: occupies the read port for size/rate.
-  [[nodiscard]] sim::Process read(util::Bytes size) {
+  /// Awaitable: occupies the read port for size/rate.
+  [[nodiscard]] sim::SimplexLink::Transfer read(util::Bytes size) noexcept {
     return readPort_.transfer(size);
   }
-  /// Coroutine: occupies the write port for size/rate.
-  [[nodiscard]] sim::Process write(util::Bytes size) {
+  /// Awaitable: occupies the write port for size/rate.
+  [[nodiscard]] sim::SimplexLink::Transfer write(util::Bytes size) noexcept {
     return writePort_.transfer(size);
   }
 

@@ -193,7 +193,7 @@ TEST(RuleCatalog, HasAtLeastTwelveCodesSpanningAllThreeCategories) {
   EXPECT_EQ(rc, 4u);
   EXPECT_EQ(tl, 7u);
   EXPECT_EQ(rq, 6u);
-  EXPECT_EQ(dt, 4u);
+  EXPECT_EQ(dt, 3u);
   EXPECT_GE(fp + bs + md + ft + fl + tr + sl + rc + tl + rq + dt, 12u);
 }
 

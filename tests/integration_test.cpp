@@ -49,6 +49,19 @@ TEST(Fig9Integration, MeasuredBasisTracksModelAcrossDecades) {
   }
 }
 
+// Pins the kernel's event sequence: one Fig-9(b) point (dual PRR, H = 0,
+// queue look-ahead, 120 calls) processes exactly this many kernel events
+// per side. A kernel or model change that adds or drops events fails here.
+TEST(Fig9Integration, PointProcessesAPinnedNumberOfKernelEvents) {
+  const auto registry = tasks::makePaperFunctions();
+  const tasks::Workload workload =
+      workloadForXTask(registry, 1.0, ConfigTimeBasis::kMeasured, 120);
+  const runtime::ScenarioResult result = runtime::runScenario(
+      registry, workload, paperOptions(ConfigTimeBasis::kMeasured));
+  EXPECT_EQ(result.metrics.counterOr("frtr.sim.events_processed"), 601u);
+  EXPECT_EQ(result.metrics.counterOr("prtr.sim.events_processed"), 71281u);
+}
+
 TEST(Fig9Integration, EstimatedBasisTracksModel) {
   // Near the peak (X_task ~ X_PRTR) the simulator sits up to ~12% below
   // the ideal model: the dual-channel constraint (config only after data

@@ -1,9 +1,13 @@
 // Tests for the discrete-event kernel: scheduling, coroutine processes,
-// synchronization primitives, channels, links, and the timeline tracer.
+// synchronization primitives, channels, links (including the QDR bank
+// ports built on them), and the timeline tracer.
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <memory>
+#include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -12,6 +16,7 @@
 #include "sim/sync.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
+#include "xd1/memory_bank.hpp"
 
 namespace prtr::sim {
 namespace {
@@ -297,6 +302,123 @@ TEST(LinkTest, LatencyAddsPerTransfer) {
                    Time::microseconds(2)};
   EXPECT_EQ(link.occupancy(util::Bytes{100'000}),
             Time::microseconds(1002));
+}
+
+TEST(LinkTest, ThirdTransferArrivingMidTransferQueuesFifo) {
+  // 100 MB/s: 500 kB = 5 ms, 100 kB = 1 ms. A and B start together (B
+  // queues behind A); C arrives at 2 ms, mid-A, and queues behind B; D
+  // arrives at 12 ms on an idle link.
+  Simulator sim;
+  SimplexLink link{sim, "test", util::DataRate::megabytesPerSecond(100)};
+  std::vector<std::pair<char, Time>> done;
+  auto xfer = [&](Simulator& s, char tag, Time start,
+                  util::Bytes size) -> Process {
+    co_await s.delay(start);
+    co_await link.transfer(size);
+    done.emplace_back(tag, s.now());
+  };
+  sim.spawn(xfer(sim, 'A', Time::zero(), util::Bytes{500'000}));
+  sim.spawn(xfer(sim, 'B', Time::zero(), util::Bytes{500'000}));
+  sim.spawn(xfer(sim, 'C', Time::milliseconds(2), util::Bytes{100'000}));
+  sim.spawn(xfer(sim, 'D', Time::milliseconds(12), util::Bytes{100'000}));
+  sim.run();
+  EXPECT_EQ(done, (std::vector<std::pair<char, Time>>{
+                      {'A', Time::milliseconds(5)},
+                      {'B', Time::milliseconds(10)},
+                      {'C', Time::milliseconds(11)},
+                      {'D', Time::milliseconds(13)}}));
+  EXPECT_EQ(link.totalBytes().count(), 1'200'000u);
+  EXPECT_EQ(link.totalTransfers(), 4u);
+  // 4 starts + 2 delayed starts + A, D (one occupancy event each) + B, C
+  // (a permit hand-off and an occupancy event each).
+  EXPECT_EQ(sim.eventsProcessed(), 12u);
+}
+
+TEST(LinkTest, ZeroByteTransferOnZeroLatencyLinkAddsNoEvent) {
+  Simulator sim;
+  SimplexLink link{sim, "test", util::DataRate::megabytesPerSecond(100)};
+  bool finished = false;
+  auto xfer = [&](Simulator&) -> Process {
+    co_await link.transfer(util::Bytes{0});
+    finished = true;
+  };
+  sim.spawn(xfer(sim));
+  sim.run();
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(sim.eventsProcessed(), 1u);  // the spawn only
+  EXPECT_EQ(sim.now(), Time::zero());
+  EXPECT_EQ(link.totalTransfers(), 1u);
+  EXPECT_EQ(link.totalBytes().count(), 0u);
+}
+
+TEST(LinkTest, FaultHookStallsAndAbortsThroughTheAwaitingParent) {
+  // 100 MB/s. Transfer 1 (100 kB) stalls 1 ms first; transfer 2 (400 kB)
+  // aborts after 200 kB of wire time; with the hook cleared, transfer 3
+  // (100 kB) still gets the link, so the abort released it.
+  Simulator sim;
+  SimplexLink link{sim, "test", util::DataRate::megabytesPerSecond(100)};
+  int calls = 0;
+  link.setFaultHook([&calls](const SimplexLink&, util::Bytes)
+                        -> std::optional<TransferFault> {
+    TransferFault fault;
+    if (++calls == 1) {
+      fault.stall = Time::milliseconds(1);
+    } else {
+      fault.completedBytes = util::Bytes{200'000};
+      fault.abort = std::make_exception_ptr(util::SimulationError{"cut"});
+    }
+    return fault;
+  });
+  std::vector<Time> marks;
+  bool caught = false;
+  auto parent = [&](Simulator& s) -> Process {
+    co_await link.transfer(util::Bytes{100'000});
+    marks.push_back(s.now());
+    try {
+      co_await link.transfer(util::Bytes{400'000});
+    } catch (const util::SimulationError&) {
+      caught = true;
+    }
+    marks.push_back(s.now());
+    link.setFaultHook(nullptr);
+    co_await link.transfer(util::Bytes{100'000});
+    marks.push_back(s.now());
+  };
+  sim.spawn(parent(sim));
+  sim.run();
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(marks, (std::vector<Time>{Time::milliseconds(2),
+                                      Time::milliseconds(4),
+                                      Time::milliseconds(5)}));
+  // Completed bytes only: 100 kB + the aborted transfer's 200 kB + 100 kB.
+  EXPECT_EQ(link.totalBytes().count(), 400'000u);
+  EXPECT_EQ(link.totalTransfers(), 2u);
+}
+
+TEST(LinkTest, QdrBankReadAndWriteAreAwaitable) {
+  // 100 MB/s ports: two reads serialize on the read port (10 ms), while a
+  // write overlaps them on the independent write port (5 ms).
+  Simulator sim;
+  xd1::QdrBank bank{sim, "b0", util::Bytes::mebi(4),
+                    util::DataRate::megabytesPerSecond(100)};
+  std::vector<Time> ends;
+  auto reader = [&](Simulator& s) -> Process {
+    co_await bank.read(util::Bytes{500'000});
+    co_await bank.read(util::Bytes{500'000});
+    ends.push_back(s.now());
+  };
+  auto writer = [&](Simulator& s) -> Process {
+    co_await bank.write(util::Bytes{500'000});
+    ends.push_back(s.now());
+  };
+  sim.spawn(reader(sim));
+  sim.spawn(writer(sim));
+  sim.run();
+  EXPECT_EQ(ends, (std::vector<Time>{Time::milliseconds(5),
+                                     Time::milliseconds(10)}));
+  EXPECT_EQ(bank.bytesRead().count(), 1'000'000u);
+  EXPECT_EQ(bank.bytesWritten().count(), 500'000u);
 }
 
 TEST(TimelineTest, RecordsAndRenders) {

@@ -1,11 +1,12 @@
-// Kernel-rewrite regression tests: runUntil edge cases, the calendar
-// queue's bucket rollover against the binary heap's golden pop order, the
-// interned symbol table, the O(1) timeline accumulators, and the coroutine
-// frame arena's free-list recycling.
+// Kernel regression tests: runUntil edge cases, the event heap's pop order
+// against an independent sorted reference, the interned symbol table, the
+// O(1) timeline accumulators, and the coroutine frame arena's free-list
+// recycling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -79,82 +80,79 @@ TEST(RunUntil, SpawningBetweenCallsKeepsTheScheduleOrder) {
                        Time::microseconds(8).ps()}));
 }
 
-/// Pops every event from `queue` and returns the (time, seq) sequence.
-std::vector<std::pair<std::int64_t, std::uint64_t>> drain(EventQueue& queue) {
-  std::vector<std::pair<std::int64_t, std::uint64_t>> order;
-  while (!queue.empty()) {
-    EXPECT_EQ(queue.peekTimePs(), queue.peekTimePs());
-    const Event event = queue.pop();
+/// (time, seq) key of an event; the reference order is these keys sorted.
+using Key = std::pair<std::int64_t, std::uint64_t>;
+
+/// Pops every event from `heap` and returns the (time, seq) sequence.
+std::vector<Key> drain(EventHeap<Event>& heap) {
+  std::vector<Key> order;
+  while (!heap.empty()) {
+    const std::int64_t topPs = heap.top().timePs;
+    const Event event = heap.pop();
+    EXPECT_EQ(event.timePs, topPs);
     order.emplace_back(event.timePs, event.seq);
   }
   return order;
 }
 
-TEST(CalendarQueue, MatchesTheHeapGoldenOrderAcrossBucketRollover) {
-  // Random schedule spanning many calendar windows (the near window is
-  // ~2.1 ms; times go to 100 ms) with bursts of same-time ties. Both
-  // queues implement one total order, so the pop sequences must be equal
-  // element for element.
+TEST(EventHeap, PopsInSortedTimeSeqOrderWithManyTies) {
+  // Random schedule over 100 ms — far past any ~2 ms window — with most
+  // times drawn from a few hundred instants, so equal-time ties are the
+  // common case. Pushed in seq order, popped in (time, seq) order: the
+  // independent reference is simply the keys sorted.
   util::Rng rng{20260807};
-  CalendarQueue calendar;
-  BinaryHeapQueue heap;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 5000; ++i) {
+  EventHeap<Event> heap;
+  std::vector<Key> reference;
+  for (std::uint64_t seq = 0; seq < 6000; ++seq) {
     const std::int64_t timePs =
-        static_cast<std::int64_t>(rng() % 100'000'000'000ull);
-    const Event event{timePs, seq++, {}};
-    calendar.push(event);
-    heap.push(event);
-    if (i % 7 == 0) {  // a burst of ties at the same instant
-      const Event tie{timePs, seq++, {}};
-      calendar.push(tie);
-      heap.push(tie);
-    }
+        rng() % 4 == 0
+            ? static_cast<std::int64_t>(rng() % 100'000'000'000ull)
+            : static_cast<std::int64_t>(rng() % 300) * 333'333'333;
+    heap.push(Event{timePs, seq, {}});
+    reference.emplace_back(timePs, seq);
   }
-  ASSERT_EQ(calendar.size(), heap.size());
-  EXPECT_EQ(drain(calendar), drain(heap));
+  ASSERT_EQ(heap.size(), reference.size());
+  std::sort(reference.begin(), reference.end());
+  EXPECT_EQ(drain(heap), reference);
 }
 
-TEST(CalendarQueue, InterleavedPushPopStaysIdenticalToTheHeap) {
-  // Pops interleave with pushes so the cursor crosses bucket boundaries,
-  // drains the ring, and reseeds from the overflow ladder mid-run — the
-  // rollover paths a single drain does not exercise. Pushes are >= the
-  // last popped time, as the simulator guarantees.
+TEST(EventHeap, InterleavedPushPopMatchesTheSortedReference) {
+  // Pops interleave with pushes, as in a simulation: every push is at or
+  // after the last popped time (ties with now, near-future, and hops far
+  // past 2.1 ms). The reference is a sorted multiset of pending keys; the
+  // heap's minimum must equal the reference's front at every pop.
   util::Rng rng{42};
-  CalendarQueue calendar;
-  BinaryHeapQueue heap;
+  EventHeap<Event> heap;
+  std::vector<Key> pending;  // kept sorted: the reference pending set
   std::uint64_t seq = 0;
-  std::int64_t nowPs = 0;
-  auto pushBoth = [&](std::int64_t timePs) {
-    const Event event{timePs, seq++, {}};
-    calendar.push(event);
-    heap.push(event);
+  const auto pushBoth = [&](std::int64_t timePs) {
+    heap.push(Event{timePs, seq, {}});
+    const Key key{timePs, seq++};
+    pending.insert(std::upper_bound(pending.begin(), pending.end(), key), key);
   };
   for (int i = 0; i < 200; ++i) pushBoth(static_cast<std::int64_t>(rng() % 1000));
-  std::vector<std::pair<std::int64_t, std::uint64_t>> calendarOrder;
-  std::vector<std::pair<std::int64_t, std::uint64_t>> heapOrder;
-  while (!calendar.empty()) {
-    ASSERT_EQ(calendar.peekTimePs(), heap.peekTimePs());
-    const Event a = calendar.pop();
-    const Event b = heap.pop();
-    calendarOrder.emplace_back(a.timePs, a.seq);
-    heapOrder.emplace_back(b.timePs, b.seq);
-    nowPs = a.timePs;
-    // Keep the set churning: mostly near-future pushes (same bucket or a
-    // few buckets ahead), occasionally far past the window to land on the
-    // ladder. Stop refilling near the end so the test terminates.
-    if (seq < 3000) {
+  std::size_t pops = 0;
+  while (!heap.empty()) {
+    ASSERT_FALSE(pending.empty());
+    ASSERT_EQ(heap.top().timePs, pending.front().first);
+    const Event event = heap.pop();
+    ASSERT_EQ(Key(event.timePs, event.seq), pending.front()) << "pop " << pops;
+    pending.erase(pending.begin());
+    ++pops;
+    const std::int64_t nowPs = event.timePs;
+    if (seq < 4000) {
       const std::uint64_t kind = rng() % 8;
       const std::int64_t delta =
-          kind == 0   ? 0                                      // tie with now
-          : kind == 7 ? static_cast<std::int64_t>(             // ladder hop
+          kind <= 1   ? 0                                      // tie with now
+          : kind == 7 ? static_cast<std::int64_t>(             // far hop
                             3'000'000'000ull + rng() % 50'000'000'000ull)
                       : static_cast<std::int64_t>(rng() % 30'000'000ull);
       pushBoth(nowPs + delta);
+      if (kind == 0) pushBoth(nowPs + delta);  // a second same-time tie
     }
   }
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(calendarOrder, heapOrder);
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(pops, seq);
 }
 
 TEST(SymbolTable, InternsDenselyInFirstSightOrder) {

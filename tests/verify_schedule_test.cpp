@@ -13,7 +13,6 @@
 #include "analyze/diagnostic.hpp"
 #include "exec/instrument.hpp"
 #include "exec/pool.hpp"
-#include "sim/simulator.hpp"
 #include "verify/oracle.hpp"
 #include "verify/schedule.hpp"
 
@@ -144,44 +143,6 @@ TEST(ScheduleExplorer, TooFewDistinctSchedulesIsDt003) {
   ASSERT_EQ(sink.codes().size(), 1u);
   EXPECT_EQ(sink.codes().front(), "DT003");
   EXPECT_FALSE(sink.hasErrors());  // a weak proof is a warning, not an error
-}
-
-TEST(ScheduleExplorer, ReplaysTheSweepUnderBothEventQueues) {
-  ExploreOptions options;
-  options.widths = {1};
-  options.seedsPerWidth = 1;
-  options.points = 2;
-  options.nCalls = 6;
-  DiagnosticSink sink;
-  const verify::ExploreResult result =
-      verify::exploreSchedules(options, sink);
-  // Default A/B axis: calendar drives the matrix, binary-heap replays once.
-  ASSERT_EQ(result.queueRuns.size(), 1u);
-  EXPECT_EQ(result.queueRuns[0].kind, sim::QueueKind::kBinaryHeap);
-  EXPECT_TRUE(result.queueRuns[0].identical);
-  EXPECT_EQ(result.queueMismatches, 0u);
-  EXPECT_TRUE(result.deterministic()) << sink.toText();
-  // The explorer must leave the process default where it found it.
-  EXPECT_EQ(sim::Simulator::defaultQueueKind(), sim::QueueKind::kCalendar);
-}
-
-TEST(ScheduleExplorer, QueueDependentWorkloadIsDt004) {
-  ExploreOptions options;
-  options.widths = {1};
-  options.seedsPerWidth = 1;
-  // Bytes that depend on which queue implementation is active: the
-  // reference (calendar) and the binary-heap replay must disagree.
-  options.sweep = [] {
-    return std::string{toString(sim::Simulator::defaultQueueKind())};
-  };
-  DiagnosticSink sink;
-  const verify::ExploreResult result =
-      verify::exploreSchedules(options, sink);
-  EXPECT_EQ(result.mismatches, 0u);  // perturbed replays stay on calendar
-  EXPECT_EQ(result.queueMismatches, 1u);
-  EXPECT_FALSE(result.deterministic());
-  EXPECT_TRUE(sink.has("DT004"));
-  EXPECT_TRUE(sink.hasErrors());
 }
 
 }  // namespace

@@ -136,9 +136,7 @@ int explore(const std::vector<std::string>& args, const CliOptions& cli) {
   std::cout << "explored " << result.runs.size() << " perturbed replays ("
             << result.distinctSchedules << " distinct schedules), reference "
             << "digest " << result.referenceDigest << ", "
-            << result.mismatches << " mismatch(es); " << result.queueRuns.size()
-            << " alternate-queue replay(s), " << result.queueMismatches
-            << " queue mismatch(es)\n";
+            << result.mismatches << " mismatch(es)\n";
   return report("explore", sink, cli);
 }
 
