@@ -3,7 +3,6 @@
 // 6.12 ms, X_PRTR = 0.17), on the simulated Cray XD1 with H = 0 and
 // T_control = 10 us. Peak expectation: "the PRTR can not exceed 7 times
 // the performance of FRTR" (paper section 5).
-#include <fstream>
 #include <iostream>
 
 #include "analysis/figures.hpp"
@@ -12,8 +11,6 @@
 #include "model/bounds.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/trace_export.hpp"
-#include "prof/profiler.hpp"
-#include "util/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace prtr;
@@ -27,13 +24,7 @@ int main(int argc, char** argv) {
   opts.threads = report.threads();
   opts.artifacts = &exec::ArtifactCache::global();
 
-  prof::Profiler profiler;
   obs::ChromeTrace trace;
-  if (report.profileRequested()) {
-    opts.profiler = &profiler;
-    exec::Pool::global().setProfiler(&profiler);
-    exec::ArtifactCache::global().setProfiler(&profiler);
-  }
   if (report.traceRequested()) opts.trace = &trace;
 
   std::cout << "=== Figure 9(a): speedup vs X_task, estimated configuration "
@@ -56,13 +47,5 @@ int main(int argc, char** argv) {
   report.metrics(exec::ArtifactCache::global().metricsSnapshot());
 
   if (report.traceRequested()) trace.writeFile(report.tracePath());
-  if (report.profileRequested()) {
-    exec::Pool::global().setProfiler(nullptr);
-    exec::ArtifactCache::global().setProfiler(nullptr);
-    std::ofstream out{report.profilePath()};
-    util::require(out.good(), "bench_fig9a: cannot open " +
-                                  report.profilePath() + " for writing");
-    out << profiler.snapshot().toJson() << '\n';
-  }
   return report.finish();
 }

@@ -4,7 +4,6 @@
 // Peak expectation: "can reach up to 87x higher than the performance of
 // FRTR" (paper section 5) -- approached asymptotically; finite runs and
 // the dual-channel input constraint land slightly below.
-#include <fstream>
 #include <iostream>
 
 #include "analysis/figures.hpp"
@@ -13,8 +12,6 @@
 #include "model/bounds.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/trace_export.hpp"
-#include "prof/profiler.hpp"
-#include "util/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace prtr;
@@ -28,13 +25,7 @@ int main(int argc, char** argv) {
   opts.threads = report.threads();
   opts.artifacts = &exec::ArtifactCache::global();
 
-  prof::Profiler profiler;
   obs::ChromeTrace trace;
-  if (report.profileRequested()) {
-    opts.profiler = &profiler;
-    exec::Pool::global().setProfiler(&profiler);
-    exec::ArtifactCache::global().setProfiler(&profiler);
-  }
   if (report.traceRequested()) opts.trace = &trace;
 
   std::cout << "=== Figure 9(b): speedup vs X_task, measured configuration "
@@ -59,13 +50,5 @@ int main(int argc, char** argv) {
   report.metrics(exec::ArtifactCache::global().metricsSnapshot());
 
   if (report.traceRequested()) trace.writeFile(report.tracePath());
-  if (report.profileRequested()) {
-    exec::Pool::global().setProfiler(nullptr);
-    exec::ArtifactCache::global().setProfiler(nullptr);
-    std::ofstream out{report.profilePath()};
-    util::require(out.good(), "bench_fig9b: cannot open " +
-                                  report.profilePath() + " for writing");
-    out << profiler.snapshot().toJson() << '\n';
-  }
   return report.finish();
 }

@@ -15,7 +15,6 @@
 //                    [--profile FILE]
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <utility>
 #include <vector>
@@ -27,8 +26,6 @@
 #include "hprc/chassis.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/trace_export.hpp"
-#include "prof/profiler.hpp"
-#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -98,11 +95,6 @@ int main(int argc, char** argv) {
   obs::BenchReport report{"sweep", argc, argv};
   const std::size_t n = report.threads();
   exec::Pool::setGlobalThreads(n);
-
-  // With --profile, time the pool's task execution, steals, and queue depth
-  // across every sweep below (the cache seams are covered by bench_fig9*).
-  prof::Profiler profiler;
-  if (report.profileRequested()) exec::Pool::global().setProfiler(&profiler);
 
   // Thread ladder: 1, 2, 4, N (deduplicated, capped at N).
   std::vector<std::size_t> ladder{1};
@@ -238,13 +230,5 @@ int main(int argc, char** argv) {
   report.metrics(std::move(fig9T4Merged));
   report.metrics(exec::Pool::global().metricsSnapshot());
   report.metrics(cache.metricsSnapshot());
-
-  if (report.profileRequested()) {
-    exec::Pool::global().setProfiler(nullptr);
-    std::ofstream out{report.profilePath()};
-    util::require(out.good(), "bench_sweep: cannot open " +
-                                  report.profilePath() + " for writing");
-    out << profiler.snapshot().toJson() << '\n';
-  }
   return identical ? report.finish() : 1;
 }

@@ -27,8 +27,8 @@
 #include "analyze/checks_scenario.hpp"
 #include "bench/options.hpp"
 #include "exec/pool.hpp"
+#include "obs/host.hpp"
 #include "obs/trace_export.hpp"
-#include "prof/profiler.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/workload.hpp"
 #include "util/error.hpp"
@@ -177,9 +177,7 @@ int main(int argc, char** argv) {
     obs::ChromeTrace trace;
     const std::string& tracePath = common.tracePath();
     if (!tracePath.empty()) options.hooks.trace = &trace;
-    prof::Profiler profiler;
     const std::string& profilePath = common.profilePath();
-    if (!profilePath.empty()) options.hooks.profiler = &profiler;
     const std::string metricsPath = get(args, "metrics", "");
 
     std::cout << "prtrsim: " << workload.callCount() << " calls x "
@@ -219,7 +217,7 @@ int main(int argc, char** argv) {
       std::ofstream out{profilePath};
       util::require(out.good(),
                     "prtrsim: cannot open " + profilePath + " for writing");
-      out << profiler.snapshot().toJson() << '\n';
+      out << obs::hostMetrics().snapshot().toJson() << '\n';
       std::cout << "host profile written to " << profilePath << '\n';
     }
     return 0;

@@ -5,8 +5,9 @@
 #include "config/icap_controller.hpp"
 #include "exec/pool.hpp"
 #include "model/bounds.hpp"
-#include "prof/counters.hpp"
 #include "model/model.hpp"
+#include "obs/host.hpp"
+#include "prof/counters.hpp"
 #include "tasks/hwfunction.hpp"
 #include "xd1/rtcore.hpp"
 
@@ -129,7 +130,12 @@ util::Table makeTable2() {
 }
 
 std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
-  const prof::Scope sweepScope{options.profiler, "fig9.sweep"};
+  // Host timings (obs/host.hpp): the whole sweep and every point.
+  static const obs::HistogramId kSweepNs =
+      obs::MetricTable::global().histogram("host.fig9.sweep_ns");
+  static const obs::HistogramId kPointNs =
+      obs::MetricTable::global().histogram("host.fig9.point_ns");
+  const obs::HostTimer sweepTimer{kSweepNs};
   const auto grid = logGrid(options.xTaskLo, options.xTaskHi, options.points);
   const auto registry = tasks::makePaperFunctions();
 
@@ -150,7 +156,7 @@ std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
   auto points = exec::parallelMap(
       grid,
       [&](const double& xTask) {
-        const prof::Scope pointScope{options.profiler, "fig9.point"};
+        const obs::HostTimer pointTimer{kPointNs};
         // parallelMap passes a reference into `grid`, so the element address
         // recovers this point's index for the by-index timeline slot.
         const std::size_t index =
@@ -169,7 +175,6 @@ std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
         so.forceMiss = true;
         so.prepare = runtime::PrepareSource::kQueue;
         so.artifacts = options.artifacts;
-        so.hooks.profiler = options.profiler;
         so.hooks.shardedMetrics = options.metrics;
         if (options.trace != nullptr) {
           so.hooks.timeline = &pointTimelines[index];

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "model/calibration.hpp"
-#include "prof/profiler.hpp"
 #include "runtime/scenario.hpp"
 #include "util/plot.hpp"
 #include "util/table.hpp"
@@ -53,10 +52,6 @@ struct Fig9Options {
   /// uses the same dual-PRR layout, so the repeated-layout hit rate is
   /// high). Null = each point rebuilds its artifacts.
   exec::ArtifactCache* artifacts = nullptr;
-  /// Wall-clock profiler: the whole sweep is timed under "fig9.sweep",
-  /// every point under "fig9.point", and the profiler propagates into each
-  /// point's scenario run (obs::Hooks::profiler). Null = off.
-  prof::Profiler* profiler = nullptr;
   /// Trace collector: each sweep point's PRTR timeline is added as one
   /// process ("fig9[i] x=...") with sampled counter tracks (link occupancy,
   /// ICAP busy, PRR residency) attached. Null = no trace capture.
@@ -68,6 +63,8 @@ struct Fig9Options {
   /// --threads width. Null = off.
   obs::ShardedRegistry* metrics = nullptr;
 };
+/// Host timings go to obs::hostMetrics(): the whole sweep under
+/// host.fig9.sweep_ns, every point under host.fig9.point_ns.
 [[nodiscard]] std::vector<Fig9Point> makeFig9(const Fig9Options& options);
 
 /// Renders Figure-9 points as a table and an ASCII plot.

@@ -71,7 +71,7 @@ std::string Options::usage(const std::string& bench,
   text +=
       "  --json <path>      write the machine-readable report JSON\n"
       "  --trace <path>     export a Chrome trace of the simulated run\n"
-      "  --profile <path>   export a host-side profiler snapshot\n"
+      "  --profile <path>   write the host timing histograms JSON\n"
       "  --threads <n>      worker threads for parallel sweeps (default: "
       "hardware)\n"
       "  --seed <n>         override the deterministic RNG seed\n"

@@ -13,7 +13,7 @@
 ///
 ///   --json <path>      write the machine-readable report/result JSON
 ///   --trace <path>     export a Chrome trace of the simulated run
-///   --profile <path>   export a host-side prof::Profiler snapshot
+///   --profile <path>   write the host.* timing histograms (obs/host.hpp)
 ///   --threads <n>      worker threads for parallel sweeps (default: hw)
 ///   --seed <n>         override the deterministic RNG seed
 ///   --help             print the usage block and exit 0

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <tuple>
 
+#include "obs/host.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 
@@ -140,16 +141,13 @@ StreamKey Library::keyBase() const noexcept {
 
 std::shared_ptr<const Bitstream> Library::resolve(
     const StreamKey& key, const std::function<Bitstream()>& build) {
-  if (profiler_ == nullptr) {
-    if (source_) return source_(key, build);
-    return streamMemo().getOrBuild(key, build);
-  }
   // Time actual synthesis only: a memoizing source (or the process-wide
-  // memo) that hits its cache never invokes the builder, so no scope opens
+  // memo) that hits its cache never invokes the builder, so no timer opens
   // for it.
-  prof::Profiler* profiler = profiler_;
-  const std::function<Bitstream()> timed = [&build, profiler] {
-    const prof::Scope scope{profiler, "bitstream.build"};
+  static const obs::HistogramId kBuildNs =
+      obs::MetricTable::global().histogram("host.bitstream.build_ns");
+  const std::function<Bitstream()> timed = [&build] {
+    const obs::HostTimer timer{kBuildNs};
     return build();
   };
   if (source_) return source_(key, timed);

@@ -14,7 +14,6 @@
 
 #include "bitstream/builder.hpp"
 #include "fabric/floorplan.hpp"
-#include "prof/profiler.hpp"
 
 namespace prtr::bitstream {
 
@@ -108,15 +107,13 @@ class Library {
     return nModules * (nModules - 1);
   }
 
-  /// Attaches a wall-clock profiler: every actual stream synthesis (cache
-  /// hits excluded) is timed under "bitstream.build". Null = off.
-  void setProfiler(prof::Profiler* profiler) noexcept { profiler_ = profiler; }
-
  private:
   [[nodiscard]] const ModuleSpec& spec(ModuleId module) const;
   /// Key template carrying the device/geometry tags of this floorplan.
   [[nodiscard]] StreamKey keyBase() const noexcept;
-  /// Resolves via source_ when set, else builds privately.
+  /// Resolves via source_ when set, else builds privately. Every actual
+  /// stream synthesis (cache hits excluded) is timed under
+  /// host.bitstream.build_ns (obs/host.hpp).
   [[nodiscard]] std::shared_ptr<const Bitstream> resolve(
       const StreamKey& key, const std::function<Bitstream()>& build);
 
@@ -124,7 +121,6 @@ class Library {
   std::vector<ModuleSpec> modules_;
   Builder builder_;
   StreamSource source_;
-  prof::Profiler* profiler_ = nullptr;
   std::uint32_t deviceTag_ = 0;
   std::uint32_t geometryCrc_ = 0;
   std::shared_ptr<const Bitstream> full_;

@@ -3,6 +3,8 @@
 #include <bit>
 #include <utility>
 
+#include "obs/host.hpp"
+
 namespace prtr::exec {
 namespace {
 
@@ -60,7 +62,6 @@ ArtifactCache::ArtifactCache(std::uint64_t byteBudget)
 
 std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
                                                       const ErasedBuild& build) {
-  prof::Profiler* profiler = profiler_.load(std::memory_order_relaxed);
   RaceObserver* observer = raceObserver_.load(std::memory_order_acquire);
   // mutex_ and each Inflight latch are modeled as sync objects so the
   // detector sees the same hand-offs the real locks provide; removing a
@@ -82,7 +83,6 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
         observer->release(mutexSync);
       }
       lock.unlock();
-      if (profiler != nullptr) profiler->count("exec.cache.hit");
       return artifact;
     }
     const auto pending = inflight_.find(key);
@@ -99,7 +99,6 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
   const auto flightSync = reinterpret_cast<std::uint64_t>(flight.get());
 
   if (!builder) {
-    if (profiler != nullptr) profiler->count("exec.cache.hit");
     std::unique_lock wait{flight->mutex};
     flight->done.wait(wait, [&] { return flight->finished; });
     // Latch departure: adopt everything the builder did before it
@@ -116,13 +115,14 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
     }
     return flight->artifact;
   }
-  if (profiler != nullptr) profiler->count("exec.cache.miss");
 
   std::shared_ptr<const void> artifact;
   std::uint64_t artifactBytes = 0;
   std::exception_ptr failure;
   try {
-    const prof::Scope scope{profiler, "exec.cache.build"};
+    static const obs::HistogramId kBuildNs =
+        obs::MetricTable::global().histogram("host.exec.cache.build_ns");
+    const obs::HostTimer timer{kBuildNs};
     std::tie(artifact, artifactBytes) = build();
   } catch (...) {
     failure = std::current_exception();
@@ -145,9 +145,10 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
     residentBytes = bytes_;
     if (observer != nullptr) observer->release(mutexSync);
   }
-  if (profiler != nullptr && !failure) {
-    profiler->sample("exec.cache.bytes",
-                     static_cast<std::int64_t>(residentBytes));
+  if (!failure) {
+    static const obs::HistogramId kBytes =
+        obs::MetricTable::global().histogram("host.exec.cache.bytes");
+    obs::hostMetrics().observe(kBytes, static_cast<std::int64_t>(residentBytes));
   }
   {
     const std::scoped_lock lock{flight->mutex};

@@ -31,7 +31,6 @@
 #include "exec/instrument.hpp"
 #include "fabric/floorplan.hpp"
 #include "obs/metrics.hpp"
-#include "prof/profiler.hpp"
 #include "util/crc32.hpp"
 
 namespace prtr::exec {
@@ -95,16 +94,10 @@ class ArtifactCache {
   [[nodiscard]] Stats stats() const;
 
   /// Counters/gauges under exec.cache.* (hits, misses, evictions, bytes,
-  /// entries, hit_rate).
+  /// entries, hit_rate). Host timings go to obs::hostMetrics(): every
+  /// builder invocation under host.exec.cache.build_ns, and the resident
+  /// bytes after every successful build under host.exec.cache.bytes.
   [[nodiscard]] obs::MetricsSnapshot metricsSnapshot() const;
-
-  /// Attaches a wall-clock profiler: builder invocations are timed under
-  /// "exec.cache.build", hits/misses counted under "exec.cache.hit"/
-  /// "exec.cache.miss", and resident bytes sampled under
-  /// "exec.cache.bytes" after every build. Null (default) = profiling off.
-  void setProfiler(prof::Profiler* profiler) noexcept {
-    profiler_.store(profiler, std::memory_order_relaxed);
-  }
 
   /// Attaches a happens-before race checker: the cache mutex and every
   /// single-flight latch are modeled as sync objects, and entry lookups /
@@ -145,7 +138,6 @@ class ArtifactCache {
                                                        const ErasedBuild& build);
   void evictOverBudgetLocked();
 
-  std::atomic<prof::Profiler*> profiler_{nullptr};
   std::atomic<RaceObserver*> raceObserver_{nullptr};
   mutable std::mutex mutex_;
   std::uint64_t byteBudget_;

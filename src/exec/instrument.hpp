@@ -1,10 +1,9 @@
 #pragma once
 /// \file instrument.hpp
-/// Concurrency-instrumentation seams for the exec layer. Both interfaces
-/// follow the prof::Profiler pattern from PR 5: an atomic pointer that is
-/// null by default, so the hot paths pay one relaxed load and a branch when
-/// instrumentation is off, and implementations live in a higher layer
-/// (prtr::verify) that exec never links against.
+/// Concurrency-instrumentation seams for the exec layer. Each is attached
+/// through an atomic pointer that is null by default, so the hot paths pay
+/// one load and a branch when instrumentation is off, and implementations
+/// live in a higher layer (prtr::verify) that exec never links against.
 ///
 /// RaceObserver receives the happens-before-relevant events of the pool and
 /// the artifact cache: release/acquire edges through sync objects (task

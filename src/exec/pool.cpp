@@ -5,6 +5,7 @@
 #include <exception>
 
 #include "exec/artifact_cache.hpp"
+#include "obs/host.hpp"
 
 namespace prtr::exec {
 namespace {
@@ -90,10 +91,9 @@ void Pool::push(std::unique_ptr<Task> task) {
   }
   wake_.notify_one();
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (prof::Profiler* profiler = profiler_.load(std::memory_order_relaxed)) {
-    profiler->sample("exec.pool.queue_depth",
-                     static_cast<std::int64_t>(depth));
-  }
+  static const obs::HistogramId kQueueDepth =
+      obs::MetricTable::global().histogram("host.exec.pool.queue_depth");
+  obs::hostMetrics().observe(kQueueDepth, static_cast<std::int64_t>(depth));
 }
 
 // Both seq_cst round-trips pair with setScheduleOracle's store-then-drain:
@@ -145,10 +145,6 @@ std::unique_ptr<Pool::Task> Pool::obtain(std::size_t self) {
         task = std::move(deques_[victim]->tasks.front());
         deques_[victim]->tasks.pop_front();
         steals_.fetch_add(1, std::memory_order_relaxed);
-        if (prof::Profiler* profiler =
-                profiler_.load(std::memory_order_relaxed)) {
-          profiler->count("exec.pool.steal");
-        }
       }
     }
   }
@@ -164,8 +160,9 @@ void Pool::runObtainedTask(Task& task) {
   RaceObserver* observer = raceObserver_.load(std::memory_order_acquire);
   if (observer != nullptr) observer->acquire(task.syncId);
   {
-    const prof::Scope scope{profiler_.load(std::memory_order_relaxed),
-                            "exec.pool.task"};
+    static const obs::HistogramId kTaskNs =
+        obs::MetricTable::global().histogram("host.exec.pool.task_ns");
+    const obs::HostTimer timer{kTaskNs};
     task.run();
   }
   // Completion edge: a joiner that later acquires syncId ^ kTaskDoneSalt

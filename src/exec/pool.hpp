@@ -40,7 +40,6 @@
 
 #include "exec/instrument.hpp"
 #include "obs/metrics.hpp"
-#include "prof/profiler.hpp"
 
 namespace prtr::exec {
 
@@ -118,17 +117,10 @@ class Pool {
   bool tryRunOneTask();
 
   /// Pool counters under exec.pool.* (threads, submitted, executed, steals,
-  /// parallel_fors) for obs consumers.
+  /// parallel_fors) for obs consumers. Host timings go to obs::hostMetrics():
+  /// every task under host.exec.pool.task_ns, and the ready-task backlog at
+  /// every push under host.exec.pool.queue_depth.
   [[nodiscard]] obs::MetricsSnapshot metricsSnapshot() const;
-
-  /// Attaches a wall-clock profiler: task execution is timed under
-  /// "exec.pool.task", steals counted under "exec.pool.steal", and the
-  /// ready-task backlog sampled under "exec.pool.queue_depth" at every
-  /// push. Null (the default) keeps the hot paths unprofiled. The profiler
-  /// must outlive the pool or be detached first.
-  void setProfiler(prof::Profiler* profiler) noexcept {
-    profiler_.store(profiler, std::memory_order_relaxed);
-  }
 
   /// Attaches a happens-before race checker: task submit/steal/complete
   /// and parallelFor barrier edges are reported as release/acquire pairs
@@ -214,7 +206,6 @@ class Pool {
   std::size_t readyHint_ = 0;  ///< queued tasks (guarded by sleepMutex_)
   bool stopping_ = false;      ///< guarded by sleepMutex_
 
-  std::atomic<prof::Profiler*> profiler_{nullptr};
   // Observer/oracle pointers publish with release and are read with
   // acquire (free on x86) so the pointee's construction is visible to a
   // worker before its first callback.

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "exec/pool.hpp"
-#include "prof/profiler.hpp"
+#include "obs/host.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/recorder.hpp"
 #include "util/error.hpp"
@@ -883,7 +883,9 @@ FleetReport runFleet(const tasks::FunctionRegistry& registry,
   util::require(profile.tasks.size() == registry.size(),
                 "runFleet: profile does not match the function registry");
   util::require(!profile.tasks.empty(), "runFleet: empty blade profile");
-  const prof::Scope runScope{options.hooks.profiler, "fleet.run"};
+  static const obs::HistogramId kRunNs =
+      obs::MetricTable::global().histogram("host.fleet.run_ns");
+  const obs::HostTimer runTimer{kRunNs};
   const Ids ids = internIds();
 
   std::vector<std::size_t> cellIndices(options.cells);

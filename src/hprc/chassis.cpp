@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "exec/pool.hpp"
-#include "prof/profiler.hpp"
+#include "obs/host.hpp"
 #include "util/error.hpp"
 
 namespace prtr::hprc {
@@ -65,7 +65,6 @@ runtime::ScenarioOptions bladeScenarioOptions(
   runtime::ScenarioOptions bladeOptions = scenario;
   bladeOptions.sides = runtime::ScenarioSides::kPrtrOnly;
   bladeOptions.hooks = obs::Hooks{};
-  bladeOptions.hooks.profiler = scenario.hooks.profiler;
   bladeOptions.faults = scenario.faults.forNode(blade);
   return bladeOptions;
 }
@@ -78,7 +77,11 @@ ChassisReport runChassis(const tasks::FunctionRegistry& registry,
   const auto shares =
       partitionWorkload(workload, options.blades, options.partition);
 
-  const prof::Scope runScope{options.scenario.hooks.profiler, "chassis.run"};
+  static const obs::HistogramId kRunNs =
+      obs::MetricTable::global().histogram("host.chassis.run_ns");
+  static const obs::HistogramId kBladeNs =
+      obs::MetricTable::global().histogram("host.chassis.blade_ns");
+  const obs::HostTimer runTimer{kRunNs};
 
   ChassisReport report;
   std::vector<std::size_t> bladeIndices(shares.size());
@@ -88,8 +91,7 @@ ChassisReport runChassis(const tasks::FunctionRegistry& registry,
       [&](const std::size_t blade) {
         const runtime::ScenarioOptions bladeOptions =
             bladeScenarioOptions(options.scenario, blade);
-        const prof::Scope bladeScope{bladeOptions.hooks.profiler,
-                                     "chassis.blade"};
+        const obs::HostTimer bladeTimer{kBladeNs};
         if (shares[blade].calls.empty()) return runtime::ExecutionReport{};
         return runtime::runScenario(registry, shares[blade], bladeOptions).prtr;
       },

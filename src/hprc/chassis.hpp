@@ -55,8 +55,8 @@ struct ChassisOptions {
     const tasks::Workload& workload, std::size_t blades, Partition partition);
 
 /// One blade's ScenarioOptions: a hook-free, PRTR-only copy of `scenario`
-/// so no caller-owned timeline/registry is shared across blade threads (the
-/// profiler survives — it aggregates under its own lock). Fault plans are
+/// so no caller-owned timeline/registry is shared across blade threads
+/// (host timings still record: obs::hostMetrics() locks). Fault plans are
 /// re-seeded per blade via fault::Plan::forNode, so multi-blade chaos runs
 /// draw independent injection streams per node. Shared by runChassis and
 /// the fleet layer's blade calibration.

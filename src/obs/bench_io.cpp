@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "obs/host.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -40,13 +41,25 @@ void BenchReport::metrics(MetricsSnapshot&& snapshot) {
   metrics_.merge(std::move(snapshot));
 }
 
-int BenchReport::finish() const {
-  if (!jsonRequested()) return 0;
-  std::ofstream file{jsonPath()};
+namespace {
+
+std::ofstream openForWriting(const std::string& path) {
+  std::ofstream file{path};
   if (!file) {
-    throw util::Error{"BenchReport: cannot open " + jsonPath() +
-                      " for writing"};
+    throw util::Error{"BenchReport: cannot open " + path + " for writing"};
   }
+  return file;
+}
+
+}  // namespace
+
+int BenchReport::finish() const {
+  if (profileRequested()) {
+    std::ofstream profile = openForWriting(profilePath());
+    profile << hostMetrics().snapshot().toJson() << '\n';
+  }
+  if (!jsonRequested()) return 0;
+  std::ofstream file = openForWriting(jsonPath());
   util::json::Writer w{file};
   w.beginObject();
   w.key("bench").value(name_);

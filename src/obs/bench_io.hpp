@@ -10,7 +10,10 @@
 ///    "metrics":{"counters":{...},...}}
 ///
 /// so the CI smoke job and future perf-trajectory tooling consume the same
-/// numbers the human-readable tables show. Flag parsing is delegated to the
+/// numbers the human-readable tables show. With `--profile <path>` it also
+/// writes the process's host timings (obs::hostMetrics(), every name under
+/// `host.`) as a MetricsSnapshot JSON; they never enter the `--json`
+/// document, which stays deterministic. Flag parsing is delegated to the
 /// shared bench::Options vocabulary (`--json/--trace/--profile/--threads/
 /// --seed/--help`), so every bench binary answers `--help` with the same
 /// usage block.
@@ -89,8 +92,9 @@ class BenchReport {
   /// splices the maps instead of copying every key.
   void metrics(MetricsSnapshot&& snapshot);
 
-  /// Writes the JSON document when --json was requested. Returns the
-  /// process exit code for main (0; file errors propagate as exceptions).
+  /// Writes the host profile when --profile was requested and the JSON
+  /// document when --json was. Returns the process exit code for main (0;
+  /// file errors propagate as exceptions).
   [[nodiscard]] int finish() const;
 
  private:

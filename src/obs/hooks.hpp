@@ -6,14 +6,12 @@
 /// optional metrics sink that receives the run's MetricsSnapshot, and an
 /// optional Chrome-trace collector that receives the recorded timelines.
 /// All pointers are non-owning and may be null (null = feature off).
+/// Host wall-clock timings are not a hook: they always record into
+/// obs::hostMetrics() (obs/host.hpp).
 
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/trace.hpp"
-
-namespace prtr::prof {
-class Profiler;  // host-side wall-clock profiler (prtr::prof layers above obs)
-}  // namespace prtr::prof
 
 namespace prtr::obs {
 
@@ -35,15 +33,6 @@ struct Hooks {
   /// timeline pointers above are null, the run records into internal
   /// timelines so the trace is still populated.
   ChromeTrace* trace = nullptr;
-  /// Host-side wall-clock profiler (prof::Profiler). Run entry points open
-  /// prof::Scope timers against it; null keeps profiling zero-overhead.
-  prof::Profiler* profiler = nullptr;
-
-  [[nodiscard]] bool any() const noexcept {
-    return timeline != nullptr || frtrTimeline != nullptr ||
-           metrics != nullptr || shardedMetrics != nullptr ||
-           trace != nullptr || profiler != nullptr;
-  }
 };
 
 }  // namespace prtr::obs

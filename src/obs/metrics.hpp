@@ -18,9 +18,9 @@
 /// provider the exec layer registers, and merged at the barrier by a
 /// deterministic ordered tree reduction — byte-equal output at any width.
 ///
-/// The old string_view record calls survive as once-per-call-site warning
-/// deprecated shims (the PR 7 Timeline::record pattern); new code interns
-/// once at init and records by id.
+/// There are no by-name record calls: code interns once at init and
+/// records by id. Host wall-clock timings use the same ids under `host.`
+/// (obs/host.hpp).
 
 #include <algorithm>
 #include <array>

@@ -202,15 +202,4 @@ std::unique_ptr<ConfigCache> makeCache(CachePolicy policy,
   throw util::DomainError{"makeCache: invalid CachePolicy"};
 }
 
-std::unique_ptr<ConfigCache> makeCache(const std::string& policy,
-                                       std::size_t slotCount,
-                                       const std::vector<ModuleId>& futureSequence,
-                                       std::uint64_t seed) {
-  const std::optional<CachePolicy> parsed = cachePolicyFromString(policy);
-  if (!parsed) {
-    throw util::DomainError{"makeCache: unknown policy '" + policy + "'"};
-  }
-  return makeCache(*parsed, slotCount, futureSequence, seed);
-}
-
 }  // namespace prtr::runtime

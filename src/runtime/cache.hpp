@@ -192,11 +192,4 @@ class BeladyCache final : public ConfigCache {
     CachePolicy policy, std::size_t slotCount,
     const std::vector<ModuleId>& futureSequence = {}, std::uint64_t seed = 1);
 
-/// Stringly-typed factory, kept for callers that predate CachePolicy.
-/// Still throws DomainError for unknown names.
-[[deprecated("use makeCache(CachePolicy, ...) / cachePolicyFromString")]]
-[[nodiscard]] std::unique_ptr<ConfigCache> makeCache(
-    const std::string& policy, std::size_t slotCount,
-    const std::vector<ModuleId>& futureSequence = {}, std::uint64_t seed = 1);
-
 }  // namespace prtr::runtime

@@ -115,15 +115,4 @@ std::unique_ptr<Prefetcher> makePrefetcher(PrefetcherKind kind,
   throw util::DomainError{"makePrefetcher: invalid PrefetcherKind"};
 }
 
-std::unique_ptr<Prefetcher> makePrefetcher(const std::string& kind,
-                                           util::Time latency,
-                                           const std::vector<ModuleId>& sequence,
-                                           std::size_t window) {
-  const std::optional<PrefetcherKind> parsed = prefetcherKindFromString(kind);
-  if (!parsed) {
-    throw util::DomainError{"makePrefetcher: unknown kind '" + kind + "'"};
-  }
-  return makePrefetcher(*parsed, latency, sequence, window);
-}
-
 }  // namespace prtr::runtime

@@ -130,11 +130,4 @@ class AssociationPrefetcher final : public Prefetcher {
     PrefetcherKind kind, util::Time latency,
     const std::vector<ModuleId>& sequence = {}, std::size_t window = 8);
 
-/// Stringly-typed factory, kept for callers that predate PrefetcherKind.
-/// Still throws DomainError for unknown names.
-[[deprecated("use makePrefetcher(PrefetcherKind, ...) / prefetcherKindFromString")]]
-[[nodiscard]] std::unique_ptr<Prefetcher> makePrefetcher(
-    const std::string& kind, util::Time latency,
-    const std::vector<ModuleId>& sequence = {}, std::size_t window = 8);
-
 }  // namespace prtr::runtime

@@ -5,8 +5,8 @@
 #include "analyze/lint.hpp"
 #include "exec/artifact_cache.hpp"
 #include "model/calibration.hpp"
+#include "obs/host.hpp"
 #include "prof/counters.hpp"
-#include "prof/profiler.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "verify/timeline_rules.hpp"
@@ -46,12 +46,10 @@ bitstream::Library makeLibrary(const ScenarioOptions& options,
   if (options.artifacts != nullptr) {
     source = exec::cachingStreamSource(*options.artifacts);
   }
-  bitstream::Library library{
+  return bitstream::Library{
       node.floorplan(),
       registry.moduleSpecs(node.floorplan().prr(0).resources(node.device())),
       std::move(source)};
-  library.setProfiler(options.hooks.profiler);
-  return library;
 }
 
 /// Module-id sequence of a workload (for Belady / oracle construction).
@@ -89,8 +87,8 @@ ExecutorOptions executorOptions(const ScenarioOptions& options,
   return eo;
 }
 
-/// The PRTR side on a fresh node. Shared by runScenario and the
-/// deprecated runPrtrOnly shim (which must keep its lint-free behavior).
+/// The PRTR side on a fresh node, with the configured cache policy and
+/// prefetcher.
 ExecutionReport runPrtrSide(const tasks::FunctionRegistry& registry,
                             const tasks::Workload& workload,
                             const ScenarioOptions& options,
@@ -131,6 +129,24 @@ model::Params deriveModelParamsAt(const tasks::FunctionRegistry& registry,
   return abs.normalized();
 }
 
+/// Host-timing ids (obs/host.hpp) of runScenario's phases, interned once
+/// per process.
+struct HostIds {
+  obs::HistogramId lint, frtr, prtr, model, verify;
+};
+
+const HostIds& hostIds() {
+  static const HostIds kIds = [] {
+    obs::MetricTable& t = obs::MetricTable::global();
+    return HostIds{t.histogram("host.scenario.lint_ns"),
+                   t.histogram("host.scenario.frtr_ns"),
+                   t.histogram("host.scenario.prtr_ns"),
+                   t.histogram("host.scenario.model_ns"),
+                   t.histogram("host.scenario.verify_ns")};
+  }();
+  return kIds;
+}
+
 }  // namespace
 
 const char* toString(ScenarioSides sides) noexcept {
@@ -159,13 +175,13 @@ model::Params deriveModelParams(const tasks::FunctionRegistry& registry,
 ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
                            const tasks::Workload& workload,
                            const ScenarioOptions& options) {
-  prof::Profiler* profiler = options.hooks.profiler;
+  const HostIds& host = hostIds();
 
   // Strict mode: statically lint the scenario before instantiating any
   // simulator. Error-severity findings abort here with the same codes
   // prtr-lint reports; warnings are advisory and do not block execution.
   {
-    const prof::Scope scope{profiler, "scenario.lint"};
+    const obs::HostTimer timer{host.lint};
     analyze::LintTargets lintTargets;
     lintTargets.scenario = &options;
     const analyze::DiagnosticSink lint = analyze::lintAll(lintTargets);
@@ -192,7 +208,7 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   ScenarioResult result;
 
   if (options.sides == ScenarioSides::kBoth) {
-    const prof::Scope scope{profiler, "scenario.frtr"};
+    const obs::HostTimer timer{host.frtr};
     sim::Simulator sim;
     xd1::Node node{sim, nodeConfigFor(options)};
     bitstream::Library library = makeLibrary(options, registry, node);
@@ -201,13 +217,13 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   }
 
   {
-    const prof::Scope scope{profiler, "scenario.prtr"};
+    const obs::HostTimer timer{host.prtr};
     result.prtr = runPrtrSide(registry, workload, options, prtrTl);
   }
 
   const double hitRatio = options.forceMiss ? 0.0 : result.prtr.hitRatio();
   {
-    const prof::Scope scope{profiler, "scenario.model"};
+    const obs::HostTimer timer{host.model};
     result.modelParams = deriveModelParamsAt(registry, workload, options,
                                              hitRatio);
     result.modelSpeedup = model::speedup(result.modelParams);
@@ -248,7 +264,7 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   // platform's physical exclusivity constraints. Same abort contract as
   // the strict pre-run lint above.
   if (options.verify) {
-    const prof::Scope scope{profiler, "scenario.verify"};
+    const obs::HostTimer timer{host.verify};
     analyze::DiagnosticSink findings;
     if (frtrTl != nullptr) verify::checkTimeline("frtr", *frtrTl, findings);
     if (prtrTl != nullptr) verify::checkTimeline("prtr", *prtrTl, findings);
@@ -258,25 +274,5 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   }
   return result;
 }
-
-// Deprecated shims. Their replacements are declared [[deprecated]] in the
-// header; defining them here must not warn under -Werror.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-ExecutionReport runPrtrOnly(const tasks::FunctionRegistry& registry,
-                            const tasks::Workload& workload,
-                            const ScenarioOptions& options) {
-  return runPrtrSide(registry, workload, options, options.hooks.timeline);
-}
-
-model::Params deriveModelParams(const tasks::FunctionRegistry& registry,
-                                const tasks::Workload& workload,
-                                const ScenarioOptions& options,
-                                double hitRatio) {
-  return deriveModelParamsAt(registry, workload, options, hitRatio);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace prtr::runtime

@@ -6,11 +6,9 @@
 /// This is what the examples and the figure-reproduction benches drive.
 ///
 /// One options-driven entry point: `ScenarioOptions.sides` selects whether
-/// the FRTR baseline runs at all (the old `runPrtrOnly` is a deprecated
-/// shim over `sides = kPrtrOnly`), `assumedHitRatio` feeds model-only
-/// derivations (the old 4-argument `deriveModelParams`), and `hooks`
-/// attaches observability (timelines, metrics sink, trace exporter)
-/// uniformly instead of raw Timeline pointers.
+/// the FRTR baseline runs at all, `assumedHitRatio` feeds model-only
+/// derivations (deriveModelParams), and `hooks` attaches observability
+/// (timelines, metrics sink, trace exporter) uniformly.
 
 #include <optional>
 #include <string>
@@ -103,22 +101,10 @@ struct ScenarioResult {
                                          const tasks::Workload& workload,
                                          const ScenarioOptions& options);
 
-/// Runs only the PRTR side (used when the FRTR side is analytic anyway).
-[[deprecated("set ScenarioOptions::sides = ScenarioSides::kPrtrOnly and use runScenario")]]
-[[nodiscard]] ExecutionReport runPrtrOnly(const tasks::FunctionRegistry& registry,
-                                          const tasks::Workload& workload,
-                                          const ScenarioOptions& options);
-
 /// Derives the model parameters a scenario implies (without running it),
 /// at `options.assumedHitRatio` (H = 0 when unset).
 [[nodiscard]] model::Params deriveModelParams(
     const tasks::FunctionRegistry& registry, const tasks::Workload& workload,
     const ScenarioOptions& options);
-
-/// Same, with the hit ratio as a positional parameter.
-[[deprecated("set ScenarioOptions::assumedHitRatio and use the 3-argument overload")]]
-[[nodiscard]] model::Params deriveModelParams(
-    const tasks::FunctionRegistry& registry, const tasks::Workload& workload,
-    const ScenarioOptions& options, double hitRatio);
 
 }  // namespace prtr::runtime

@@ -683,13 +683,6 @@ TEST(ScenarioRules, KnownNameListsMatchTheRuntimeFactories) {
   }
   EXPECT_FALSE(runtime::cachePolicyFromString("clock").has_value());
   EXPECT_FALSE(runtime::prefetcherKindFromString("psychic").has_value());
-  // The deprecated string factories keep their throwing contract.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW((void)runtime::makeCache("clock", 2), util::DomainError);
-  EXPECT_THROW((void)runtime::makePrefetcher("psychic", util::Time::zero()),
-               util::DomainError);
-#pragma GCC diagnostic pop
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 // Tests for the shared bench::Options vocabulary every bench binary and
-// the prtrsim CLI parse their common flags through.
+// the prtrsim CLI parse their common flags through, and for the --profile
+// output every obs::BenchReport writes.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <vector>
 
 #include "bench/options.hpp"
+#include "obs/bench_io.hpp"
+#include "obs/host.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace prtr::bench {
 namespace {
@@ -70,6 +76,40 @@ TEST(BenchOptions, UsageListsEveryFlagAndTheExtraBlock) {
 
 TEST(BenchOptions, HelpFlagIsRecognisedAnywhere) {
   EXPECT_TRUE(parse({"--json", "o.json", "--help"}).helpRequested());
+}
+
+// Any BenchReport bench honours --profile: finish() writes the host
+// registry as a MetricsSnapshot JSON whose every name is under host.
+TEST(BenchOptions, ProfileFlagWritesTheHostTimingsFromFinish) {
+  const std::string path = testing::TempDir() + "bench_profile.json";
+  const char* argv[] = {"bench", "--profile", path.c_str()};
+  const obs::BenchReport report{"demo", 3, argv};
+  {
+    const obs::HostTimer timer{
+        obs::MetricTable::global().histogram("host.test.bench_report_ns")};
+  }
+  ASSERT_EQ(report.finish(), 0);
+
+  std::ifstream in{path};
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const util::json::Value doc = util::json::Value::parse(text.str());
+  EXPECT_TRUE(doc.at("counters").asObject().empty());
+  EXPECT_TRUE(doc.at("gauges").asObject().empty());
+  const auto& histograms = doc.at("histograms").asObject();
+  ASSERT_FALSE(histograms.empty());
+  for (const auto& [name, summary] : histograms) {
+    EXPECT_TRUE(name.starts_with("host.")) << name;
+    EXPECT_GE(summary.at("count").asNumber(), 1.0) << name;
+  }
+  const util::json::Value* timed = doc.at("histograms").find(
+      "host.test.bench_report_ns");
+  ASSERT_NE(timed, nullptr);
+  EXPECT_EQ(timed->at("count").asNumber(), 1.0);
+  for (const char* field : {"sum", "min", "max", "p50", "p95", "p99"}) {
+    EXPECT_NE(timed->find(field), nullptr) << field;
+  }
 }
 
 }  // namespace

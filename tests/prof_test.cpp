@@ -1,11 +1,15 @@
-// Tests for prtr::prof — the wall-clock profiler (aggregation semantics,
-// thread-safety, the null-profiler zero-overhead contract) and the
-// deterministic counter-track sampler that feeds the Chrome-trace exporter.
+// Tests for host profiling — the always-on host.* timing histograms in
+// obs::hostMetrics() (aggregation, lossless concurrent recording, and their
+// exclusion from simulated outputs) — and for prtr::prof's deterministic
+// counter-track sampler that feeds the Chrome-trace exporter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "exec/pool.hpp"
+#include "obs/host.hpp"
 #include "prof/counters.hpp"
-#include "prof/profiler.hpp"
 #include "runtime/scenario.hpp"
 #include "sim/trace.hpp"
 #include "tasks/workload.hpp"
@@ -14,119 +18,131 @@ namespace {
 
 using namespace prtr;
 
+/// Histogram `name` as recorded into the host registry since `before`.
+/// Every test in this binary shares obs::hostMetrics(), so checks measure
+/// the delta over their own window.
+obs::HistogramSummary hostDelta(const obs::MetricsSnapshot& before,
+                                std::string_view name) {
+  const obs::MetricsSnapshot delta =
+      obs::hostMetrics().snapshot().diff(before);
+  const auto it = delta.histograms.find(name);
+  return it != delta.histograms.end() ? it->second : obs::HistogramSummary{};
+}
+
+obs::HistogramId hostId(std::string_view name) {
+  return obs::MetricTable::global().histogram(name);
+}
+
 TEST(Profiler, RecordAggregatesUnderTheLabel) {
-  prof::Profiler profiler;
-  profiler.record("phase.a", 100);
-  profiler.record("phase.a", 300);
-  profiler.record("phase.b", 50);
-  const prof::ProfileSnapshot snap = profiler.snapshot();
-  ASSERT_EQ(snap.phases.size(), 2u);
-  const obs::HistogramSummary& a = snap.phases.at("phase.a");
-  EXPECT_EQ(a.count, 2u);
-  EXPECT_EQ(a.sum, 400);
-  EXPECT_EQ(a.min, 100);
-  EXPECT_EQ(a.max, 300);
-  EXPECT_GE(a.p50(), static_cast<double>(a.min));
-  EXPECT_LE(a.p95(), static_cast<double>(a.max));
-  EXPECT_EQ(snap.phases.at("phase.b").count, 1u);
+  const obs::HistogramId a = hostId("host.test.phase_a_ns");
+  const obs::HistogramId b = hostId("host.test.phase_b_ns");
+  const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
+  obs::hostMetrics().observe(a, 100);
+  obs::hostMetrics().observe(a, 300);
+  obs::hostMetrics().observe(b, 50);
+  const obs::HistogramSummary phaseA = hostDelta(before, "host.test.phase_a_ns");
+  EXPECT_EQ(phaseA.count, 2u);
+  EXPECT_EQ(phaseA.sum, 400);
+  EXPECT_EQ(phaseA.min, 100);
+  EXPECT_EQ(phaseA.max, 300);
+  EXPECT_GE(phaseA.p50(), static_cast<double>(phaseA.min));
+  EXPECT_LE(phaseA.p95(), static_cast<double>(phaseA.max));
+  EXPECT_EQ(hostDelta(before, "host.test.phase_b_ns").count, 1u);
 }
 
-TEST(Profiler, CountAndSampleAccumulate) {
-  prof::Profiler profiler;
-  profiler.count("event");
-  profiler.count("event", 4);
-  profiler.sample("gauge", 10);
-  profiler.sample("gauge", 30);
-  const prof::ProfileSnapshot snap = profiler.snapshot();
-  EXPECT_EQ(snap.counts.at("event"), 5u);
-  EXPECT_EQ(snap.samples.at("gauge").count, 2u);
-  EXPECT_EQ(snap.samples.at("gauge").min, 10);
-  EXPECT_EQ(snap.samples.at("gauge").max, 30);
-}
-
-TEST(Profiler, ScopeTimesAnIntervalAndNullScopeIsANoOp) {
-  prof::Profiler profiler;
+TEST(Profiler, HostTimerAddsExactlyOneObservation) {
+  const obs::HistogramId id = hostId("host.test.timer_ns");
+  const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
   {
-    const prof::Scope scope{&profiler, "scoped"};
+    const obs::HostTimer timer{id};
   }
-  EXPECT_EQ(profiler.snapshot().phases.at("scoped").count, 1u);
-  {
-    // A null profiler must be safe and record nothing anywhere.
-    const prof::Scope scope{nullptr, "scoped"};
-  }
-  EXPECT_EQ(profiler.snapshot().phases.at("scoped").count, 1u);
+  const obs::HistogramSummary timed = hostDelta(before, "host.test.timer_ns");
+  EXPECT_EQ(timed.count, 1u);
+  EXPECT_GE(timed.sum, 0);
 }
 
-TEST(Profiler, SnapshotJsonAndToStringAreRenderable) {
-  prof::Profiler profiler;
-  profiler.record("phase", 1'000);
-  profiler.count("hits", 3);
-  profiler.sample("depth", 7);
-  const prof::ProfileSnapshot snap = profiler.snapshot();
-  EXPECT_FALSE(snap.empty());
-  const std::string json = snap.toJson();
-  EXPECT_NE(json.find("\"phases\""), std::string::npos);
-  EXPECT_NE(json.find("\"counts\":{\"hits\":3}"), std::string::npos);
-  EXPECT_NE(json.find("\"samples\""), std::string::npos);
-  EXPECT_NE(json.find("\"p50\""), std::string::npos);
-  EXPECT_NE(snap.toString().find("phase"), std::string::npos);
-}
-
-// The same work fanned out at different pool widths must aggregate to the
-// same counts: the profiler's mutex makes concurrent recording lossless.
+// The same work fanned out at different pool widths, and over raw threads,
+// must aggregate to the same count and sum: the host registry's mutex makes
+// concurrent recording from pool workers, the participating caller, and
+// unrelated threads lossless.
 TEST(Profiler, AggregationIsDeterministicAcrossPoolWidths) {
   constexpr std::size_t kItems = 64;
-  const std::vector<int> items(kItems, 1);
+  std::vector<std::int64_t> items(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    items[i] = static_cast<std::int64_t>(i + 1);
+  }
+  const auto itemSum = static_cast<std::int64_t>(kItems * (kItems + 1) / 2);
+  const obs::HistogramId sampled = hostId("host.test.work_sample");
+  const obs::HistogramId timed = hostId("host.test.work_item_ns");
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    prof::Profiler profiler;
+    const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
     const auto out = exec::parallelMap(
         items,
-        [&](int item) {
-          const prof::Scope scope{&profiler, "work.item"};
-          profiler.count("work.count");
-          profiler.sample("work.sample", item);
+        [&](std::int64_t item) {
+          const obs::HostTimer timer{timed};
+          obs::hostMetrics().observe(sampled, item);
           return item;
         },
         exec::ForOptions{.threads = threads});
     EXPECT_EQ(out.size(), kItems);
-    const prof::ProfileSnapshot snap = profiler.snapshot();
-    EXPECT_EQ(snap.phases.at("work.item").count, kItems)
-        << "threads=" << threads;
-    EXPECT_EQ(snap.counts.at("work.count"), kItems) << "threads=" << threads;
-    EXPECT_EQ(snap.samples.at("work.sample").count, kItems)
-        << "threads=" << threads;
-    EXPECT_EQ(snap.samples.at("work.sample").sum,
-              static_cast<std::int64_t>(kItems))
+    const obs::HistogramSummary sample =
+        hostDelta(before, "host.test.work_sample");
+    EXPECT_EQ(sample.count, kItems) << "threads=" << threads;
+    EXPECT_EQ(sample.sum, itemSum) << "threads=" << threads;
+    EXPECT_EQ(hostDelta(before, "host.test.work_item_ns").count, kItems)
         << "threads=" << threads;
   }
+
+  // Raw threads outside the pool share one obs thread slot, so only the
+  // registry's own lock keeps their records apart.
+  const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
+  std::vector<std::thread> raw;
+  for (std::size_t t = 0; t < 2; ++t) {
+    raw.emplace_back([&, t] {
+      for (std::size_t i = t; i < kItems; i += 2) {
+        obs::hostMetrics().observe(sampled, items[i]);
+      }
+    });
+  }
+  for (std::thread& thread : raw) thread.join();
+  const obs::HistogramSummary sample =
+      hostDelta(before, "host.test.work_sample");
+  EXPECT_EQ(sample.count, kItems);
+  EXPECT_EQ(sample.sum, itemSum);
 }
 
-// Attaching a profiler must not change any simulated output: same scenario
-// with and without Hooks::profiler renders byte-identical results.
-TEST(Profiler, AttachingAProfilerLeavesScenarioResultsByteIdentical) {
+bool hasHostName(const obs::MetricsSnapshot& snapshot) {
+  const auto isHost = [](const auto& entry) {
+    return entry.first.starts_with("host.");
+  };
+  return std::any_of(snapshot.counters.begin(), snapshot.counters.end(),
+                     isHost) ||
+         std::any_of(snapshot.gauges.begin(), snapshot.gauges.end(), isHost) ||
+         std::any_of(snapshot.histograms.begin(), snapshot.histograms.end(),
+                     isHost);
+}
+
+// Host timings are wall-clock, so they must never reach a simulated output:
+// the scenario's own metrics and its metrics hook stay free of host.*
+// names, while the host registry gains one observation per phase.
+TEST(Profiler, ScenarioHostTimingsStayOutOfSimulatedMetrics) {
   const auto registry = tasks::makePaperFunctions();
   const auto workload =
       tasks::makeRoundRobinWorkload(registry, 6, util::Bytes{1'000'000});
+  obs::Registry sink;
+  runtime::ScenarioOptions options;
+  options.forceMiss = true;
+  options.hooks.metrics = &sink;
 
-  runtime::ScenarioOptions plain;
-  plain.forceMiss = true;
-  const runtime::ScenarioResult without =
-      runtime::runScenario(registry, workload, plain);
+  const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
+  const runtime::ScenarioResult result =
+      runtime::runScenario(registry, workload, options);
 
-  prof::Profiler profiler;
-  runtime::ScenarioOptions profiled;
-  profiled.forceMiss = true;
-  profiled.hooks.profiler = &profiler;
-  const runtime::ScenarioResult with =
-      runtime::runScenario(registry, workload, profiled);
-
-  EXPECT_EQ(without.toString(), with.toString());
-  EXPECT_EQ(without.metrics, with.metrics);
-  EXPECT_EQ(without.metrics.toJson(), with.metrics.toJson());
-  // And the profiler did observe the instrumented scenario phases.
-  const prof::ProfileSnapshot snap = profiler.snapshot();
-  EXPECT_EQ(snap.phases.count("scenario.prtr"), 1u);
-  EXPECT_EQ(snap.phases.count("scenario.frtr"), 1u);
+  EXPECT_FALSE(result.metrics.empty());
+  EXPECT_FALSE(hasHostName(result.metrics));
+  EXPECT_FALSE(hasHostName(sink.snapshot()));
+  EXPECT_EQ(hostDelta(before, "host.scenario.frtr_ns").count, 1u);
+  EXPECT_EQ(hostDelta(before, "host.scenario.prtr_ns").count, 1u);
 }
 
 sim::Timeline syntheticTimeline() {

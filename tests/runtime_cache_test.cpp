@@ -158,14 +158,6 @@ TEST(CacheFactoryTest, PolicyNames) {
   EXPECT_EQ(makeCache(CachePolicy::kBelady, 2)->policyName(), "Belady");
 }
 
-TEST(CacheFactoryTest, DeprecatedStringFactoryStillWorks) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(makeCache("lru", 2)->policyName(), "LRU");
-  EXPECT_THROW(makeCache("clock", 2), util::DomainError);
-#pragma GCC diagnostic pop
-}
-
 TEST(ConfigCacheTest, RejectsZeroSlots) {
   EXPECT_THROW(LruCache{0}, util::DomainError);
 }

@@ -93,16 +93,6 @@ TEST(PrefetcherFactoryTest, DecisionLatencyIsForwarded) {
   EXPECT_EQ(p->decisionLatency(), util::Time::microseconds(7));
 }
 
-TEST(PrefetcherFactoryTest, DeprecatedStringFactoryStillWorks) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_EQ(makePrefetcher("oracle", util::Time::zero(), {1, 2})->name(),
-            "oracle");
-  EXPECT_THROW(makePrefetcher("psychic", util::Time::zero()),
-               util::DomainError);
-#pragma GCC diagnostic pop
-}
-
 /// Property sweep: Markov prediction accuracy tracks the workload's
 /// self-transition bias.
 class MarkovAccuracyTest : public ::testing::TestWithParam<double> {};

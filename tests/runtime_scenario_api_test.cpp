@@ -1,7 +1,6 @@
 // Tests for the redesigned scenario API surface: the typed CachePolicy /
-// PrefetcherKind enums and their string boundaries, ScenarioSides, the
-// assumedHitRatio option, and the deprecated shims' equivalence with the
-// options-driven entry points they forward to.
+// PrefetcherKind enums and their string boundaries, ScenarioSides, and the
+// assumedHitRatio option.
 #include <gtest/gtest.h>
 
 #include "runtime/scenario.hpp"
@@ -74,22 +73,6 @@ TEST(ScenarioApi, PrtrSideIsIdenticalAcrossSidesSettings) {
   EXPECT_EQ(withFrtr.prtr.configStall, without.prtr.configStall);
 }
 
-TEST(ScenarioApi, DeprecatedRunPrtrOnlyMatchesTheOptionsForm) {
-  const auto registry = tasks::makePaperFunctions();
-  const auto workload =
-      tasks::makeRoundRobinWorkload(registry, 4, util::Bytes{1'000'000});
-  runtime::ScenarioOptions so = baseOptions();
-  so.sides = runtime::ScenarioSides::kPrtrOnly;
-  const auto viaOptions = runtime::runScenario(registry, workload, so).prtr;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto viaShim = runtime::runPrtrOnly(registry, workload, baseOptions());
-#pragma GCC diagnostic pop
-  EXPECT_EQ(viaShim.total, viaOptions.total);
-  EXPECT_EQ(viaShim.calls, viaOptions.calls);
-  EXPECT_EQ(viaShim.configurations, viaOptions.configurations);
-}
-
 TEST(ScenarioApi, AssumedHitRatioFeedsModelDerivation) {
   const auto registry = tasks::makePaperFunctions();
   const auto workload =
@@ -101,14 +84,6 @@ TEST(ScenarioApi, AssumedHitRatioFeedsModelDerivation) {
   const auto atZero = runtime::deriveModelParams(registry, workload, so);
   EXPECT_DOUBLE_EQ(atHalf.hitRatio, 0.5);
   EXPECT_DOUBLE_EQ(atZero.hitRatio, 0.0);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto viaShim = runtime::deriveModelParams(registry, workload, so, 0.5);
-#pragma GCC diagnostic pop
-  EXPECT_DOUBLE_EQ(viaShim.hitRatio, atHalf.hitRatio);
-  EXPECT_DOUBLE_EQ(viaShim.xTask, atHalf.xTask);
-  EXPECT_DOUBLE_EQ(viaShim.xPrtr, atHalf.xPrtr);
 }
 
 }  // namespace
