@@ -5,14 +5,12 @@
 // without prefetching, on the measured-basis XD1.
 #include <iostream>
 
-#include "obs/bench_io.hpp"
+#include "case.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/appsuite.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"appsuite", argc, argv};
+int prtr::bench::cases::appsuite(obs::BenchReport& breport) {
   const auto registry = tasks::makeExtendedFunctions();
   util::Rng rng{20260705};
   const auto suite = tasks::makeApplicationSuite(registry, rng);
@@ -61,5 +59,5 @@ int main(int argc, char** argv) {
                "branching ATR workload reconfigures most.\n";
   breport.table("appsuite_dual", table);
   breport.table("appsuite_quad", quad);
-  return breport.finish();
+  return 0;
 }

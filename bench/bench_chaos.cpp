@@ -5,20 +5,15 @@
 // chaos run recovers (no unrecovered scenarios), that retries stay inside
 // the policy budget, and that the pooled sweep is byte-identical to the
 // serial one — chaos must not cost determinism.
-//
-// Usage: bench_chaos [--threads N] [--json FILE]
 #include <array>
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "case.hpp"
 #include "config/recovery.hpp"
 #include "exec/pool.hpp"
-#include "obs/bench_io.hpp"
-#include "obs/trace_export.hpp"
-#include "runtime/scenario.hpp"
 #include "tasks/workload.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
@@ -74,10 +69,7 @@ std::uint64_t counterSum(const runtime::ScenarioResult& result,
                          const std::string& suffix) {
   std::uint64_t total = 0;
   for (const auto& [name, value] : result.metrics.counters) {
-    if (name.size() >= suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
-      total += value;
-    }
+    if (name.ends_with(suffix)) total += value;
   }
   return total;
 }
@@ -85,14 +77,9 @@ std::uint64_t counterSum(const runtime::ScenarioResult& result,
 /// Folds every `recovery.ladder_depth` histogram in the snapshot (one per
 /// scenario side) into one distribution of rung indices.
 obs::HistogramSummary ladderDepth(const runtime::ScenarioResult& result) {
-  constexpr std::string_view kSuffix = "recovery.ladder_depth";
   obs::HistogramSummary depth;
   for (const auto& [name, histogram] : result.metrics.histograms) {
-    if (name.size() >= kSuffix.size() &&
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) ==
-            0) {
-      depth.fold(histogram);
-    }
+    if (name.ends_with("recovery.ladder_depth")) depth.fold(histogram);
   }
   return depth;
 }
@@ -116,11 +103,10 @@ std::string sweepRender(std::size_t threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  obs::BenchReport report{"chaos", argc, argv};
-  const std::size_t n = report.threads();
+int prtr::bench::cases::chaos(obs::BenchReport& report) {
+  const std::size_t n = report.options().threads();
   exec::Pool::setGlobalThreads(n);
-  gChaosSeed = report.seedOr(kChaosSeed);
+  gChaosSeed = report.options().seedOr(kChaosSeed);
 
   std::cout << "=== Chaos: dual-PRR Figure-9 scenario under fault injection"
                " (seed "
@@ -268,21 +254,8 @@ int main(int argc, char** argv) {
   // timeline hook attached: the capture shows the recovery lane interleaved
   // with ICAP traffic, and prtr-verify checks it against the TL0xx
   // invariants (including the recovery pairing rule TL007).
-  if (report.traceRequested()) {
-    obs::ChromeTrace trace;
-    runtime::ScenarioOptions options = chaosOptions(1e-4, /*recovery=*/true);
-    options.hooks.trace = &trace;
-    options.verify = true;
-    const auto registry = tasks::makePaperFunctions();
-    const auto workload =
-        tasks::makeRoundRobinWorkload(registry, 24, util::Bytes{1'000'000});
-    const runtime::ScenarioResult traced =
-        runtime::runScenario(registry, workload, options);
-    trace.writeFile(report.tracePath());
-    report.scalar("traced_speedup", traced.speedup);
-    std::cout << "trace written to " << report.tracePath() << '\n';
-  }
+  traceScenario(report, chaosOptions(1e-4, /*recovery=*/true), 24);
   const bool ok =
       identical && healthyIdentical && unrecovered == 0 && ladderConsistent;
-  return ok ? report.finish() : 1;
+  return ok ? 0 : 1;
 }

@@ -7,18 +7,16 @@
 
 #include "bitstream/builder.hpp"
 #include "bitstream/compress.hpp"
+#include "case.hpp"
 #include "config/icap_controller.hpp"
 #include "config/memory.hpp"
 #include "fabric/floorplan.hpp"
 #include "model/bounds.hpp"
-#include "obs/bench_io.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/workload.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"compression", argc, argv};
+int prtr::bench::cases::compression(obs::BenchReport& breport) {
   const fabric::Floorplan plan = fabric::makeDualPrrLayout();
   const bitstream::Builder builder{plan.device()};
 
@@ -81,5 +79,5 @@ int main(int argc, char** argv) {
                "configuration-dominant ceiling exactly as equation (7) "
                "predicts.\n";
   breport.table("compression_occupancy", table);
-  return breport.finish();
+  return 0;
 }

@@ -5,15 +5,13 @@
 // what rescues them -- at the price of relocation (partial reconfig) time.
 #include <iostream>
 
+#include "case.hpp"
 #include "config/port.hpp"
 #include "fabric/allocator.hpp"
-#include "obs/bench_io.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"defrag", argc, argv};
+int prtr::bench::cases::defrag(obs::BenchReport& breport) {
   const fabric::Device device = fabric::makeXc2vp50();
   const config::Port selectMap = config::makeSelectMap();
 
@@ -82,5 +80,5 @@ int main(int argc, char** argv) {
                "for a bounded relocation budget (each move = one partial "
                "reconfiguration of the module's width).\n";
   breport.table("defrag", table);
-  return breport.finish();
+  return 0;
 }

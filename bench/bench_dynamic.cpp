@@ -5,15 +5,13 @@
 // at once and shrink each configuration to the module's own width.
 #include <iostream>
 
-#include "obs/bench_io.hpp"
+#include "case.hpp"
 #include "runtime/dynamic_executor.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/workload.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"dynamic", argc, argv};
+int prtr::bench::cases::dynamic(obs::BenchReport& breport) {
   const auto registry = tasks::makeExtendedFunctions();
 
   std::cout << "=== Right-sized dynamic regions vs fixed PRRs (8-module "
@@ -60,5 +58,5 @@ int main(int argc, char** argv) {
                "zero reconfigurations. The advantage shrinks as tasks grow "
                "(the 2x cap reasserts itself).\n";
   breport.table("dynamic_vs_fixed", table);
-  return breport.finish();
+  return 0;
 }

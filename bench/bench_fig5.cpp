@@ -4,16 +4,11 @@
 #include <iostream>
 
 #include "analysis/figures.hpp"
+#include "case.hpp"
 #include "model/bounds.hpp"
-#include "obs/bench_io.hpp"
-#include "obs/trace_export.hpp"
-#include "runtime/scenario.hpp"
-#include "tasks/workload.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport report{"fig5", argc, argv};
-
+int prtr::bench::cases::fig5(obs::BenchReport& report) {
+  const std::size_t threads = report.options().threads();
   const std::vector<double> hitRatios{0.0, 0.25, 0.5, 0.75, 1.0};
   // The three X_PRTR values of Table 2's normalized column:
   // 0.37 (single PRR est.), 0.17 (dual PRR est.), 0.012 (dual PRR meas.).
@@ -21,7 +16,7 @@ int main(int argc, char** argv) {
     std::cout << "=== Figure 5: asymptotic speedup S_inf vs X_task, X_PRTR = "
               << xPrtr << " ===\n";
     const auto series = analysis::makeFig5Series(xPrtr, hitRatios, 161, 1e-3,
-                                                 100.0, report.threads());
+                                                 100.0, threads);
     util::PlotOptions po;
     po.logX = true;
     po.logY = true;
@@ -40,7 +35,7 @@ int main(int argc, char** argv) {
 
   std::cout << "CSV (X_PRTR=0.17):\nxTask";
   const auto csvSeries = analysis::makeFig5Series(0.17, hitRatios, 31, 1e-3,
-                                                  100.0, report.threads());
+                                                  100.0, threads);
   for (const auto& s : csvSeries) std::cout << ',' << s.name;
   std::cout << '\n';
   std::vector<std::string> header{"xTask"};
@@ -58,24 +53,10 @@ int main(int argc, char** argv) {
   report.table("fig5_xprtr_0.17", csv);
 
   // The curves are closed-form; --trace captures the simulated scenario
-  // behind the X_PRTR = 0.17 family (dual PRR, estimated basis) with inline
-  // timeline verification on, so prtr-verify has a capture of this figure's
-  // operating point to check.
-  if (report.traceRequested()) {
-    obs::ChromeTrace trace;
-    runtime::ScenarioOptions options;
-    options.layout = xd1::Layout::kDualPrr;
-    options.basis = model::ConfigTimeBasis::kEstimated;
-    options.hooks.trace = &trace;
-    options.verify = true;
-    const auto registry = tasks::makePaperFunctions();
-    const auto workload =
-        tasks::makeRoundRobinWorkload(registry, 12, util::Bytes{1'000'000});
-    const runtime::ScenarioResult traced =
-        runtime::runScenario(registry, workload, options);
-    trace.writeFile(report.tracePath());
-    report.scalar("traced_speedup", traced.speedup);
-    std::cout << "trace written to " << report.tracePath() << '\n';
-  }
-  return report.finish();
+  // behind the X_PRTR = 0.17 family (dual PRR, estimated basis).
+  runtime::ScenarioOptions traced;
+  traced.layout = xd1::Layout::kDualPrr;
+  traced.basis = model::ConfigTimeBasis::kEstimated;
+  traceScenario(report, traced, 12);
+  return 0;
 }

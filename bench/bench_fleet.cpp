@@ -10,22 +10,20 @@
 // latency stays inside the committed baseline band via prtr-report (the
 // run is fully deterministic, so every simulated scalar reproduces
 // exactly). With --trace, a reduced surge run exports its kept request
-// traces as Chrome/Perfetto JSON for prtr-verify and prtr-trace.
-//
-// Usage: bench_fleet [--requests N] [--spec FILE] [--threads N] [--seed N]
-//                    [--json FILE] [--trace FILE]
+// traces as Chrome/Perfetto JSON for prtr-verify and prtr-trace. Its own
+// flags, --requests and --spec, are listed in cases.def.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analyze/checks_fleet.hpp"
+#include "case.hpp"
 #include "exec/pool.hpp"
 #include "fleet/fleet.hpp"
-#include "obs/bench_io.hpp"
-#include "obs/trace_export.hpp"
 #include "tasks/hwfunction.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
@@ -109,39 +107,52 @@ void pointScalars(obs::BenchReport& report, const std::string& prefix,
   report.scalar(prefix + "_utilization_mean", r.utilizationMean);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  obs::BenchReport report{"fleet", argc, argv};
-  const std::size_t n = report.threads();
-  exec::Pool::setGlobalThreads(n);
-
-  fleet::FleetOptions options = baseOptions();
-  std::uint64_t requests = kDefaultRequests;
+/// The fleet configuration: the committed baseline, or `--spec`, with
+/// `--requests` and `--seed` applied on top. Throws util::DomainError on
+/// an unknown or valueless flag, a bad number, an unreadable spec, or a
+/// configuration the linter rejects.
+fleet::FleetOptions parseFlags(const obs::BenchReport& report) {
+  std::optional<std::uint64_t> requests;
+  std::string spec;
   const auto& rest = report.options().rest();
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--requests" && i + 1 < rest.size()) {
-      requests = std::stoull(rest[++i]);
-    } else if (rest[i] == "--spec" && i + 1 < rest.size()) {
-      std::ifstream in{rest[++i]};
-      if (!in) {
-        std::cerr << "bench_fleet: cannot open spec '" << rest[i] << "'\n";
-        return 2;
-      }
-      options = analyze::fleetSpecToOptions(analyze::parseFleetSpec(in));
-      requests = options.requests;
+  for (std::size_t i = 0; i < rest.size(); i += 2) {
+    const std::string& flag = rest[i];
+    if (flag != "--requests" && flag != "--spec") {
+      throw util::DomainError{"unknown argument '" + flag + "'"};
     }
+    if (i + 1 == rest.size()) {
+      throw util::DomainError{flag + " requires a value"};
+    }
+    const std::string& value = rest[i + 1];
+    if (flag == "--requests") requests = bench::parseUnsigned(flag, value);
+    if (flag == "--spec") spec = value;
   }
-  options.requests = requests;
-  options.seed = report.seedOr(options.seed);
+  fleet::FleetOptions options = baseOptions();
+  if (!spec.empty()) {
+    std::ifstream in{spec};
+    if (!in) throw util::DomainError{"cannot open spec '" + spec + "'"};
+    options = analyze::fleetSpecToOptions(analyze::parseFleetSpec(in));
+  }
+  options.requests = requests.value_or(options.requests);
+  options.seed = report.options().seedOr(options.seed);
 
   // Refuse configurations the linter rejects before a million-request run.
   analyze::DiagnosticSink sink;
   analyze::checkFleetOptions(options, sink);
   if (sink.hasErrors()) {
-    std::cerr << sink.toText();
-    return 2;
+    std::string text = sink.toText();
+    text.pop_back();  // the driver ends the message line
+    throw util::DomainError{"fleet configuration rejected:\n" + text};
   }
+  return options;
+}
+
+}  // namespace
+
+int prtr::bench::cases::fleet(obs::BenchReport& report) {
+  const fleet::FleetOptions options = parseFlags(report);
+  const std::size_t n = report.options().threads();
+  exec::Pool::setGlobalThreads(n);
 
   std::cout << "=== Fleet: " << options.cells << " cells x "
             << options.bladesPerCell << " blades, " << options.requests
@@ -154,34 +165,22 @@ int main(int argc, char** argv) {
       registry, runtime::ScenarioOptions{}, options.payloadBytes);
 
   const fleet::FleetOptions chaos = chaosOptions(options);
-
-  // --- Byte-identity at 1 vs N threads, healthy and chaos.
-  fleet::FleetOptions serialOpts = options;
-  serialOpts.threads = 1;
-  fleet::FleetOptions pooledOpts = options;
-  pooledOpts.threads = n;
-  const fleet::FleetReport healthy = runFleet(registry, profile, pooledOpts);
-  const bool healthyIdentical =
-      render(runFleet(registry, profile, serialOpts)) == render(healthy);
-
-  fleet::FleetOptions chaosSerial = chaos;
-  chaosSerial.threads = 1;
-  fleet::FleetOptions chaosPooled = chaos;
-  chaosPooled.threads = n;
-  const fleet::FleetReport degraded =
-      runFleet(registry, profile, chaosPooled);
-  const bool chaosIdentical =
-      render(runFleet(registry, profile, chaosSerial)) == render(degraded);
-
   const fleet::FleetOptions surge = surgeOptions(options);
-  fleet::FleetOptions surgeSerial = surge;
-  surgeSerial.threads = 1;
-  fleet::FleetOptions surgePooled = surge;
-  surgePooled.threads = n;
-  const fleet::FleetReport surged = runFleet(registry, profile, surgePooled);
-  const bool surgeIdentical =
-      render(runFleet(registry, profile, surgeSerial)) == render(surged);
-  const bool identical = healthyIdentical && chaosIdentical && surgeIdentical;
+
+  // --- Byte-identity at 1 vs N threads for every point: each runs pooled,
+  // then serially, and the two renders must match.
+  bool identical = true;
+  const auto runPoint = [&](fleet::FleetOptions point) {
+    point.threads = n;
+    fleet::FleetReport pooled = runFleet(registry, profile, point);
+    point.threads = 1;
+    identical = identical &&
+                render(runFleet(registry, profile, point)) == render(pooled);
+    return pooled;
+  };
+  const fleet::FleetReport healthy = runPoint(options);
+  const fleet::FleetReport degraded = runPoint(chaos);
+  const fleet::FleetReport surged = runPoint(surge);
 
   util::Table table{{"point", "completed", "failed", "shed", "retries",
                      "denied", "opens", "closes", "p50 us", "p95 us",
@@ -247,19 +246,15 @@ int main(int argc, char** argv) {
   // With --trace, a reduced surge run exports its kept request traces
   // (full-length surge keeps every rate-limited shed — far too many
   // spans for a reviewable artifact).
-  if (report.traceRequested()) {
-    obs::ChromeTrace trace;
+  if (obs::ChromeTrace* trace = report.trace()) {
     fleet::FleetOptions exportOpts = surge;
     exportOpts.threads = n;
     exportOpts.requests = std::min<std::uint64_t>(surge.requests, 50'000);
-    exportOpts.hooks.trace = &trace;
+    exportOpts.hooks.trace = trace;
     const fleet::FleetReport exported =
         runFleet(registry, profile, exportOpts);
-    trace.writeFile(report.tracePath());
     report.scalar("trace_export_kept", exported.tracesKept);
-    std::cout << "trace: " << exported.tracesKept
-              << " kept request(s) written to " << report.tracePath()
-              << '\n';
+    std::cout << "trace: " << exported.tracesKept << " kept request(s)\n";
   }
 
   pointScalars(report, "healthy", healthy);
@@ -289,5 +284,5 @@ int main(int argc, char** argv) {
       degraded.retryBudgetConsumption() <=
           chaos.retry.budgetFraction + 0.01 &&
       surged.shedRateLimited > 0 && surged.tailRetention() == 1.0;
-  return ok ? report.finish() : 1;
+  return ok ? 0 : 1;
 }

@@ -4,15 +4,13 @@
 #include <iostream>
 
 #include "bitstream/library.hpp"
-#include "obs/bench_io.hpp"
 #include "bitstream/relocate.hpp"
+#include "case.hpp"
 #include "fabric/floorplan.hpp"
 #include "tasks/hwfunction.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"flows", argc, argv};
+int prtr::bench::cases::flows(obs::BenchReport& breport) {
   const auto registry = tasks::makeExtendedFunctions();
   const fabric::Floorplan plan = fabric::makeDualPrrLayout();
   const auto specs =
@@ -67,5 +65,5 @@ int main(int argc, char** argv) {
                "column-signature check.\n";
   breport.table("flow_comparison", table);
   breport.table("relocation_savings", reloc);
-  return breport.finish();
+  return 0;
 }

@@ -5,15 +5,13 @@
 // the task size at which the speedup peaks and the peak value (1+X)/X.
 #include <iostream>
 
+#include "case.hpp"
 #include "config/port.hpp"
 #include "fabric/device.hpp"
 #include "model/bounds.hpp"
-#include "obs/bench_io.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"granularity", argc, argv};
+int prtr::bench::cases::granularity(obs::BenchReport& breport) {
   const fabric::Device device = fabric::makeXc2vp50();
   const auto& geometry = device.geometry();
   const config::Port selectMap = config::makeSelectMap();
@@ -46,5 +44,5 @@ int main(int argc, char** argv) {
                "frames) plus bus macros, and the paper warns that the "
                "design-cycle cost grows with the PRR count (section 5).\n";
   breport.table("granularity", table);
-  return breport.finish();
+  return 0;
 }

@@ -4,7 +4,7 @@
 // system-level reading of the paper's X_task axis.
 #include <iostream>
 
-#include "obs/bench_io.hpp"
+#include "case.hpp"
 #include "runtime/hwsw.hpp"
 #include "tasks/workload.hpp"
 #include "util/table.hpp"
@@ -29,9 +29,7 @@ prtr::runtime::HwSwReport runPolicy(prtr::runtime::Partitioning policy,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"hwsw", argc, argv};
+int prtr::bench::cases::hwsw(obs::BenchReport& breport) {
   const auto registry = tasks::makePaperFunctions();
 
   std::cout << "=== Extension: HW/SW partitioning vs task size (3 cores, "
@@ -66,5 +64,5 @@ int main(int argc, char** argv) {
                "right at the crossover it can commit to hardware too "
                "early -- amortization-aware placement is future work.\n";
   breport.table("hwsw_policies", table);
-  return breport.finish();
+  return 0;
 }

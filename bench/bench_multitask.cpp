@@ -4,13 +4,11 @@
 // configuration caching shape latency under multiprogramming.
 #include <iostream>
 
-#include "obs/bench_io.hpp"
+#include "case.hpp"
 #include "runtime/multitask.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"multitask", argc, argv};
+int prtr::bench::cases::multitask(obs::BenchReport& breport) {
   const auto registry = tasks::makeExtendedFunctions();
 
   auto makeApps = [&](std::size_t nApps, util::Time interArrival) {
@@ -70,5 +68,5 @@ int main(int argc, char** argv) {
                "other's regions while the quad layout gives every app a "
                "home -- the versatility argument of section 5, measured.\n";
   breport.table("multitask_sweep", table);
-  return breport.finish();
+  return 0;
 }

@@ -5,15 +5,13 @@
 // quantifies by how much, analytically and on the simulator.
 #include <iostream>
 
+#include "case.hpp"
 #include "model/model.hpp"
-#include "obs/bench_io.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/workload.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"overheads", argc, argv};
+int prtr::bench::cases::overheads(obs::BenchReport& breport) {
 
   // Analytic sweep at the estimated dual-PRR operating point.
   std::cout << "=== Ablation A1 (analytic): S_inf vs overheads at X_task = "
@@ -62,5 +60,5 @@ int main(int argc, char** argv) {
                "upper bounds.\n";
   breport.table("analytic_overheads", analytic);
   breport.table("simulated_tcontrol", simulated);
-  return breport.finish();
+  return 0;
 }

@@ -6,16 +6,14 @@
 // exercise at H = 0).
 #include <iostream>
 
+#include "case.hpp"
 #include "model/model.hpp"
-#include "obs/bench_io.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/locality.hpp"
 #include "tasks/workload.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"prefetch", argc, argv};
+int prtr::bench::cases::prefetch(obs::BenchReport& breport) {
   const auto registry = tasks::makeExtendedFunctions();  // 8 modules, 2 PRRs
 
   std::cout << "=== Ablation B1: prefetcher x workload locality (8 modules, "
@@ -101,5 +99,5 @@ int main(int argc, char** argv) {
   breport.table("prefetcher_locality", table);
   breport.table("cache_policies", policies);
   breport.table("mattson_curve", mattson);
-  return breport.finish();
+  return 0;
 }

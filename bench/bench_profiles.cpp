@@ -11,15 +11,11 @@
 // scrub through the profiles interactively.
 #include <iostream>
 
-#include "obs/bench_io.hpp"
-#include "obs/trace_export.hpp"
-#include "runtime/scenario.hpp"
+#include "case.hpp"
 #include "tasks/workload.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport report{"profiles", argc, argv};
-  obs::ChromeTrace trace;
+int prtr::bench::cases::profiles(obs::BenchReport& report) {
+  obs::ChromeTrace* trace = report.trace();
   const auto registry = tasks::makePaperFunctions();
   const util::Bytes data{30'000'000};  // mid-range task (~0.16 s)
 
@@ -36,7 +32,7 @@ int main(int argc, char** argv) {
               << " (config overhead "
               << result.frtr.configOverheadFraction() * 100.0 << "% -- the "
               << "\"25% to 98.5%\" regime of the paper's introduction)\n\n";
-    trace.add("fig2-3 FRTR", frtrTl);
+    if (trace != nullptr) trace->add("fig2-3 FRTR", frtrTl);
     report.scalar("frtr_config_overhead", result.frtr.configOverheadFraction());
 
     std::cout << "=== Figure 4(a): PRTR, missed tasks (H=0, configs overlap "
@@ -48,7 +44,7 @@ int main(int argc, char** argv) {
     std::cout << prtrTl.renderGantt(110);
     std::cout << "PRTR total: " << prtrResult.prtr.total.toString()
               << ", speedup " << prtrResult.speedup << "x\n\n";
-    trace.add("fig4a PRTR miss", prtrTl);
+    if (trace != nullptr) trace->add("fig4a PRTR miss", prtrTl);
     report.scalar("miss_speedup", prtrResult.speedup);
     report.metrics(prtrResult.metrics);
   }
@@ -69,15 +65,9 @@ int main(int argc, char** argv) {
     std::cout << "Hit ratio: " << result.prtr.hitRatio()
               << " (only the two warm-up loads configure), speedup "
               << result.speedup << "x\n";
-    trace.add("fig4b PRTR hit", hitTl);
+    if (trace != nullptr) trace->add("fig4b PRTR hit", hitTl);
     report.scalar("hit_ratio", result.prtr.hitRatio());
     report.scalar("hit_speedup", result.speedup);
   }
-
-  if (report.traceRequested()) {
-    trace.writeFile(report.tracePath());
-    std::cout << "\ntrace written to " << report.tracePath()
-              << " (load in chrome://tracing or ui.perfetto.dev)\n";
-  }
-  return report.finish();
+  return 0;
 }

@@ -5,13 +5,11 @@
 // configuration acting as the Amdahl serial term for short workloads.
 #include <iostream>
 
+#include "case.hpp"
 #include "hprc/chassis.hpp"
-#include "obs/bench_io.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"scaling", argc, argv};
+int prtr::bench::cases::scaling(obs::BenchReport& breport) {
   const auto registry = tasks::makePaperFunctions();
 
   for (const auto basis : {model::ConfigTimeBasis::kEstimated,
@@ -26,7 +24,7 @@ int main(int argc, char** argv) {
     for (std::size_t blades = 1; blades <= 6; ++blades) {
       hprc::ChassisOptions options;
       options.blades = blades;
-      options.threads = breport.threads();
+      options.threads = breport.options().threads();
       options.scenario.forceMiss = true;
       options.scenario.basis = basis;
       const hprc::ChassisReport report =
@@ -49,5 +47,5 @@ int main(int argc, char** argv) {
   std::cout << "On the measured basis every blade pays the 1.678 s vendor-API "
                "full configuration up front, capping short-workload scaling "
                "-- a chassis-level consequence of Table 2.\n";
-  return breport.finish();
+  return 0;
 }

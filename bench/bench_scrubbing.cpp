@@ -5,15 +5,13 @@
 #include <iostream>
 
 #include "bitstream/builder.hpp"
+#include "case.hpp"
 #include "config/scrubber.hpp"
-#include "obs/bench_io.hpp"
 #include "fabric/floorplan.hpp"
 #include "sim/link.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"scrubbing", argc, argv};
+int prtr::bench::cases::scrubbing(obs::BenchReport& breport) {
   std::cout << "=== SEU scrubbing over one dual-PRR region (380 frames, "
                "2 s mission) ===\n\n";
   util::Table table{{"upset mean", "scrub period", "injected", "detected",
@@ -68,5 +66,5 @@ int main(int argc, char** argv) {
                "rate); at a 25 ms period the port is busy most of the "
                "mission.\n";
   breport.table("scrubbing", table);
-  return breport.finish();
+  return 0;
 }

@@ -9,16 +9,14 @@
 // the measured X_PRTR -- the whole Figure-5 family as one heatmap.
 #include <iostream>
 
+#include "case.hpp"
 #include "model/bounds.hpp"
-#include "obs/bench_io.hpp"
 #include "model/insights.hpp"
 #include "model/model.hpp"
 #include "util/plot.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"sensitivity", argc, argv};
+int prtr::bench::cases::sensitivity(obs::BenchReport& breport) {
   const double xPrtrMeasured = 19.77 / 1678.04;
 
   std::cout << "=== Sensitivity of S_inf to 10% parameter jitter (measured "
@@ -76,5 +74,5 @@ int main(int argc, char** argv) {
   std::cout << util::renderHeatmap(grid, ho);
   std::cout << "\nThe bright band at small X_task widens with H; right of "
                "X_task = 1 every row collapses onto the same <=2x ridge.\n";
-  return breport.finish();
+  return 0;
 }

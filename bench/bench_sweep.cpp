@@ -10,9 +10,6 @@
 // metrics snapshot too, and the four-participant run feeds the
 // parallel-efficiency scalars. CI gates those only when the measured
 // host_concurrency scalar shows four threads really run at once.
-//
-// Usage: bench_sweep [--threads N] [--json FILE] [--trace FILE]
-//                    [--profile FILE]
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -21,11 +18,10 @@
 
 #include "analysis/figures.hpp"
 #include "bench/host.hpp"
+#include "case.hpp"
 #include "exec/artifact_cache.hpp"
 #include "exec/pool.hpp"
 #include "hprc/chassis.hpp"
-#include "obs/bench_io.hpp"
-#include "obs/trace_export.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -41,7 +37,7 @@ double timedMs(Fn&& fn) {
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
-/// The Figure-9 sweep this bench times (smaller than bench_fig9b's grid so
+/// The Figure-9 sweep this case times (smaller than the fig9b case's grid so
 /// the CI smoke run stays fast, but large enough to amortize pool startup).
 std::string runFig9(std::size_t threads, exec::ArtifactCache* artifacts,
                     obs::ShardedRegistry* metrics = nullptr,
@@ -91,9 +87,8 @@ std::string runChassisSweep(std::size_t threads,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  obs::BenchReport report{"sweep", argc, argv};
-  const std::size_t n = report.threads();
+int prtr::bench::cases::sweep(obs::BenchReport& report) {
+  const std::size_t n = report.options().threads();
   exec::Pool::setGlobalThreads(n);
 
   // Thread ladder: 1, 2, 4, N (deduplicated, capped at N).
@@ -130,7 +125,6 @@ int main(int argc, char** argv) {
         .cell(util::formatDouble(ms, 2))
         .cell(util::formatDouble(fig9SerialMs / ms, 3));
   }
-  if (ladder.size() == 1) fig9ParallelMs = fig9SerialMs;
   fig9Times.print(std::cout);
   report.table("fig9_times", fig9Times);
 
@@ -165,10 +159,8 @@ int main(int argc, char** argv) {
   // --- With --trace, one more run at the requested width writes the merged
   // Chrome trace: CI compares the --threads 1 and --threads 4 trace files
   // byte for byte (simulated time is schedule-independent).
-  if (report.traceRequested()) {
-    obs::ChromeTrace trace;
-    identical = identical && runFig9(n, nullptr, nullptr, &trace) == fig9Ref;
-    trace.writeFile(report.tracePath());
+  if (obs::ChromeTrace* trace = report.trace()) {
+    identical = identical && runFig9(n, nullptr, nullptr, trace) == fig9Ref;
   }
 
   // --- Figure 5 and chassis: serial vs N threads, byte identity.
@@ -230,5 +222,5 @@ int main(int argc, char** argv) {
   report.metrics(std::move(fig9T4Merged));
   report.metrics(exec::Pool::global().metricsSnapshot());
   report.metrics(cache.metricsSnapshot());
-  return identical ? report.finish() : 1;
+  return identical ? 0 : 1;
 }

@@ -4,10 +4,9 @@
 #include <iostream>
 
 #include "analysis/figures.hpp"
-#include "obs/bench_io.hpp"
+#include "case.hpp"
 
-int main(int argc, char** argv) {
-  prtr::obs::BenchReport report{"table1", argc, argv};
+int prtr::bench::cases::table1(obs::BenchReport& report) {
   std::cout << "=== Table 1: Hardware functions and their resource "
                "requirements (XC2VP50) ===\n\n";
   const prtr::util::Table table = prtr::analysis::makeTable1();
@@ -18,5 +17,5 @@ int main(int argc, char** argv) {
                "-- reproduced exactly (percentages vs 47,232 LUT/FF, 232 "
                "BRAM).\n";
   report.table("table1", table);
-  return report.finish();
+  return 0;
 }

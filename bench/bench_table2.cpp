@@ -4,14 +4,9 @@
 #include <iostream>
 
 #include "analysis/figures.hpp"
-#include "obs/bench_io.hpp"
-#include "obs/trace_export.hpp"
-#include "runtime/scenario.hpp"
-#include "tasks/workload.hpp"
+#include "case.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport report{"table2", argc, argv};
+int prtr::bench::cases::table2(obs::BenchReport& report) {
   std::cout << "=== Table 2: Experimental values for model parameters ===\n\n";
   const util::Table table = analysis::makeTable2();
   table.print(std::cout);
@@ -25,24 +20,10 @@ int main(int argc, char** argv) {
   report.table("table2", table);
 
   // The table itself is analytic; --trace captures the measured-basis
-  // dual-PRR scenario whose configuration times the table tabulates, with
-  // inline timeline verification on, so prtr-verify has a real capture of
-  // this bench's model point to check.
-  if (report.traceRequested()) {
-    obs::ChromeTrace trace;
-    runtime::ScenarioOptions options;
-    options.layout = xd1::Layout::kDualPrr;
-    options.basis = model::ConfigTimeBasis::kMeasured;
-    options.hooks.trace = &trace;
-    options.verify = true;
-    const auto registry = tasks::makePaperFunctions();
-    const auto workload =
-        tasks::makeRoundRobinWorkload(registry, 12, util::Bytes{1'000'000});
-    const runtime::ScenarioResult traced =
-        runtime::runScenario(registry, workload, options);
-    trace.writeFile(report.tracePath());
-    report.scalar("traced_speedup", traced.speedup);
-    std::cout << "\ntrace written to " << report.tracePath() << '\n';
-  }
-  return report.finish();
+  // dual-PRR scenario whose configuration times the table tabulates.
+  runtime::ScenarioOptions traced;
+  traced.layout = xd1::Layout::kDualPrr;
+  traced.basis = model::ConfigTimeBasis::kMeasured;
+  traceScenario(report, traced, 12);
+  return 0;
 }

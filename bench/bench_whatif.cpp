@@ -6,16 +6,14 @@
 // ceiling is technology rather than model.
 #include <iostream>
 
+#include "case.hpp"
 #include "config/icap_controller.hpp"
 #include "config/port.hpp"
 #include "fabric/device.hpp"
 #include "model/bounds.hpp"
-#include "obs/bench_io.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prtr;
-  obs::BenchReport breport{"whatif", argc, argv};
+int prtr::bench::cases::whatif(obs::BenchReport& breport) {
 
   struct Scenario {
     const char* name;
@@ -93,5 +91,5 @@ int main(int argc, char** argv) {
                "reconfiguration quantum -- by ~6.5x.\n";
   breport.table("whatif_platforms", table);
   breport.table("device_catalog", catalog);
-  return breport.finish();
+  return 0;
 }

@@ -1,7 +1,7 @@
 #pragma once
 /// \file checks_fault.hpp
 /// FT* rules: fault-plan and recovery-policy validation, plus the `.flt`
-/// fault-plan spec format consumed by `prtr-lint fault-spec`, bench_chaos
+/// fault-plan spec format consumed by `prtr-lint fault-spec`, prtr-bench chaos
 /// and prtrsim_cli.
 ///
 /// Fault spec (one `<key> <value>` per line, '#' comments):

@@ -1,7 +1,7 @@
 #pragma once
 /// \file checks_fleet.hpp
 /// FL* rules: fleet-configuration validation, plus the `.fleet` spec
-/// format consumed by `prtr-lint fleet-spec` and bench_fleet.
+/// format consumed by `prtr-lint fleet-spec` and prtr-bench fleet.
 ///
 /// Fleet spec (one `<key> <value>` per line, '#' comments):
 ///     cells <n>             blades <n>             requests <n>
@@ -24,9 +24,9 @@
 ///     slo-window-us <t>     slo-fast-windows <n>   slo-slow-windows <n>
 ///     slo-fast-burn <x>     slo-slow-burn <x>
 ///
-/// Fault plans stay out of the spec deliberately: bench_fleet composes a
+/// Fault plans stay out of the spec deliberately: prtr-bench fleet composes a
 /// `.fleet` spec with `.flt` fault specs (checks_fault.hpp), one for the
-/// healthy blades and one for the degraded subset, mirroring bench_chaos.
+/// healthy blades and one for the degraded subset, mirroring prtr-bench chaos.
 ///
 /// Compiled into the prtr_fleet library (analyze itself stays dependency-
 /// free of the subsystems it validates — same split as the other checkers).

@@ -1,27 +1,27 @@
 #include "bench/options.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <iostream>
+#include <system_error>
 #include <thread>
 
 #include "util/error.hpp"
 
 namespace prtr::bench {
-namespace {
 
-std::uint64_t parseUnsigned(const std::string& bench, const std::string& flag,
-                            const char* text) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (end == nullptr || end == text || *end != '\0') {
-    throw util::DomainError{bench + ": " + flag +
-                            " requires an unsigned integer, got '" + text +
-                            "'"};
+std::uint64_t parseUnsigned(std::string_view flag, std::string_view text) {
+  // from_chars on an unsigned type takes no sign and skips no whitespace,
+  // so "digits that fit" is exactly "the whole text parsed without error".
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size()) {
+    throw util::DomainError{std::string{flag} +
+                            " requires an unsigned 64-bit integer, got '" +
+                            std::string{text} + "'"};
   }
-  return parsed;
+  return value;
 }
-
-}  // namespace
 
 Options Options::parse(std::string bench, int argc,
                        const char* const* argv) {
@@ -34,29 +34,20 @@ Options Options::parse(std::string bench, int argc,
     if (arg == "--help") {
       options.help_ = true;
     } else if (arg == "--json" || arg == "--trace" || arg == "--profile") {
-      if (i + 1 >= argc) {
-        throw util::DomainError{options.bench_ + ": " + arg +
-                                " requires a path"};
-      }
+      if (i + 1 >= argc) throw util::DomainError{arg + " requires a path"};
       (arg == "--json"    ? options.json_
        : arg == "--trace" ? options.trace_
                           : options.profile_) = argv[++i];
     } else if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        throw util::DomainError{options.bench_ + ": --threads requires a count"};
-      }
-      const std::uint64_t parsed =
-          parseUnsigned(options.bench_, arg, argv[++i]);
+      if (i + 1 >= argc) throw util::DomainError{"--threads requires a count"};
+      const std::uint64_t parsed = parseUnsigned(arg, argv[++i]);
       if (parsed == 0) {
-        throw util::DomainError{options.bench_ +
-                                ": --threads requires a positive integer"};
+        throw util::DomainError{"--threads requires a positive integer"};
       }
       options.threads_ = static_cast<std::size_t>(parsed);
     } else if (arg == "--seed") {
-      if (i + 1 >= argc) {
-        throw util::DomainError{options.bench_ + ": --seed requires a value"};
-      }
-      options.seed_ = parseUnsigned(options.bench_, arg, argv[++i]);
+      if (i + 1 >= argc) throw util::DomainError{"--seed requires a value"};
+      options.seed_ = parseUnsigned(arg, argv[++i]);
       options.seedSet_ = true;
     } else {
       options.rest_.push_back(arg);

@@ -1,13 +1,9 @@
 #pragma once
 /// \file options.hpp
-/// One command-line vocabulary for every bench binary and the prtrsim CLI.
-///
-/// Before this existed each `bench/bench_*.cpp` main re-parsed (or silently
-/// ignored) its own `--json/--trace/--threads/--profile` flags and no two
-/// binaries agreed on `--help`. Options is the single parser: it consumes
-/// the shared flags, leaves everything it does not recognise in `rest` (so
-/// wrappers like bench_micro can forward to google-benchmark and prtrsim
-/// can layer its domain flags on top), and renders one uniform usage block.
+/// One command-line vocabulary for prtr-bench, bench_micro and prtrsim.
+/// Options consumes the shared flags, leaves everything it does not
+/// recognise in `rest` (for google-benchmark, prtrsim's domain flags, or a
+/// bench case's own flags), and renders one uniform usage block.
 ///
 /// The shared vocabulary:
 ///
@@ -17,23 +13,26 @@
 ///   --threads <n>      worker threads for parallel sweeps (default: hw)
 ///   --seed <n>         override the deterministic RNG seed
 ///   --help             print the usage block and exit 0
-///
-/// obs::BenchReport delegates here, so plain benches inherit the whole
-/// surface by constructing a report from argv and nothing else.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace prtr::bench {
 
+/// Parses `text`, the value of `flag`: decimal digits only (no sign or
+/// blanks) that fit in 64 bits, else util::DomainError naming the flag.
+[[nodiscard]] std::uint64_t parseUnsigned(std::string_view flag,
+                                          std::string_view text);
+
 class Options {
  public:
-  /// Parses the shared flags out of argv. `bench` names the binary in
-  /// diagnostics and the usage block. Unrecognised arguments are kept, in
-  /// order, in rest(). Throws util::DomainError when a flag is missing its
-  /// value, `--threads` is not a positive integer, or `--seed` is not an
-  /// unsigned integer.
+  /// Parses the shared flags out of argv (argv[0] is skipped). `bench`
+  /// names the program in the usage block. Unrecognised arguments are
+  /// kept, in order, in rest(). Throws util::DomainError when a flag is
+  /// missing its value, `--threads` is not a positive integer, or `--seed`
+  /// is not an unsigned integer.
   static Options parse(std::string bench, int argc, const char* const* argv);
 
   /// The uniform usage block: "usage:" line, the shared flags, then
@@ -42,7 +41,6 @@ class Options {
   static std::string usage(const std::string& bench,
                            const std::string& extra = {});
 
-  [[nodiscard]] const std::string& bench() const noexcept { return bench_; }
   [[nodiscard]] const std::string& jsonPath() const noexcept { return json_; }
   [[nodiscard]] const std::string& tracePath() const noexcept { return trace_; }
   [[nodiscard]] const std::string& profilePath() const noexcept {
@@ -67,9 +65,7 @@ class Options {
     return seedSet_ ? seed_ : fallback;
   }
 
-  /// True when `--help` appeared. The caller prints usage() (plus any
-  /// domain flags) and exits 0; helpRequestedAndHandled() does exactly
-  /// that for callers with no extra vocabulary.
+  /// True when `--help` appeared: the caller prints usage() and exits 0.
   [[nodiscard]] bool helpRequested() const noexcept { return help_; }
 
   /// Prints usage() to stdout when --help was given. Returns true when it

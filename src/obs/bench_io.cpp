@@ -1,6 +1,5 @@
 #include "obs/bench_io.hpp"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "obs/host.hpp"
@@ -9,12 +8,9 @@
 
 namespace prtr::obs {
 
-BenchReport::BenchReport(std::string name, int argc, const char* const* argv)
-    : name_(std::move(name)),
-      options_(bench::Options::parse(name_, argc, argv)) {
-  // Uniform --help across every bench binary: print the shared usage block
-  // and stop before the bench does any work.
-  if (options_.helpRequestedAndHandled()) std::exit(0);
+BenchReport::BenchReport(std::string name, bench::Options options)
+    : name_(std::move(name)), options_(std::move(options)) {
+  if (options_.traceRequested()) trace_.emplace();
 }
 
 void BenchReport::scalar(const std::string& name, double value) {
@@ -53,13 +49,14 @@ std::ofstream openForWriting(const std::string& path) {
 
 }  // namespace
 
-int BenchReport::finish() const {
-  if (profileRequested()) {
-    std::ofstream profile = openForWriting(profilePath());
+void BenchReport::finish() const {
+  if (trace_) trace_->writeFile(options_.tracePath());
+  if (options_.profileRequested()) {
+    std::ofstream profile = openForWriting(options_.profilePath());
     profile << hostMetrics().snapshot().toJson() << '\n';
   }
-  if (!jsonRequested()) return 0;
-  std::ofstream file = openForWriting(jsonPath());
+  if (!options_.jsonRequested()) return;
+  std::ofstream file = openForWriting(options_.jsonPath());
   util::json::Writer w{file};
   w.beginObject();
   w.key("bench").value(name_);
@@ -90,7 +87,6 @@ int BenchReport::finish() const {
   metrics_.writeJson(w);
   w.endObject();
   file << '\n';
-  return 0;
 }
 
 }  // namespace prtr::obs

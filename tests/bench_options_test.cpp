@@ -1,6 +1,6 @@
-// Tests for the shared bench::Options vocabulary every bench binary and
-// the prtrsim CLI parse their common flags through, and for the --profile
-// output every obs::BenchReport writes.
+// Tests for the shared bench::Options vocabulary prtr-bench and the
+// prtrsim CLI parse their common flags through, and for the --profile and
+// --trace output every obs::BenchReport writes.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -10,6 +10,7 @@
 #include "bench/options.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/host.hpp"
+#include "sim/trace.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -63,6 +64,29 @@ TEST(BenchOptions, RejectsMissingOrMalformedValues) {
   EXPECT_THROW(parse({"--seed", "1x"}), util::DomainError);
 }
 
+// strtoull would take a sign or leading blanks (wrapping "-1" to 2^64 - 1)
+// and saturate on overflow; the shared parser takes digits that fit only.
+TEST(BenchOptions, RejectsSignsBlanksAndOverflow) {
+  for (const char* flag : {"--threads", "--seed"}) {
+    for (const char* value :
+         {"-1", "+3", " 4", "4 ", "", "18446744073709551616",
+          "99999999999999999999999"}) {
+      EXPECT_THROW(parse({flag, value}), util::DomainError)
+          << flag << " '" << value << "'";
+    }
+  }
+  EXPECT_EQ(parse({"--seed", "18446744073709551615"}).seed(),
+            18446744073709551615u);
+  EXPECT_EQ(parseUnsigned("--requests", "0042"), 42u);
+  try {
+    (void)parseUnsigned("--requests", "-5");
+    ADD_FAILURE() << "-5 parsed";
+  } catch (const util::DomainError& error) {
+    EXPECT_NE(std::string{error.what()}.find("--requests"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(BenchOptions, UsageListsEveryFlagAndTheExtraBlock) {
   const std::string usage = Options::usage("demo", "  --calls N  call count");
   EXPECT_NE(usage.find("usage: demo"), std::string::npos);
@@ -82,13 +106,12 @@ TEST(BenchOptions, HelpFlagIsRecognisedAnywhere) {
 // registry as a MetricsSnapshot JSON whose every name is under host.
 TEST(BenchOptions, ProfileFlagWritesTheHostTimingsFromFinish) {
   const std::string path = testing::TempDir() + "bench_profile.json";
-  const char* argv[] = {"bench", "--profile", path.c_str()};
-  const obs::BenchReport report{"demo", 3, argv};
+  const obs::BenchReport report{"demo", parse({"--profile", path.c_str()})};
   {
     const obs::HostTimer timer{
         obs::MetricTable::global().histogram("host.test.bench_report_ns")};
   }
-  ASSERT_EQ(report.finish(), 0);
+  report.finish();
 
   std::ifstream in{path};
   ASSERT_TRUE(in.good()) << path;
@@ -110,6 +133,28 @@ TEST(BenchOptions, ProfileFlagWritesTheHostTimingsFromFinish) {
   for (const char* field : {"sum", "min", "max", "p50", "p95", "p99"}) {
     EXPECT_NE(timed->find(field), nullptr) << field;
   }
+}
+
+// The report owns the trace: it hands one out only under --trace, and
+// finish() writes whatever the case recorded into it.
+TEST(BenchOptions, TraceIsHandedOutOnlyUnderTheFlagAndWrittenByFinish) {
+  obs::BenchReport quiet{"demo", parse({})};
+  EXPECT_EQ(quiet.trace(), nullptr);
+
+  const std::string path = testing::TempDir() + "bench_trace.json";
+  obs::BenchReport report{"demo", parse({"--trace", path.c_str()})};
+  ASSERT_NE(report.trace(), nullptr);
+  sim::Timeline timeline;
+  timeline.record(timeline.lane("lane"), timeline.label("span"), '#',
+                  util::Time::zero(), util::Time::microseconds(1));
+  report.trace()->add("demo", timeline);
+  report.finish();
+
+  std::ifstream in{path};
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), report.trace()->toJson());
 }
 
 }  // namespace

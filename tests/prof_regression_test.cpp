@@ -25,14 +25,14 @@ std::string writeBenchJson(const std::string& file, double speedup,
                            double wallMs, const std::string& tableCell) {
   const std::string path = tempPath(file);
   const char* argv[] = {"bench", "--json", path.c_str(), "--threads", "2"};
-  obs::BenchReport report{"demo", 5, argv};
+  obs::BenchReport report{"demo", bench::Options::parse("demo", 5, argv)};
   report.scalar("peak_sim_speedup", speedup);
   report.scalar("time_total_ms", wallMs);
   report.note("basis", "measured");
   util::Table table{{"X_task", "S"}};
   table.row().cell("0.5").cell(tableCell);
   report.table("grid", table);
-  EXPECT_EQ(report.finish(), 0);
+  report.finish();
   return path;
 }
 

@@ -1,6 +1,6 @@
 /// \file prtr_trace.cpp
 /// prtr-trace — post-hoc analysis of fleet request traces. Reads the
-/// Chrome/Perfetto JSON a `bench_fleet --trace` run (or any
+/// Chrome/Perfetto JSON a `prtr-bench fleet --trace` run (or any
 /// fleet::runFleet with a trace hook) exported, parses the request-lane
 /// label grammar back (see trace/request.hpp), and answers the questions
 /// a tail-sampled trace exists to answer: what was kept and why, which
