@@ -3,6 +3,7 @@
 // and a full PRTR scenario end to end.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,9 @@ BENCHMARK(BM_SimKernelEvents)->Arg(1'000)->Arg(100'000);
 /// host link -> 16 KiB BRAM buffer -> ICAP FSM, the per-chunk kernel traffic
 /// every H = 0 Fig-9 call is made of. BM_SimKernelEvents' one-event
 /// ping-pong cannot see pending-set or per-chunk costs; this can. Items are
-/// 2 KiB host chunks; events_per_chunk is kernel events per chunk.
+/// 2 KiB host chunks; events_per_chunk is kernel events per chunk, and
+/// ns_per_event the wall time per kernel event, to set beside
+/// BM_SimKernelEvents' floor.
 void BM_IcapPartialLoad(benchmark::State& state) {
   sim::Simulator sim;
   xd1::NodeConfig config;
@@ -61,15 +64,20 @@ void BM_IcapPartialLoad(benchmark::State& state) {
     co_await c.load(s);
   };
   const std::uint64_t eventsBefore = sim.eventsProcessed();
+  const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     sim.spawn(load(icap, partial));
     sim.run();
     benchmark::DoNotOptimize(icap.loadsPerformed());
   }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  const auto events =
+      static_cast<double>(sim.eventsProcessed() - eventsBefore);
   state.SetItemsProcessed(state.iterations() * chunks);
   state.counters["events_per_chunk"] =
-      static_cast<double>(sim.eventsProcessed() - eventsBefore) /
-      static_cast<double>(state.iterations() * chunks);
+      events / static_cast<double>(state.iterations() * chunks);
+  state.counters["ns_per_event"] = elapsed.count() / events;
 }
 BENCHMARK(BM_IcapPartialLoad);
 

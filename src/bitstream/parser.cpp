@@ -55,7 +55,21 @@ ParsedStream parse(std::span<const std::uint8_t> bytes,
   ParsedStream out;
   out.header = scan.header;
   out.writes = std::move(scan.writes);
+  out.frameRuns = frameRunsOf(out.writes);
   return out;
+}
+
+std::vector<FrameRun> frameRunsOf(std::span<const FrameWrite> writes) {
+  std::vector<FrameRun> runs;
+  for (const FrameWrite& write : writes) {
+    if (!runs.empty() &&
+        std::uint64_t{runs.back().first} + runs.back().count == write.frame) {
+      ++runs.back().count;
+    } else {
+      runs.push_back(FrameRun{write.frame, 1});
+    }
+  }
+  return runs;
 }
 
 ParsedRef parse(const Bitstream& stream, const fabric::Device& device) {

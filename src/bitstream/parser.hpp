@@ -21,12 +21,31 @@ struct FrameWrite {
   std::span<const std::uint8_t> payload;
 };
 
+/// A maximal run of consecutive frames written by one stream:
+/// frames [first, first + count).
+struct FrameRun {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+
+  friend bool operator==(const FrameRun&, const FrameRun&) = default;
+};
+
 /// Parsed view over a validated stream. Non-owning: the underlying byte
 /// buffer must outlive the view.
 struct ParsedStream {
   Header header;
   std::vector<FrameWrite> writes;
+  /// `writes`' frame addresses, in order, as maximal consecutive runs (a
+  /// full stream or a library partial is one run). Built once by parse()
+  /// and memoized with the stream, so configuration memory applies a
+  /// stream with one bounds check and one fill per run.
+  std::vector<FrameRun> frameRuns;
 };
+
+/// Coalesces `writes`' frame addresses, in order, into maximal runs of
+/// consecutive frames.
+[[nodiscard]] std::vector<FrameRun> frameRunsOf(
+    std::span<const FrameWrite> writes);
 
 /// Parses and validates `bytes` against `device`'s geometry.
 /// Throws BitstreamError on: bad magic, unknown type, device mismatch,

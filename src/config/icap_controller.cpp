@@ -1,6 +1,8 @@
 #include "config/icap_controller.hpp"
 
 #include <algorithm>
+#include <coroutine>
+#include <utility>
 
 #include "bitstream/compress.hpp"
 #include "bitstream/parser.hpp"
@@ -39,33 +41,118 @@ util::DataRate IcapController::effectiveThroughput() const noexcept {
   return util::DataRate::bytesPerSecond(port_.clock().hertz() * bytesPerCycle);
 }
 
-sim::Process IcapController::produce(util::Bytes total,
-                                     sim::Channel<std::uint64_t>& buffer,
-                                     sim::WaitGroup& wg) {
-  std::uint64_t remaining = total.count();
-  while (remaining > 0) {
-    const std::uint64_t chunk = std::min(remaining, timing_.chunkBytes.count());
+/// The BRAM buffer between the host link and the drain FSM, kept as a
+/// count of buffered chunks (see the header's timing-model comment): at
+/// most one blocked producer, at most one blocked drain, and a two-way
+/// join. Every wake is the one sim::Channel<T> and sim::WaitGroup would
+/// schedule, at the same point, so the kernel sees the same events.
+class IcapController::ChunkPipe {
+ public:
+  ChunkPipe(sim::Simulator& sim, std::size_t capacity) noexcept
+      : sim_(&sim), capacity_(capacity) {}
+
+  /// Producer side: buffers one chunk, or suspends while the buffer is
+  /// full. A blocked drain takes the chunk straight away.
+  [[nodiscard]] auto put() noexcept {
+    struct Awaiter {
+      ChunkPipe* pipe;
+      bool await_ready() { return pipe->tryPut(); }
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        pipe->producer_ = h;
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{this};
+  }
+
+  /// Drain side: takes one chunk, or suspends while the buffer is empty. A
+  /// blocked producer's chunk refills the freed slot.
+  [[nodiscard]] auto get() noexcept {
+    struct Awaiter {
+      ChunkPipe* pipe;
+      bool await_ready() { return pipe->tryGet(); }
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        pipe->drain_ = h;
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{this};
+  }
+
+  /// Called by each side when it has moved all its bytes; the second call
+  /// wakes the joined load.
+  void finish() {
+    if (--running_ == 0 && loader_) {
+      sim_->scheduleAfter(util::Time::zero(), loader_);
+    }
+  }
+
+  /// Suspends the load until both sides have finished.
+  [[nodiscard]] auto join() noexcept {
+    struct Awaiter {
+      ChunkPipe* pipe;
+      bool await_ready() const noexcept { return pipe->running_ == 0; }
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        pipe->loader_ = h;
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{this};
+  }
+
+ private:
+  bool tryPut() {
+    if (buffered_ == capacity_) return false;
+    if (drain_) {
+      sim_->scheduleAfter(util::Time::zero(), std::exchange(drain_, {}));
+    } else {
+      ++buffered_;
+    }
+    return true;
+  }
+
+  bool tryGet() {
+    if (buffered_ == 0) return false;
+    if (producer_) {
+      sim_->scheduleAfter(util::Time::zero(), std::exchange(producer_, {}));
+    } else {
+      --buffered_;
+    }
+    return true;
+  }
+
+  sim::Simulator* sim_;
+  std::size_t capacity_;
+  std::size_t buffered_ = 0;
+  int running_ = 2;
+  std::coroutine_handle<> producer_{};
+  std::coroutine_handle<> drain_{};
+  std::coroutine_handle<> loader_{};
+};
+
+sim::Process IcapController::produce(util::Bytes total, ChunkPipe& pipe) {
+  const std::uint64_t fullChunk = timing_.chunkBytes.count();
+  for (std::uint64_t remaining = total.count(); remaining > 0;) {
+    const std::uint64_t chunk = std::min(remaining, fullChunk);
     co_await hostLink_->transfer(util::Bytes{chunk});
-    co_await buffer.put(chunk);
+    co_await pipe.put();
     remaining -= chunk;
   }
-  wg.done();
+  pipe.finish();
 }
 
-sim::Process IcapController::drain(util::Bytes total,
-                                   sim::Channel<std::uint64_t>& buffer,
-                                   sim::WaitGroup& wg) {
+sim::Process IcapController::drain(util::Bytes total, ChunkPipe& pipe) {
   // Every chunk but a short last one is full-sized: time it once per load.
   const std::uint64_t fullChunk = timing_.chunkBytes.count();
   const util::Time fullChunkDrain = drainTime(timing_.chunkBytes);
-  std::uint64_t remaining = total.count();
-  while (remaining > 0) {
-    const std::uint64_t chunk = co_await buffer.get();
+  for (std::uint64_t remaining = total.count(); remaining > 0;) {
+    co_await pipe.get();
+    const std::uint64_t chunk = std::min(remaining, fullChunk);
     co_await sim_->delay(chunk == fullChunk ? fullChunkDrain
                                             : drainTime(util::Bytes{chunk}));
     remaining -= chunk;
   }
-  wg.done();
+  pipe.finish();
 }
 
 util::Bytes IcapController::wireBytes(const bitstream::Bitstream& stream) {
@@ -105,12 +192,10 @@ sim::Process IcapController::load(const bitstream::Bitstream& stream) {
   contention_ += sim_->now() - queued;
   sim::ScopedPermit permit{icapBusy_};
 
-  sim::Channel<std::uint64_t> buffer{*sim_, timing_.bufferChunks};
-  sim::WaitGroup wg{*sim_};
-  wg.add(2);
-  sim_->spawn(produce(wire, buffer, wg));
-  sim_->spawn(drain(wire, buffer, wg));
-  co_await wg.wait();
+  ChunkPipe pipe{*sim_, timing_.bufferChunks};
+  sim_->spawn(produce(wire, pipe));
+  sim_->spawn(drain(wire, pipe));
+  co_await pipe.join();
 
   if (fault && fault->abort) {
     // The truncated stream never reaches configuration memory.

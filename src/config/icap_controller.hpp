@@ -11,6 +11,20 @@
 /// clock cycles. With the calibrated 9 overhead cycles per 32-bit word the
 /// effective throughput is 66 MHz * 4/13 B/cycle = 20.31 MB/s, matching the
 /// paper's measured 43.48 ms / 19.77 ms partial configuration times.
+///
+/// Each chunk's drain time is rounded on its own (drainTime: whole words,
+/// then whole cycles, then whole ps), so an uncontended load of `wire`
+/// bytes takes exactly hostLink.occupancy(first chunk) +
+/// floor(wire / chunk) x drainTime(chunk) + drainTime(wire mod chunk):
+/// the producer runs ~70x faster than the drain, so the drain never waits
+/// after the first chunk (tests/config_icap_oracle_test.cpp checks this to
+/// the ps).
+///
+/// The buffer is a private counter pipe (ChunkPipe), not a sim::Channel:
+/// both sides derive each chunk's size from their own remaining bytes, so
+/// it carries no values. Its wakes follow Channel's order exactly: a put
+/// hands off to a blocked drain, a get admits a blocked producer, and the
+/// last side to finish wakes the load, each with a zero delay.
 
 #include <cstdint>
 #include <exception>
@@ -23,7 +37,6 @@
 #include "config/memory.hpp"
 #include "config/port.hpp"
 #include "fabric/resources.hpp"
-#include "sim/channel.hpp"
 #include "sim/link.hpp"
 #include "sim/process.hpp"
 #include "sim/simulator.hpp"
@@ -131,12 +144,10 @@ class IcapController {
   [[nodiscard]] ConfigMemory& memory() noexcept { return *memory_; }
 
  private:
-  [[nodiscard]] sim::Process produce(util::Bytes total,
-                                     sim::Channel<std::uint64_t>& buffer,
-                                     sim::WaitGroup& wg);
-  [[nodiscard]] sim::Process drain(util::Bytes total,
-                                   sim::Channel<std::uint64_t>& buffer,
-                                   sim::WaitGroup& wg);
+  class ChunkPipe;
+
+  [[nodiscard]] sim::Process produce(util::Bytes total, ChunkPipe& pipe);
+  [[nodiscard]] sim::Process drain(util::Bytes total, ChunkPipe& pipe);
 
   sim::Simulator* sim_;
   ConfigMemory* memory_;

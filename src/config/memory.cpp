@@ -1,6 +1,7 @@
 #include "config/memory.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -12,6 +13,19 @@ ConfigMemory::ConfigMemory(const fabric::Device& device)
 std::uint64_t ConfigMemory::frameOwner(std::uint32_t frame) const {
   util::require(frame < frameOwner_.size(), "ConfigMemory: frame out of range");
   return frameOwner_[frame];
+}
+
+void ConfigMemory::writeOwners(const bitstream::ParsedStream& stream) {
+  for (const bitstream::FrameRun& run : stream.frameRuns) {
+    if (std::uint64_t{run.first} + run.count > frameOwner_.size()) {
+      throw util::ConfigError{"ConfigMemory: frame run [" +
+                              std::to_string(run.first) + ", +" +
+                              std::to_string(run.count) +
+                              ") exceeds the device's frames"};
+    }
+    std::fill_n(frameOwner_.begin() + run.first, run.count,
+                stream.header.moduleId);
+  }
 }
 
 void ConfigMemory::retainPayloads(const bitstream::ParsedStream& stream) {
@@ -28,9 +42,7 @@ void ConfigMemory::applyFull(const bitstream::ParsedStream& stream) {
   if (stream.header.type != bitstream::StreamType::kFull) {
     throw util::ConfigError{"ConfigMemory: applyFull needs a full stream"};
   }
-  for (const auto& write : stream.writes) {
-    frameOwner_.at(write.frame) = stream.header.moduleId;
-  }
+  writeOwners(stream);
   retainPayloads(stream);
   framesWritten_ += stream.writes.size();
   done_ = true;
@@ -45,9 +57,7 @@ void ConfigMemory::applyPartial(const bitstream::ParsedStream& stream) {
         "ConfigMemory: dynamic partial reconfiguration requires an operating "
         "(fully configured) device"};
   }
-  for (const auto& write : stream.writes) {
-    frameOwner_.at(write.frame) = stream.header.moduleId;
-  }
+  writeOwners(stream);
   retainPayloads(stream);
   framesWritten_ += stream.writes.size();
 }

@@ -79,6 +79,9 @@ class ConfigMemory {
       const bitstream::Bitstream& stream) const;
 
  private:
+  /// Sets the owner of every frame `stream` writes, one fill per frame
+  /// run. Throws ConfigError when a run exceeds this device's frames.
+  void writeOwners(const bitstream::ParsedStream& stream);
   void retainPayloads(const bitstream::ParsedStream& stream);
 
   const fabric::Device* device_;

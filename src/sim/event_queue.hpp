@@ -1,10 +1,15 @@
 #pragma once
 /// \file event_queue.hpp
-/// The pending-event set: one binary min-heap ordered by exact
-/// (timePs, seq). The order is total (every schedule gets a fresh seq), so
-/// the pop sequence — and every simulated byte — is a pure function of the
-/// push sequence. Push and pop are inline; the Simulator and the fleet's
-/// per-cell loop both hold an EventHeap by value.
+/// The future half of the pending-event set: one binary min-heap ordered by
+/// exact (timePs, seq). The order is total (every schedule gets a fresh
+/// seq), so the pop sequence — and every simulated byte — is a pure
+/// function of the push sequence. Push and pop are inline; the Simulator
+/// and the fleet's per-cell loop both hold an EventHeap by value.
+///
+/// The Simulator's pending set is this heap plus a same-instant FIFO:
+/// events scheduled at now() never enter the heap (see simulator.hpp for
+/// why dispatch still follows (timePs, seq) exactly). The fleet loop uses
+/// the heap alone.
 ///
 /// A heap fits the measured traffic: the kernel's pending set is a handful
 /// of events (executor, prepare, ICAP producer, drain), so a push or pop
@@ -35,15 +40,27 @@ class EventHeap {
  public:
   void push(const E& event) {
     heap_.push_back(event);
-    std::push_heap(heap_.begin(), heap_.end(), After{});
+    siftUp(heap_.size() - 1, event);
   }
 
   /// Removes and returns the minimum event. Precondition: !empty().
   E pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), After{});
-    const E event = heap_.back();
+    const E top = heap_.front();
+    const E last = heap_.back();
     heap_.pop_back();
-    return event;
+    const std::size_t n = heap_.size();
+    if (n == 0) return top;
+    // Floyd's pop: walk the root's hole down to a leaf along the earlier
+    // child (one comparison per level), then sift the old last event up
+    // from there; it came from the bottom, so it rarely climbs.
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    siftUp(hole, last);
+    return top;
   }
 
   /// The minimum event. Precondition: !empty().
@@ -52,12 +69,21 @@ class EventHeap {
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
  private:
-  /// std::push_heap-style "less" that yields a MIN-heap on (timePs, seq).
-  struct After {
-    bool operator()(const E& a, const E& b) const noexcept {
-      return a.timePs != b.timePs ? a.timePs > b.timePs : a.seq > b.seq;
+  /// Strict (timePs, seq) order: `a` is due before `b`.
+  static bool before(const E& a, const E& b) noexcept {
+    return a.timePs != b.timePs ? a.timePs < b.timePs : a.seq < b.seq;
+  }
+
+  /// Stores `event` at `hole` or above it, moving later parents down.
+  void siftUp(std::size_t hole, const E& event) noexcept {
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!before(event, heap_[parent])) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
     }
-  };
+    heap_[hole] = event;
+  }
 
   std::vector<E> heap_;
 };

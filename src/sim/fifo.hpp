@@ -1,13 +1,14 @@
 #pragma once
 /// \file fifo.hpp
-/// Small vector-backed FIFO for simulator primitives.
+/// Small vector-backed FIFO for the kernel and its primitives.
 ///
 /// Channel and Semaphore used std::deque for buffered values and blocked
-/// waiters; a deque allocates its block map up front, and the ICAP pipeline
-/// constructs a fresh Channel per partial load, so those allocations were a
-/// measurable slice of kernel time. This FIFO keeps elements in one vector
-/// with a head cursor: a single allocation that is reused for the lifetime
-/// of the primitive, compacted opportunistically when it drains.
+/// waiters; a deque allocates its block map up front, and short-lived
+/// primitives made those allocations a measurable slice of kernel time.
+/// This FIFO keeps elements in one vector with a head cursor: a single
+/// allocation that is reused for the lifetime of its owner, compacted
+/// opportunistically when it drains. The Simulator's same-instant queue is
+/// one too.
 
 #include <cstddef>
 #include <utility>

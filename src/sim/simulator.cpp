@@ -10,10 +10,27 @@ void Simulator::spawn(Process process) {
   roots_.push_back(std::move(process));
 }
 
-void Simulator::step(const Event& event) {
-  now_ = util::Time::picoseconds(event.timePs);
-  ++events_;
-  event.handle.resume();
+void Simulator::dispatchUntil(std::int64_t deadlinePs) {
+  // Every pending event is due at or after now_, so nothing is due before a
+  // past deadline. Otherwise now_ only advances to heap times <= deadlinePs.
+  if (now_.ps() > deadlinePs) return;
+  for (;;) {
+    std::coroutine_handle<> handle;
+    if (!queue_.empty() && queue_.top().timePs == now_.ps()) {
+      handle = queue_.pop().handle;  // scheduled before this instant began
+    } else if (!nowQueue_.empty()) {
+      handle = nowQueue_.pop();
+    } else if (!queue_.empty() && queue_.top().timePs <= deadlinePs) {
+      const Event event = queue_.pop();
+      now_ = util::Time::picoseconds(event.timePs);
+      handle = event.handle;
+    } else {
+      return;
+    }
+    ++events_;
+    handle.resume();
+    if ((events_ & 0xFFFu) == 0 && roots_.size() > 64) rethrowRootFailures();
+  }
 }
 
 void Simulator::rethrowRootFailures() {
@@ -31,19 +48,12 @@ void Simulator::rethrowRootFailures() {
 }
 
 void Simulator::run() {
-  while (!queue_.empty()) {
-    step(queue_.pop());
-    if ((events_ & 0xFFFu) == 0 && roots_.size() > 64) rethrowRootFailures();
-  }
+  dispatchUntil(util::Time::max().ps());
   rethrowRootFailures();
 }
 
 util::Time Simulator::runUntil(util::Time deadline) {
-  while (!queue_.empty() &&
-         util::Time::picoseconds(queue_.top().timePs) <= deadline) {
-    step(queue_.pop());
-    if ((events_ & 0xFFFu) == 0 && roots_.size() > 64) rethrowRootFailures();
-  }
+  dispatchUntil(deadline.ps());
   rethrowRootFailures();
   if (now_ < deadline) now_ = deadline;
   return now_;

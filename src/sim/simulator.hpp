@@ -8,14 +8,26 @@
 /// primitives, and child processes. Time is integer picoseconds
 /// (util::Time), so event order is exact and runs are bit-reproducible.
 ///
-/// The pending set is an inline EventHeap held by value (see
-/// event_queue.hpp): scheduling and dispatch make no virtual call.
+/// The pending set is two inline containers held by value, so scheduling
+/// and dispatch make no virtual call:
+///  * an EventHeap (event_queue.hpp) for events scheduled ahead of the
+///    then-current time, and
+///  * a same-instant FIFO for events scheduled *at* now(): zero-delay
+///    wakes (semaphore hand-offs, channel and condition wakes), spawns and
+///    joins skip the heap.
+/// Dispatch keeps exact (time, seq) order. Every FIFO entry is due at
+/// now() and was scheduled after now() was reached; every heap event due
+/// at now() was scheduled before that, so it carries a smaller seq. The
+/// kernel therefore dispatches a heap event due at now() first, then the
+/// FIFO front, then the heap. A schedule consumes a seq either way, so the
+/// seq sequence, and every simulated byte, matches a single ordered heap.
 
 #include <coroutine>
 #include <cstdint>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 #include "sim/process.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
@@ -35,6 +47,11 @@ class Simulator {
 
   /// Schedules `handle` to resume at absolute time `t` (>= now).
   void scheduleAt(util::Time t, std::coroutine_handle<> handle) {
+    if (t == now_) {
+      nowQueue_.push(handle);
+      ++seq_;
+      return;
+    }
     if (t < now_) {
       throw util::SimulationError{"Simulator: event scheduled in the past"};
     }
@@ -54,7 +71,9 @@ class Simulator {
   /// root process (child-process exceptions propagate to their parents).
   void run();
 
-  /// Runs events with timestamp <= `deadline`; returns the new now().
+  /// Runs events with timestamp <= `deadline`; returns the new now(), which
+  /// is max(now(), deadline). A deadline before now() runs nothing, not
+  /// even a pending wake scheduled at now().
   util::Time runUntil(util::Time deadline);
 
   /// Awaitable that suspends the calling process for `delay`.
@@ -76,10 +95,13 @@ class Simulator {
   [[nodiscard]] std::size_t rootCount() const noexcept { return roots_.size(); }
 
  private:
-  void step(const Event& event);
+  /// Dispatches events in (time, seq) order while one is due at or before
+  /// `deadlinePs`.
+  void dispatchUntil(std::int64_t deadlinePs);
   void rethrowRootFailures();
 
-  EventHeap<Event> queue_;
+  EventHeap<Event> queue_;  ///< scheduled ahead of the then-current time
+  detail::SmallFifo<std::coroutine_handle<>> nowQueue_;  ///< due at now_
   std::vector<Process> roots_;
   util::Time now_;
   std::uint64_t seq_ = 0;

@@ -1,0 +1,181 @@
+// Closed-form oracle for the ICAP pipeline (paper section 4.1): an
+// uncontended partial load of `wire` bytes takes exactly the host link's
+// occupancy for the first chunk plus the drain FSM's time for every chunk,
+// each chunk rounded on its own:
+//
+//   hostLink.occupancy(first chunk)
+//     + floor(wire / chunk) * drainTime(chunk) + drainTime(wire mod chunk)
+//
+// The producer fills the 16 KiB buffer ~70x faster than the FSM drains it,
+// so after the first chunk the drain never waits. A single
+// ceil(bytes / 4) * 13-cycle rounding over the whole stream is not exact.
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "bitstream/library.hpp"
+#include "bitstream/parser.hpp"
+#include "model/calibration.hpp"
+#include "runtime/cache.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/prefetch.hpp"
+#include "sim/simulator.hpp"
+#include "sim/trace.hpp"
+#include "tasks/workload.hpp"
+#include "xd1/node.hpp"
+
+namespace prtr {
+namespace {
+
+using util::Bytes;
+using util::Time;
+
+/// The closed-form duration of an uncontended load of `wire` bytes.
+Time oracle(const sim::SimplexLink& hostLink,
+            const config::IcapController& icap, Bytes wire) {
+  const std::uint64_t chunk = icap.timing().chunkBytes.count();
+  const std::uint64_t fullChunks = wire.count() / chunk;
+  return hostLink.occupancy(Bytes{std::min(wire.count(), chunk)}) +
+         icap.drainTime(Bytes{chunk}) * static_cast<std::int64_t>(fullChunks) +
+         icap.drainTime(Bytes{wire.count() % chunk});
+}
+
+sim::Process timedLoad(sim::Simulator& sim, config::IcapController& icap,
+                       const bitstream::Bitstream& stream, Time& took) {
+  const Time start = sim.now();
+  co_await icap.load(stream);
+  took = sim.now() - start;
+}
+
+struct LoadCase {
+  xd1::Layout layout;
+  bool mfw;
+};
+
+std::string loadCaseName(const ::testing::TestParamInfo<LoadCase>& info) {
+  const char* layout = info.param.layout == xd1::Layout::kSinglePrr ? "single"
+                       : info.param.layout == xd1::Layout::kDualPrr ? "dual"
+                                                                    : "quad";
+  return std::string{layout} + (info.param.mfw ? "_mfw" : "_raw");
+}
+
+class IcapOracleLoads : public ::testing::TestWithParam<LoadCase> {};
+
+TEST_P(IcapOracleLoads, EveryUncontendedLoadMatchesTheClosedFormToThePs) {
+  sim::Simulator sim;
+  xd1::NodeConfig config;
+  config.layout = GetParam().layout;
+  config.icapTiming.multiFrameWrite = GetParam().mfw;
+  xd1::Node node{sim, config};
+  // Occupancies below 1 leave empty frames, so wire sizes vary across
+  // modules (and shrink further under MFW) and rarely fill a last chunk.
+  bitstream::Library library{
+      node.floorplan(), {{1, "full", 1.0}, {2, "half", 0.5}, {3, "sparse", 0.13}}};
+  node.configMemory().applyFull(
+      *bitstream::parse(library.full(), node.device()));
+  config::IcapController& icap = node.icap();
+
+  std::size_t loads = 0;
+  for (std::size_t prr = 0; prr < node.floorplan().prrCount(); ++prr) {
+    for (const auto& module : library.modules()) {
+      const bitstream::Bitstream& stream = library.modulePartial(prr, module.id);
+      const Bytes wire = icap.wireBytes(stream);
+      if (GetParam().mfw && module.occupancy < 1.0) {
+        EXPECT_LT(wire, stream.size()) << "MFW should compress empty frames";
+      }
+      Time took;
+      sim.spawn(timedLoad(sim, icap, stream, took));
+      sim.run();
+      EXPECT_EQ(took, oracle(node.linkIn(), icap, wire))
+          << "prr " << prr << ", module " << module.name << ", wire "
+          << wire.count() << " B";
+      ++loads;
+    }
+  }
+  EXPECT_EQ(icap.loadsPerformed(), loads);
+  EXPECT_EQ(node.linkIn().contendedTransfers(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, IcapOracleLoads,
+    ::testing::Values(LoadCase{xd1::Layout::kSinglePrr, false},
+                      LoadCase{xd1::Layout::kSinglePrr, true},
+                      LoadCase{xd1::Layout::kDualPrr, false},
+                      LoadCase{xd1::Layout::kDualPrr, true},
+                      LoadCase{xd1::Layout::kQuadPrr, false},
+                      LoadCase{xd1::Layout::kQuadPrr, true}),
+    loadCaseName);
+
+TEST(IcapOracle, ChunkRoundingIsPerChunkNotPerStream) {
+  // The oracle's per-chunk rounding is load-bearing: a whole-stream
+  // ceil(bytes / 4) * 13-cycle figure drifts from it by a few ps per chunk.
+  sim::Simulator sim;
+  xd1::Node node{sim};
+  const config::IcapController& icap = node.icap();
+  const Bytes wire{2048 * 197 + 1234};
+  const Time perChunk = icap.drainTime(Bytes{2048}) * 197 +
+                        icap.drainTime(Bytes{1234});
+  EXPECT_NE(perChunk, icap.drainTime(wire));
+}
+
+/// Every `partial(...)` span of one Fig-9(b) point (dual PRR, H = 0 via
+/// forceMiss, queue look-ahead, 120 calls) lasts exactly the oracle's time
+/// for its stream, and no HT-in transfer on that point took the contended
+/// path. That path, alone, can interleave chunks with other traffic.
+TEST(IcapOracle, EveryPartialSpanOfAFig9PointMatchesTheClosedForm) {
+  const tasks::FunctionRegistry registry = tasks::makePaperFunctions();
+  sim::Simulator sim;
+  xd1::Node node{sim};
+  const model::ConfigTimes times = model::configTimes(node);
+  const tasks::Workload workload = tasks::makeRoundRobinWorkload(
+      registry, 120,
+      model::bytesForTaskTime(node, registry.byName("median"),
+                              times.full(model::ConfigTimeBasis::kMeasured)));
+  bitstream::Library library{
+      node.floorplan(),
+      registry.moduleSpecs(node.floorplan().prr(0).resources(node.device()))};
+  std::vector<bitstream::ModuleId> sequence;
+  for (const tasks::TaskCall& call : workload.calls) {
+    sequence.push_back(registry.at(call.functionIndex).id);
+  }
+  const auto cache = runtime::makeCache(runtime::CachePolicy::kLru,
+                                        node.floorplan().prrCount(), sequence);
+  const auto prefetcher = runtime::makePrefetcher(
+      runtime::PrefetcherKind::kNone, Time::zero(), sequence);
+  sim::Timeline timeline;
+  runtime::ExecutorOptions options;
+  options.forceMiss = true;
+  options.prepare = runtime::PrepareSource::kQueue;
+  options.timeline = &timeline;
+  runtime::PrtrExecutor executor{node,   registry,    library,
+                                 *cache, *prefetcher, options};
+  (void)executor.run(workload);
+
+  std::size_t checked = 0;
+  for (const sim::NamedSpan& span : timeline.materialize()) {
+    if (span.label.rfind("partial(", 0) != 0) continue;
+    const std::string name =
+        span.label.substr(8, span.label.size() - 9);  // strip "partial(" ")"
+    const tasks::HwFunction& fn = registry.byName(name);
+    // The PRRs are identical, so every PRR's stream for `fn` predicts the
+    // same time; the span must equal it.
+    const Time expected = oracle(
+        node.linkIn(), node.icap(),
+        node.icap().wireBytes(library.modulePartial(0, fn.id)));
+    for (std::size_t prr = 1; prr < node.floorplan().prrCount(); ++prr) {
+      ASSERT_EQ(oracle(node.linkIn(), node.icap(),
+                       node.icap().wireBytes(library.modulePartial(prr, fn.id))),
+                expected);
+    }
+    EXPECT_EQ(span.end - span.start, expected)
+        << span.label << " at " << span.start.ps() << " ps";
+    ++checked;
+  }
+  EXPECT_EQ(checked, 120u);
+  EXPECT_EQ(node.linkIn().contendedTransfers(), 0u);
+  EXPECT_GT(node.linkIn().totalTransfers(), 0u);
+}
+
+}  // namespace
+}  // namespace prtr

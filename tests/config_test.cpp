@@ -3,8 +3,11 @@
 // ICAP controller timing calibration.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bitstream/builder.hpp"
 #include "bitstream/library.hpp"
+#include "bitstream/parser.hpp"
 #include "config/icap_controller.hpp"
 #include "config/manager.hpp"
 #include "config/memory.hpp"
@@ -13,6 +16,7 @@
 #include "fabric/floorplan.hpp"
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace prtr::config {
@@ -264,6 +268,141 @@ TEST_F(ConfigFixture, ManagerRejectsStreamOutsideTargetPrr) {
   };
   sim_.spawn(scenario());
   EXPECT_THROW(sim_.run(), util::ConfigError);
+}
+
+// ---- Frame runs: applying a stream run by run must leave exactly the
+// frame owners a write-by-write application would.
+
+/// frameOwner after applying `stream` one write at a time onto `owners`.
+void applyWriteByWrite(std::vector<std::uint64_t>& owners,
+                       const bitstream::ParsedStream& stream) {
+  for (const bitstream::FrameWrite& write : stream.writes) {
+    owners.at(write.frame) = stream.header.moduleId;
+  }
+}
+
+std::vector<std::uint64_t> ownersOf(const ConfigMemory& memory) {
+  std::vector<std::uint64_t> owners(
+      memory.device().geometry().totalFrames());
+  for (std::uint32_t frame = 0; frame < owners.size(); ++frame) {
+    owners[frame] = memory.frameOwner(frame);
+  }
+  return owners;
+}
+
+TEST(FrameRuns, CoalesceConsecutiveFramesInOrder) {
+  const std::vector<std::uint32_t> frames{3, 4, 5, 9, 10, 20, 21, 22, 23, 40};
+  std::vector<bitstream::FrameWrite> writes;
+  for (const std::uint32_t frame : frames) writes.push_back({frame, {}});
+  EXPECT_EQ(bitstream::frameRunsOf(writes),
+            (std::vector<bitstream::FrameRun>{{3, 3}, {9, 2}, {20, 4}, {40, 1}}));
+  EXPECT_TRUE(bitstream::frameRunsOf({}).empty());
+}
+
+TEST(FrameRuns, EveryLibraryStreamAppliesLikeItsWrites) {
+  for (const fabric::Floorplan& plan :
+       {fabric::makeSinglePrrLayout(), fabric::makeDualPrrLayout(),
+        fabric::makeQuadPrrLayout()}) {
+    // Sparse occupancies make module partials and difference partials skip
+    // frames, so their writes are not one contiguous span.
+    bitstream::Library library{
+        plan, {{1, "a", 1.0}, {2, "b", 0.5}, {3, "c", 0.13}}};
+    ConfigMemory memory{plan.device()};
+    std::vector<std::uint64_t> reference(
+        plan.device().geometry().totalFrames(), 0);
+    const auto check = [&](const bitstream::Bitstream& stream) {
+      const bitstream::ParsedRef parsed = memory.parsedFor(stream);
+      std::uint64_t covered = 0;
+      for (const bitstream::FrameRun& run : parsed->frameRuns) {
+        covered += run.count;
+      }
+      EXPECT_EQ(covered, parsed->writes.size());
+      if (parsed->header.type == bitstream::StreamType::kFull) {
+        EXPECT_EQ(parsed->frameRuns.size(), 1u);
+        memory.applyFull(*parsed);
+      } else {
+        memory.applyPartial(*parsed);
+      }
+      applyWriteByWrite(reference, *parsed);
+      EXPECT_EQ(ownersOf(memory), reference);
+    };
+    check(library.full());
+    for (std::size_t prr = 0; prr < plan.prrCount(); ++prr) {
+      for (const auto& from : library.modules()) {
+        check(library.modulePartial(prr, from.id));
+        check(library.prrReload(prr, from.id));
+        for (const auto& to : library.modules()) {
+          if (to.id != from.id) {
+            check(library.differencePartial(prr, from.id, to.id));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// `stream` with its frame addresses spread out: write i goes to frame
+/// firstFrame + i + i / stride, so the writes form runs of `stride` frames
+/// separated by one-frame gaps. The CRC is recomputed; the result parses.
+bitstream::Bitstream gapped(const bitstream::Bitstream& stream,
+                            const fabric::Device& device, std::uint32_t stride) {
+  const auto& enc = device.geometry().encoding();
+  std::vector<std::uint8_t> bytes = stream.bytes();
+  const auto putU32 = [&](std::size_t at, std::uint32_t value) {
+    for (int b = 0; b < 4; ++b) {
+      bytes[at + static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(value >> (8 * b));
+    }
+  };
+  std::size_t at = enc.partialOverheadBytes - 4;
+  for (std::uint32_t i = 0; i < stream.header().frameCount; ++i) {
+    putU32(at, stream.header().firstFrame + i + i / stride);
+    at += enc.frameAddressBytes + enc.frameBytes;
+  }
+  putU32(bytes.size() - 4,
+         util::Crc32::of(std::span{bytes.data(), bytes.size() - 4}));
+  return bitstream::Bitstream{stream.header(), std::move(bytes)};
+}
+
+TEST(FrameRuns, NonContiguousWritesApplyLikeTheirWrites) {
+  for (const fabric::Floorplan& plan :
+       {fabric::makeSinglePrrLayout(), fabric::makeDualPrrLayout(),
+        fabric::makeQuadPrrLayout()}) {
+    bitstream::Library library{plan, {{4, "m", 0.5}}};
+    ConfigMemory memory{plan.device()};
+    const bitstream::ParsedRef full = memory.parsedFor(library.full());
+    memory.applyFull(*full);
+    std::vector<std::uint64_t> reference(
+        plan.device().geometry().totalFrames(), 0);
+    applyWriteByWrite(reference, *full);
+    const bitstream::Bitstream& base = library.modulePartial(0, 4);
+    const std::uint32_t frames = base.header().frameCount;
+    for (const std::uint32_t stride : {1u, 2u, 7u, frames - 1}) {
+      const bitstream::Bitstream stream = gapped(base, plan.device(), stride);
+      const bitstream::ParsedRef parsed = memory.parsedFor(stream);
+      ASSERT_EQ(parsed->frameRuns.size(), (frames + stride - 1) / stride);
+      memory.applyPartial(*parsed);
+      applyWriteByWrite(reference, *parsed);
+      EXPECT_EQ(ownersOf(memory), reference) << "stride " << stride;
+    }
+  }
+}
+
+TEST_F(ConfigFixture, OutOfRangeFrameRunThrows) {
+  const auto full = builder_.buildFull(1);
+  memory_.applyFull(*bitstream::parse(full, plan_.device()));
+  const std::uint32_t frames = plan_.device().geometry().totalFrames();
+  bitstream::ParsedStream stream;
+  stream.header.type = bitstream::StreamType::kPartial;
+  stream.header.moduleId = 9;
+  stream.frameRuns = {{frames - 2, 5}};
+  EXPECT_THROW(memory_.applyPartial(stream), util::ConfigError);
+  stream.frameRuns = {{frames, 1}};
+  EXPECT_THROW(memory_.applyPartial(stream), util::ConfigError);
+  // The last in-range frame is writable.
+  stream.frameRuns = {{frames - 1, 1}};
+  memory_.applyPartial(stream);
+  EXPECT_EQ(memory_.frameOwner(frames - 1), 9u);
 }
 
 }  // namespace

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "analysis/figures.hpp"
+#include "bitstream/library.hpp"
+#include "bitstream/parser.hpp"
 #include "model/bounds.hpp"
 #include "model/model.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/workload.hpp"
+#include "xd1/node.hpp"
 
 namespace prtr {
 namespace {
@@ -60,6 +63,29 @@ TEST(Fig9Integration, PointProcessesAPinnedNumberOfKernelEvents) {
       registry, workload, paperOptions(ConfigTimeBasis::kMeasured));
   EXPECT_EQ(result.metrics.counterOr("frtr.sim.events_processed"), 601u);
   EXPECT_EQ(result.metrics.counterOr("prtr.sim.events_processed"), 71281u);
+}
+
+// The same pin at unit level: one dual-PRR library partial through
+// IcapController::load (the BM_IcapPartialLoad iteration). 404,388 B go
+// over HT-in as 198 chunks; the kernel events are the load's start, the
+// producer/drain spawns, ~3 per chunk, and the join.
+TEST(Fig9Integration, DualPrrPartialLoadProcessesAPinnedNumberOfKernelEvents) {
+  sim::Simulator sim;
+  xd1::Node node{sim};
+  bitstream::Library library{node.floorplan(), {{1, "median", 1.0}}};
+  node.configMemory().applyFull(
+      *bitstream::parse(library.full(), node.device()));
+  const bitstream::Bitstream& partial = library.modulePartial(0, 1);
+  const auto load = [](config::IcapController& icap,
+                       const bitstream::Bitstream& stream) -> sim::Process {
+    co_await icap.load(stream);
+  };
+  sim.spawn(load(node.icap(), partial));
+  sim.run();
+  EXPECT_EQ(partial.size().count(), 404388u);
+  EXPECT_EQ(sim.eventsProcessed(), 590u);
+  EXPECT_EQ(node.linkIn().totalTransfers(), 198u);
+  EXPECT_EQ(node.linkIn().contendedTransfers(), 0u);
 }
 
 TEST(Fig9Integration, EstimatedBasisTracksModel) {

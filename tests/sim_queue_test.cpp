@@ -1,11 +1,18 @@
-// Kernel regression tests: runUntil edge cases, the event heap's pop order
-// against an independent sorted reference, the interned symbol table, the
-// O(1) timeline accumulators, and the coroutine frame arena's free-list
-// recycling.
+// Kernel regression tests: runUntil edge cases, the kernel's resume order
+// (heap + same-instant FIFO) against a reference that keeps one (time, seq)
+// ordered pending set, the event heap's pop order against an independent
+// sorted reference, the interned symbol table, the O(1) timeline
+// accumulators, and the coroutine frame arena's free-list recycling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <cstring>
+#include <deque>
+#include <limits>
+#include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -13,6 +20,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/symbols.hpp"
+#include "sim/sync.hpp"
 #include "sim/trace.hpp"
 #include "util/rng.hpp"
 
@@ -78,6 +86,270 @@ TEST(RunUntil, SpawningBetweenCallsKeepsTheScheduleOrder) {
                        Time::microseconds(4).ps(), Time::microseconds(5).ps(),
                        Time::microseconds(6).ps(), Time::microseconds(7).ps(),
                        Time::microseconds(8).ps()}));
+}
+
+Process marker(Simulator& sim, std::vector<std::int64_t>& out) {
+  out.push_back(sim.now().ps());
+  co_return;
+}
+
+TEST(RunUntil, PastDeadlineRunsNoPendingSameInstantWake) {
+  Simulator sim;
+  sim.runUntil(Time::milliseconds(7));
+  std::vector<std::int64_t> starts;
+  sim.spawn(marker(sim, starts));  // a wake due at now() = 7 ms
+  // A deadline before now() runs nothing, not even the same-instant wake,
+  // and leaves now() where it was.
+  EXPECT_EQ(sim.runUntil(Time::milliseconds(3)), Time::milliseconds(7));
+  EXPECT_TRUE(starts.empty());
+  EXPECT_EQ(sim.eventsProcessed(), 0u);
+  EXPECT_EQ(sim.runUntil(Time::milliseconds(7)), Time::milliseconds(7));
+  EXPECT_EQ(starts, (std::vector<std::int64_t>{Time::milliseconds(7).ps()}));
+  EXPECT_EQ(sim.eventsProcessed(), 1u);
+}
+
+// ---- Kernel order property: seeded random programs run on the Simulator
+// must resume in exactly the order of an independent reference that keeps
+// one pending set sorted by (time, seq). The programs mix same-instant
+// schedules, delay(0) (no event), future delays, spawns mid-instant and
+// between runUntil calls, semaphore hand-offs, condition broadcasts, and
+// runUntil deadlines before, at and after now().
+
+enum class OpKind { kYield, kDelay, kSpawn, kAcquire, kRelease, kWait, kNotify };
+
+struct Op {
+  OpKind kind;
+  std::int64_t arg;  ///< delay ps, spawn program, semaphore or condition
+};
+
+using Program = std::vector<Op>;
+
+/// What one process did at one step: (time, process id, program counter).
+using LogEntry = std::tuple<std::int64_t, int, std::size_t>;
+
+struct RandomWorld {
+  std::vector<Program> roots;          ///< spawned before the first run
+  std::vector<Program> children;       ///< spawned by kSpawn ops
+  std::vector<std::int64_t> semCounts;  ///< initial permits
+  std::size_t conditions = 0;
+  /// Driver steps: a runUntil deadline offset from now() (may be
+  /// negative), and whether to spawn children[0] as a root first.
+  std::vector<std::pair<std::int64_t, bool>> steps;
+};
+
+Op randomOp(util::Rng& rng, const RandomWorld& world, bool allowSpawn) {
+  static constexpr std::int64_t kDelays[] = {0, 0, 1'000, 1'000, 2'000, 7'000};
+  for (;;) {
+    switch (rng() % 7) {
+      case 0: return {OpKind::kYield, 0};
+      case 1: return {OpKind::kDelay, kDelays[rng() % 6]};
+      case 2:
+        if (!allowSpawn) continue;
+        return {OpKind::kSpawn,
+                static_cast<std::int64_t>(rng() % world.children.size())};
+      case 3:
+        return {OpKind::kAcquire,
+                static_cast<std::int64_t>(rng() % world.semCounts.size())};
+      case 4:
+        return {OpKind::kRelease,
+                static_cast<std::int64_t>(rng() % world.semCounts.size())};
+      case 5:
+        return {OpKind::kWait, static_cast<std::int64_t>(rng() % world.conditions)};
+      default:
+        return {OpKind::kNotify,
+                static_cast<std::int64_t>(rng() % world.conditions)};
+    }
+  }
+}
+
+RandomWorld randomWorld(std::uint64_t seed) {
+  util::Rng rng{seed};
+  RandomWorld world;
+  world.semCounts = {static_cast<std::int64_t>(rng() % 2),
+                     static_cast<std::int64_t>(rng() % 3)};
+  world.conditions = 2;
+  world.children.resize(3);
+  for (Program& child : world.children) {
+    for (int i = 0; i < 5; ++i) child.push_back(randomOp(rng, world, false));
+  }
+  world.roots.resize(2 + rng() % 3);
+  for (Program& root : world.roots) {
+    const std::size_t length = 6 + rng() % 10;
+    for (std::size_t i = 0; i < length; ++i) {
+      root.push_back(randomOp(rng, world, true));
+    }
+  }
+  for (int i = 0; i < 6; ++i) {
+    const auto offset = static_cast<std::int64_t>(rng() % 6) * 1'000 - 2'000;
+    world.steps.emplace_back(offset, rng() % 2 == 0);
+  }
+  return world;
+}
+
+/// Awaitable that reschedules the caller at the current instant.
+struct YieldNow {
+  Simulator* sim;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { sim->scheduleAt(sim->now(), h); }
+  void await_resume() const noexcept {}
+};
+
+/// The Simulator side: the world's programs as coroutines.
+struct KernelRun {
+  Simulator sim;
+  const RandomWorld* world;
+  std::vector<std::unique_ptr<Semaphore>> sems;
+  std::vector<std::unique_ptr<Condition>> conds;
+  std::vector<LogEntry> log;
+  int nextPid = 0;
+
+  explicit KernelRun(const RandomWorld& w) : world(&w) {
+    for (const std::int64_t count : w.semCounts) {
+      sems.push_back(std::make_unique<Semaphore>(sim, count));
+    }
+    for (std::size_t i = 0; i < w.conditions; ++i) {
+      conds.push_back(std::make_unique<Condition>(sim));
+    }
+  }
+
+  void spawn(const Program& program) { sim.spawn(body(nextPid++, program)); }
+
+  Process body(int pid, const Program& program) {
+    for (std::size_t pc = 0; pc < program.size(); ++pc) {
+      log.emplace_back(sim.now().ps(), pid, pc);
+      const Op& op = program[pc];
+      const auto index = static_cast<std::size_t>(op.arg);
+      switch (op.kind) {
+        case OpKind::kYield: co_await YieldNow{&sim}; break;
+        case OpKind::kDelay: co_await sim.delay(Time::picoseconds(op.arg)); break;
+        case OpKind::kSpawn: spawn(world->children[index]); break;
+        case OpKind::kAcquire: co_await sems[index]->acquire(); break;
+        case OpKind::kRelease: sems[index]->release(); break;
+        case OpKind::kWait: co_await conds[index]->wait(); break;
+        case OpKind::kNotify: conds[index]->notifyAll(); break;
+      }
+    }
+  }
+};
+
+/// The reference: the same semantics on one pending set ordered by
+/// (time, seq), with no coroutines and no knowledge of the kernel's split
+/// between its heap and its same-instant FIFO.
+struct ReferenceRun {
+  struct Proc {
+    const Program* program;
+    std::size_t pc = 0;
+  };
+  using Pending = std::tuple<std::int64_t, std::uint64_t, int>;  // time, seq, pid
+
+  const RandomWorld* world;
+  std::vector<Proc> procs;
+  std::set<Pending> pending;
+  std::vector<std::int64_t> semCounts;
+  std::vector<std::deque<int>> semWaiters;
+  std::vector<std::vector<int>> condWaiters;
+  std::vector<LogEntry> log;
+  std::int64_t now = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t resumes = 0;
+
+  explicit ReferenceRun(const RandomWorld& w)
+      : world(&w),
+        semCounts(w.semCounts),
+        semWaiters(w.semCounts.size()),
+        condWaiters(w.conditions) {}
+
+  void schedule(std::int64_t at, int pid) { pending.emplace(at, seq++, pid); }
+
+  void spawn(const Program& program) {
+    procs.push_back(Proc{&program});
+    schedule(now, static_cast<int>(procs.size()) - 1);
+  }
+
+  /// Runs `pid` from its program counter until it suspends or ends.
+  void resume(int pid) {
+    ++resumes;
+    for (;;) {
+      Proc& proc = procs[static_cast<std::size_t>(pid)];
+      if (proc.pc == proc.program->size()) return;
+      const std::size_t pc = proc.pc++;
+      log.emplace_back(now, pid, pc);
+      const Op op = (*proc.program)[pc];
+      const auto index = static_cast<std::size_t>(op.arg);
+      switch (op.kind) {
+        case OpKind::kYield: schedule(now, pid); return;
+        case OpKind::kDelay:
+          if (op.arg == 0) break;
+          schedule(now + op.arg, pid);
+          return;
+        case OpKind::kSpawn: spawn(world->children[index]); break;
+        case OpKind::kAcquire:
+          if (semCounts[index] > 0) {
+            --semCounts[index];
+            break;
+          }
+          semWaiters[index].push_back(pid);
+          return;
+        case OpKind::kRelease:
+          if (semWaiters[index].empty()) {
+            ++semCounts[index];
+          } else {
+            schedule(now, semWaiters[index].front());
+            semWaiters[index].pop_front();
+          }
+          break;
+        case OpKind::kWait: condWaiters[index].push_back(pid); return;
+        case OpKind::kNotify:
+          for (const int waiter : condWaiters[index]) schedule(now, waiter);
+          condWaiters[index].clear();
+          break;
+      }
+    }
+  }
+
+  void runUntil(std::int64_t deadline) {
+    while (!pending.empty() && std::get<0>(*pending.begin()) <= deadline) {
+      const auto [at, s, pid] = *pending.begin();
+      pending.erase(pending.begin());
+      now = at;
+      resume(pid);
+    }
+    now = std::max(now, deadline);
+  }
+};
+
+TEST(KernelOrder, RandomProgramsResumeInReferenceTimeSeqOrder) {
+  std::size_t ties = 0;  // consecutive steps of two processes at one instant
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const RandomWorld world = randomWorld(seed);
+    KernelRun kernel{world};
+    ReferenceRun reference{world};
+    for (const Program& root : world.roots) {
+      kernel.spawn(root);
+      reference.spawn(root);
+    }
+    for (const auto& [offset, spawnFirst] : world.steps) {
+      if (spawnFirst) {
+        kernel.spawn(world.children[0]);
+        reference.spawn(world.children[0]);
+      }
+      const std::int64_t deadline = kernel.sim.now().ps() + offset;
+      EXPECT_EQ(kernel.sim.runUntil(Time::picoseconds(deadline)).ps(),
+                (reference.runUntil(deadline), reference.now))
+          << "seed " << seed;
+    }
+    kernel.sim.run();
+    reference.runUntil(std::numeric_limits<std::int64_t>::max());
+    ASSERT_EQ(kernel.log, reference.log) << "seed " << seed;
+    EXPECT_EQ(kernel.sim.eventsProcessed(), reference.resumes) << "seed " << seed;
+    for (std::size_t i = 1; i < reference.log.size(); ++i) {
+      if (std::get<0>(reference.log[i]) == std::get<0>(reference.log[i - 1]) &&
+          std::get<1>(reference.log[i]) != std::get<1>(reference.log[i - 1])) {
+        ++ties;
+      }
+    }
+  }
+  EXPECT_GT(ties, 1000u) << "the programs must interleave within instants";
 }
 
 /// (time, seq) key of an event; the reference order is these keys sorted.
