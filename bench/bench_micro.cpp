@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): throughput of the load-bearing
 // substrate pieces -- the DES kernel, bitstream build/parse, image kernels,
-// and a full PRTR scenario end to end.
+// a steady fleet batch, and a full PRTR scenario end to end.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -12,6 +12,7 @@
 #include "bitstream/library.hpp"
 #include "bitstream/parser.hpp"
 #include "fabric/floorplan.hpp"
+#include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/scenario.hpp"
 #include "sim/simulator.hpp"
@@ -230,6 +231,37 @@ void BM_MetricsSweepMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_MetricsSweepMerge)->Arg(1)->Arg(8);
+
+/// One steady fleet batch per iteration: examples/fleet/steady.fleet (the
+/// FleetOptions defaults under its seed) at 50 k requests on one thread,
+/// the per-request loop of perfbench's fleet_steady. ns_per_request is wall
+/// time per request; request_slots is the deterministic slot high-water
+/// mark, which stays at the in-flight population however many requests run.
+void BM_FleetSteadyBatch(benchmark::State& state) {
+  const auto registry = tasks::makePaperFunctions();
+  fleet::FleetOptions options;
+  options.seed = 61927;
+  options.requests = 50'000;
+  options.threads = 1;
+  const fleet::BladeProfile profile = fleet::calibrateBladeProfile(
+      registry, options.calibration, options.payloadBytes);
+  std::size_t slots = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const fleet::FleetReport report = fleet::runFleet(registry, profile, options);
+    slots = report.requestSlots;
+    benchmark::DoNotOptimize(report.completed);
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  const auto requests =
+      static_cast<double>(state.iterations()) * static_cast<double>(options.requests);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(options.requests));
+  state.counters["ns_per_request"] = elapsed.count() / requests;
+  state.counters["request_slots"] = static_cast<double>(slots);
+}
+BENCHMARK(BM_FleetSteadyBatch);
 
 void BM_PrtrScenarioEndToEnd(benchmark::State& state) {
   const auto registry = tasks::makePaperFunctions();

@@ -142,15 +142,17 @@ sim::Process IcapController::produce(util::Bytes total, ChunkPipe& pipe) {
 }
 
 sim::Process IcapController::drain(util::Bytes total, ChunkPipe& pipe) {
-  // Every chunk but a short last one is full-sized: time it once per load.
+  // Every chunk but a short last one is full-sized: both drain times are
+  // computed once per load, so the loop does no division or rounding.
   const std::uint64_t fullChunk = timing_.chunkBytes.count();
   const util::Time fullChunkDrain = drainTime(timing_.chunkBytes);
+  const util::Time lastChunkDrain =
+      drainTime(util::Bytes{total.count() % fullChunk});
   for (std::uint64_t remaining = total.count(); remaining > 0;) {
     co_await pipe.get();
-    const std::uint64_t chunk = std::min(remaining, fullChunk);
-    co_await sim_->delay(chunk == fullChunk ? fullChunkDrain
-                                            : drainTime(util::Bytes{chunk}));
-    remaining -= chunk;
+    const bool full = remaining >= fullChunk;
+    co_await sim_->delay(full ? fullChunkDrain : lastChunkDrain);
+    remaining -= full ? fullChunk : remaining;
   }
   pipe.finish();
 }

@@ -18,7 +18,8 @@
 /// floor(wire / chunk) x drainTime(chunk) + drainTime(wire mod chunk):
 /// the producer runs ~70x faster than the drain, so the drain never waits
 /// after the first chunk (tests/config_icap_oracle_test.cpp checks this to
-/// the ps).
+/// the ps). The drain computes drainTime(chunk) and drainTime(wire mod
+/// chunk) once per load, so its per-chunk loop does no division or rounding.
 ///
 /// The buffer is a private counter pipe (ChunkPipe), not a sim::Channel:
 /// both sides derive each chunk's size from their own remaining bytes, so

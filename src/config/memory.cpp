@@ -8,14 +8,17 @@
 namespace prtr::config {
 
 ConfigMemory::ConfigMemory(const fabric::Device& device)
-    : device_(&device), frameOwner_(device.geometry().totalFrames(), 0) {}
+    : device_(&device),
+      frameOwner_(device.geometry().totalFrames(), 0),
+      frameStamp_(device.geometry().totalFrames(), 0) {}
 
 std::uint64_t ConfigMemory::frameOwner(std::uint32_t frame) const {
   util::require(frame < frameOwner_.size(), "ConfigMemory: frame out of range");
-  return frameOwner_[frame];
+  return frameStamp_[frame] == epoch_ ? frameOwner_[frame] : baseOwner_;
 }
 
 void ConfigMemory::writeOwners(const bitstream::ParsedStream& stream) {
+  const std::uint64_t owner = stream.header.moduleId;
   for (const bitstream::FrameRun& run : stream.frameRuns) {
     if (std::uint64_t{run.first} + run.count > frameOwner_.size()) {
       throw util::ConfigError{"ConfigMemory: frame run [" +
@@ -23,8 +26,14 @@ void ConfigMemory::writeOwners(const bitstream::ParsedStream& stream) {
                               std::to_string(run.count) +
                               ") exceeds the device's frames"};
     }
-    std::fill_n(frameOwner_.begin() + run.first, run.count,
-                stream.header.moduleId);
+    if (run.first == 0 && run.count == frameOwner_.size()) {
+      // Every frame rewritten: every stamp goes stale at once.
+      baseOwner_ = owner;
+      ++epoch_;
+      continue;
+    }
+    std::fill_n(frameOwner_.begin() + run.first, run.count, owner);
+    std::fill_n(frameStamp_.begin() + run.first, run.count, epoch_);
   }
 }
 
@@ -115,7 +124,8 @@ std::uint64_t ConfigMemory::repairFrames(
 }
 
 void ConfigMemory::reset() noexcept {
-  frameOwner_.assign(frameOwner_.size(), 0);
+  baseOwner_ = 0;
+  ++epoch_;
   done_ = false;
   framesWritten_ = 0;
   upsets_ = 0;

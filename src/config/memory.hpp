@@ -4,6 +4,12 @@
 /// the DONE pin. Partial streams may only be applied while the device is
 /// operating (dynamic/active partial reconfiguration, paper section 2.2);
 /// a full stream resets the whole array.
+///
+/// Frame ownership is a base owner plus per-frame stamped owners: a stream
+/// whose one frame run covers the whole device sets the base owner and
+/// bumps a 64-bit epoch (O(1), no fill), and a partial stamps the frames it
+/// writes with the current epoch. A frame whose stamp is stale belongs to
+/// the base owner. The epoch never wraps in practice (2^64 full writes).
 
 #include <cstdint>
 #include <span>
@@ -79,13 +85,17 @@ class ConfigMemory {
       const bitstream::Bitstream& stream) const;
 
  private:
-  /// Sets the owner of every frame `stream` writes, one fill per frame
-  /// run. Throws ConfigError when a run exceeds this device's frames.
+  /// Sets the owner of every frame `stream` writes: a whole-device run
+  /// moves the base owner, any other run stamps its frames. Throws
+  /// ConfigError when a run exceeds this device's frames.
   void writeOwners(const bitstream::ParsedStream& stream);
   void retainPayloads(const bitstream::ParsedStream& stream);
 
   const fabric::Device* device_;
-  std::vector<std::uint64_t> frameOwner_;
+  std::uint64_t baseOwner_ = 0;  ///< owner of every frame with a stale stamp
+  std::uint64_t epoch_ = 1;      ///< bumped by whole-device writes and reset
+  std::vector<std::uint64_t> frameOwner_;  ///< valid where stamp == epoch_
+  std::vector<std::uint64_t> frameStamp_;
   bool done_ = false;
   std::uint64_t framesWritten_ = 0;
   std::uint64_t upsets_ = 0;

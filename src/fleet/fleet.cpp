@@ -92,31 +92,35 @@ Ids internIds() {
 
 enum class EventKind : std::uint8_t { kArrival, kCompletion, kRetry, kHedge };
 
-struct Event {
-  std::int64_t timePs = 0;
-  std::uint64_t seq = 0;  ///< tie-break: events at equal times fire in
-                          ///< schedule order, making the heap a total order
+/// An event's payload; the heap's (timePs, seq) order is total, so equal
+/// times fire in schedule order.
+struct EventArgs {
   EventKind kind = EventKind::kArrival;
-  std::uint32_t arg = 0;  ///< blade index (completion) or request index
+  std::uint32_t arg = 0;  ///< blade index (completion) or request slot
 };
 
+/// One request, held in a recyclable slot of its cell (see Cell::slots).
 struct Request {
   std::int64_t arrivalPs = 0;
+  std::uint64_t bytes = 0;
   std::uint32_t task = 0;
   std::uint32_t user = 0;  ///< owning simulated user (rate-limit bucket)
-  std::uint64_t bytes = 0;
+  /// Per-cell arrival index; keys the request's trace. While the slot is
+  /// free it links the cell's free list instead.
+  std::uint32_t ordinal = 0;
+  std::int32_t primaryBlade = -1;
   std::uint8_t attempts = 0;  ///< dispatches so far (fresh + retries)
   bool done = false;
   bool failed = false;
   bool hedged = false;
-  std::int32_t primaryBlade = -1;
-  std::uint32_t inFlight = 0;  ///< copies currently queued or in service
+  std::uint8_t inFlight = 0;  ///< copies queued or in service (at most 2)
+  std::uint8_t pendingTimers = 0;  ///< retry/hedge events naming the slot
 };
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
 struct Job {
-  std::uint32_t req = 0;
+  std::uint32_t req = 0;  ///< request slot
   std::int64_t enqueuePs = 0;
   std::uint8_t attempt = 0;  ///< the request's attempt number at dispatch
   bool probe = false;  ///< dispatched while the blade was half-open
@@ -154,6 +158,7 @@ struct CellResult {
   obs::MetricsSnapshot metrics;
   std::vector<double> utilization;
   std::int64_t endPs = 0;
+  std::size_t requestSlots = 0;  ///< slot high-water mark
   trace::CellTrace trace{};   ///< kept request traces (tracing enabled)
   obs::TimeSeries series{};   ///< windowed series (tracing or SLO enabled)
 };
@@ -191,8 +196,14 @@ struct Cell {
   const Ids& ids;
   obs::Registry reg;
   std::vector<Blade> blades;
-  std::vector<Request> requests;
-  sim::EventHeap<Event> heap;
+  // Request slots. A slot returns to the free list once its request is
+  // terminal, no copy of it is queued or in service, and no retry or hedge
+  // event still names it, so memory follows the in-flight population, not
+  // the request count. Jobs and events name slots; traces name ordinals.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<Request> slots;
+  std::uint32_t freeHead = kNoSlot;  ///< free list, linked through ordinal
+  sim::EventHeap<EventArgs> heap;
   util::Rng rng;
   std::uint64_t seq = 0;
   std::uint64_t quota = 0;      ///< fresh requests this cell generates
@@ -229,10 +240,30 @@ struct Cell {
         rng(opt.seed ^ (0x9e3779b97f4a7c15ULL * (cellIdx + 1))) {}
 
   void schedule(std::int64_t atPs, EventKind kind, std::uint32_t arg) {
-    heap.push(Event{atPs, seq++, kind, arg});
+    heap.push({atPs, seq++, EventArgs{kind, arg}});
   }
 
   std::size_t taskCount() const { return profile.tasks.size(); }
+
+  std::uint32_t acquireSlot() {
+    if (freeHead == kNoSlot) {
+      slots.emplace_back();
+      return static_cast<std::uint32_t>(slots.size() - 1);
+    }
+    const std::uint32_t slot = freeHead;
+    freeHead = slots[slot].ordinal;
+    return slot;
+  }
+
+  /// Frees `slot` if nothing can reach its request any more. Called once
+  /// per event that may have made it idle, after the event's last access.
+  void releaseIfIdle(std::uint32_t slot) {
+    Request& r = slots[slot];
+    if ((r.done || r.failed) && r.inFlight == 0 && r.pendingTimers == 0) {
+      r.ordinal = freeHead;
+      freeHead = slot;
+    }
+  }
 
   /// Lazy time-based breaker transition: Open cools down into HalfOpen
   /// the first time routing looks at the blade past its reopen time.
@@ -302,7 +333,7 @@ struct Cell {
 
   void startService(std::uint32_t bladeIdx, Job job) {
     Blade& blade = blades[bladeIdx];
-    Request& r = requests[job.req];
+    Request& r = slots[job.req];
     const TaskProfile& t = profile.tasks[r.task];
     reg.observe(ids.queueWaitPs, nowPs - job.enqueuePs);
 
@@ -346,14 +377,14 @@ struct Cell {
     reg.observe(ids.servicePs, servicePs);
     schedule(nowPs + servicePs, EventKind::kCompletion, bladeIdx);
     if (rec) {
-      rec->onServiceStart(job.req, job.attempt, bladeIdx, nowPs, stallPs,
+      rec->onServiceStart(r.ordinal, job.attempt, bladeIdx, nowPs, stallPs,
                           configPs, execPs, nowPs + servicePs);
     }
   }
 
   void dispatch(std::uint32_t bladeIdx, std::uint32_t reqIdx, bool hedge) {
     Blade& blade = blades[bladeIdx];
-    Request& r = requests[reqIdx];
+    Request& r = slots[reqIdx];
     Job job;
     job.req = reqIdx;
     job.enqueuePs = nowPs;
@@ -366,7 +397,7 @@ struct Cell {
     ++r.inFlight;
     job.attempt = r.attempts;
     if (!hedge) r.primaryBlade = static_cast<std::int32_t>(bladeIdx);
-    if (rec) rec->onDispatch(reqIdx, job.attempt, hedge, bladeIdx, nowPs);
+    if (rec) rec->onDispatch(r.ordinal, job.attempt, hedge, bladeIdx, nowPs);
     if (blade.busy) {
       blade.queue.push_back(job);
     } else {
@@ -381,19 +412,20 @@ struct Cell {
   void shedFresh(std::uint32_t reqIdx, obs::CounterId counter,
                  trace::Outcome outcome) {
     reg.add(counter);
-    requests[reqIdx].failed = true;
+    Request& r = slots[reqIdx];
+    r.failed = true;
     if (recordSeries) {
       obs::TimeSeries::Window& w = series.at(nowPs);
       ++w.shed;
       ++w.bad;
     }
-    if (rec) rec->onShed(reqIdx, outcome, nowPs);
+    if (rec) rec->onShed(r.ordinal, outcome, nowPs);
   }
 
   void admitFresh(std::uint32_t reqIdx) {
-    Request& r = requests[reqIdx];
+    Request& r = slots[reqIdx];
     reg.add(ids.offered);
-    if (rec) rec->onArrival(reqIdx, nowPs);
+    if (rec) rec->onArrival(r.ordinal, nowPs);
     // Per-user token bucket ahead of routing: a rate-limited user's
     // request never consumes a routing decision or queue estimate.
     if (options.rateLimit.enabled) {
@@ -437,14 +469,18 @@ struct Cell {
         localLatency.count >= options.hedge.minSamples) {
       const auto delayPs = static_cast<std::int64_t>(
           localLatency.quantile(options.hedge.quantile));
+      ++slots[reqIdx].pendingTimers;
       schedule(nowPs + std::max<std::int64_t>(1, delayPs), EventKind::kHedge,
                reqIdx);
     }
   }
 
   void generateArrival() {
-    Request r;
+    const std::uint32_t slot = acquireSlot();
+    Request& r = slots[slot];
+    r = Request{};
     r.arrivalPs = nowPs;
+    r.ordinal = static_cast<std::uint32_t>(generated);
     if (options.arrival == ArrivalProcess::kTrace) {
       const TraceArrival& ta =
           options.trace[traceIdx++ % options.trace.size()];
@@ -462,9 +498,8 @@ struct Cell {
       r.task = drawTask(r.user);
       r.bytes = drawBytes();
     }
-    const auto reqIdx = static_cast<std::uint32_t>(requests.size());
-    requests.push_back(r);
-    admitFresh(reqIdx);
+    admitFresh(slot);
+    releaseIfIdle(slot);  // shed at admission
     ++generated;
     if (generated < quota) scheduleNextArrival();
   }
@@ -508,7 +543,7 @@ struct Cell {
   /// A request reached a terminal failure (attempts exhausted or retry
   /// budget empty) with no copy left in flight.
   void finishFailed(std::uint32_t reqIdx) {
-    Request& r = requests[reqIdx];
+    Request& r = slots[reqIdx];
     r.failed = true;
     reg.add(ids.completedFailed);
     reg.observe(ids.attempts, r.attempts);
@@ -517,7 +552,7 @@ struct Cell {
       ++w.failed;
       ++w.bad;
     }
-    if (rec) rec->onFailed(reqIdx, nowPs);
+    if (rec) rec->onFailed(r.ordinal, nowPs);
   }
 
   void onCompletion(std::uint32_t bladeIdx) {
@@ -525,7 +560,7 @@ struct Cell {
     const Job job = blade.current;
     const bool fail = blade.currentFails;
     blade.busy = false;
-    Request& r = requests[job.req];
+    Request& r = slots[job.req];
     --r.inFlight;
 
     // Blade health: the recovery ladder slides on failure streaks and
@@ -628,7 +663,7 @@ struct Cell {
           }
         }
         if (rec) {
-          rec->onDone(job.req, job.hedge, nowPs, slowThresholdPs,
+          rec->onDone(r.ordinal, job.hedge, nowPs, slowThresholdPs,
                       sloTargetPs);
         }
       } else if (r.inFlight == 0) {
@@ -640,12 +675,13 @@ struct Cell {
             const double backoff =
                 static_cast<double>(options.retry.backoffBase.ps()) *
                 std::pow(options.retry.backoffFactor, r.attempts - 1);
+            ++r.pendingTimers;
             schedule(nowPs + std::max<std::int64_t>(
                                  1, static_cast<std::int64_t>(backoff)),
                      EventKind::kRetry, job.req);
           } else {
             reg.add(ids.retriesDenied);
-            if (rec) rec->onRetryDenied(job.req, nowPs);
+            if (rec) rec->onRetryDenied(r.ordinal, nowPs);
             finishFailed(job.req);
           }
         } else {
@@ -653,6 +689,7 @@ struct Cell {
         }
       }
     }
+    releaseIfIdle(job.req);
 
     pumpQueue(bladeIdx);
   }
@@ -664,15 +701,16 @@ struct Cell {
     while (!blade.busy && !blade.queue.empty()) {
       const Job job = blade.queue.front();
       blade.queue.pop_front();
-      Request& r = requests[job.req];
+      Request& r = slots[job.req];
       if (r.done) {
         --r.inFlight;
         reg.add(ids.hedgeCancelled);
-        if (rec) rec->onCancelled(job.req, job.attempt, nowPs);
+        if (rec) rec->onCancelled(r.ordinal, job.attempt, nowPs);
         if (job.probe && blade.state == BreakerState::kHalfOpen &&
             blade.probesInFlight > 0) {
           --blade.probesInFlight;
         }
+        releaseIfIdle(job.req);
         continue;
       }
       startService(bladeIdx, job);
@@ -680,7 +718,8 @@ struct Cell {
   }
 
   void onRetry(std::uint32_t reqIdx) {
-    Request& r = requests[reqIdx];
+    Request& r = slots[reqIdx];
+    --r.pendingTimers;
     if (r.done || r.failed) return;
     const std::int32_t choice = route(r.primaryBlade);
     if (choice < 0) {
@@ -691,7 +730,8 @@ struct Cell {
   }
 
   void onHedge(std::uint32_t reqIdx) {
-    Request& r = requests[reqIdx];
+    Request& r = slots[reqIdx];
+    --r.pendingTimers;
     // Hedge only a request whose primary is still grinding: not done, not
     // already hedged, not sitting between retries.
     if (r.done || r.failed || r.hedged || r.inFlight == 0) return;
@@ -704,7 +744,7 @@ struct Cell {
     hedgeTokens -= 1.0;
     r.hedged = true;
     reg.add(ids.hedges);
-    if (rec) rec->onHedgeLaunch(reqIdx, nowPs);
+    if (rec) rec->onHedgeLaunch(r.ordinal, nowPs);
     dispatch(static_cast<std::uint32_t>(choice), reqIdx, /*hedge=*/true);
   }
 
@@ -766,22 +806,29 @@ struct Cell {
                (options.offeredLoad *
                 static_cast<double>(options.bladesPerCell))));
 
-    requests.reserve(quota);
     if (quota > 0) scheduleNextArrival();
     while (!heap.empty()) {
-      const Event e = heap.pop();
-      nowPs = e.timePs;
+      nowPs = heap.top().timePs;
+      const EventArgs e = heap.top().payload;
+      heap.pop();
       endPs = std::max(endPs, nowPs);
       switch (e.kind) {
         case EventKind::kArrival: generateArrival(); break;
         case EventKind::kCompletion: onCompletion(e.arg); break;
-        case EventKind::kRetry: onRetry(e.arg); break;
-        case EventKind::kHedge: onHedge(e.arg); break;
+        case EventKind::kRetry:
+          onRetry(e.arg);
+          releaseIfIdle(e.arg);
+          break;
+        case EventKind::kHedge:
+          onHedge(e.arg);
+          releaseIfIdle(e.arg);
+          break;
       }
     }
 
     CellResult result;
     result.endPs = endPs;
+    result.requestSlots = slots.size();
     result.utilization.reserve(blades.size());
     for (const Blade& blade : blades) {
       reg.add(ids.bladeBusyPs, static_cast<std::uint64_t>(blade.busyPs));
@@ -813,6 +860,12 @@ void validate(const FleetOptions& options) {
   util::require(options.bladesPerCell >= 1 && options.bladesPerCell <= 6,
                 "runFleet: an XD1 chassis holds 1..6 blades");
   util::require(options.requests >= 1, "runFleet: need at least one request");
+  // A request's per-cell ordinal is 32 bits; with recycled slots nothing
+  // else bounds the per-cell count.
+  const std::uint64_t maxQuota = options.requests / options.cells +
+                                 (options.requests % options.cells ? 1 : 0);
+  util::require(maxQuota < (std::uint64_t{1} << 32),
+                "runFleet: at most 2^32 - 1 requests per cell");
   util::require(options.offeredLoad > 0.0,
                 "runFleet: offeredLoad must be positive");
   util::require(options.users >= 1, "runFleet: need at least one user");
@@ -907,6 +960,7 @@ FleetReport runFleet(const tasks::FunctionRegistry& registry,
   for (CellResult& cell : cells) {
     report.makespan =
         std::max(report.makespan, util::Time::picoseconds(cell.endPs));
+    report.requestSlots = std::max(report.requestSlots, cell.requestSlots);
     leaves.push_back(std::move(cell.metrics));
   }
   report.metrics = obs::reduceSnapshots(std::move(leaves));

@@ -228,6 +228,10 @@ struct FleetReport {
   /// End-to-end latency of successful requests (arrival -> completion).
   obs::HistogramSummary latency;
   util::Time makespan;  ///< slowest cell's last event
+  /// High-water request-slot count over cells: the fleet's request memory,
+  /// bounded by the in-flight population rather than the request count. A
+  /// deterministic cost counter, kept out of `metrics` and toString().
+  std::size_t requestSlots = 0;
 
   double utilizationMin = 0.0;   ///< per-blade busy / makespan, fleet-wide
   double utilizationMean = 0.0;

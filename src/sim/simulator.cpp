@@ -16,14 +16,15 @@ void Simulator::dispatchUntil(std::int64_t deadlinePs) {
   if (now_.ps() > deadlinePs) return;
   for (;;) {
     std::coroutine_handle<> handle;
-    if (!queue_.empty() && queue_.top().timePs == now_.ps()) {
-      handle = queue_.pop().handle;  // scheduled before this instant began
-    } else if (!nowQueue_.empty()) {
+    if (!nowQueue_.empty() &&
+        (queue_.empty() || queue_.top().timePs != now_.ps())) {
       handle = nowQueue_.pop();
     } else if (!queue_.empty() && queue_.top().timePs <= deadlinePs) {
-      const Event event = queue_.pop();
-      now_ = util::Time::picoseconds(event.timePs);
-      handle = event.handle;
+      // Either due at now_ (scheduled before this instant began, so it
+      // precedes the FIFO) or the next instant; now_ <= deadlinePs holds.
+      now_ = util::Time::picoseconds(queue_.top().timePs);
+      handle = queue_.top().payload;
+      queue_.pop();
     } else {
       return;
     }

@@ -55,7 +55,7 @@ class Simulator {
     if (t < now_) {
       throw util::SimulationError{"Simulator: event scheduled in the past"};
     }
-    queue_.push(Event{t.ps(), seq_++, handle});
+    queue_.push({t.ps(), seq_++, handle});
   }
 
   /// Schedules `handle` to resume after `delay`.
@@ -100,7 +100,7 @@ class Simulator {
   void dispatchUntil(std::int64_t deadlinePs);
   void rethrowRootFailures();
 
-  EventHeap<Event> queue_;  ///< scheduled ahead of the then-current time
+  EventHeap<std::coroutine_handle<>> queue_;  ///< scheduled ahead of now_
   detail::SmallFifo<std::coroutine_handle<>> nowQueue_;  ///< due at now_
   std::vector<Process> roots_;
   util::Time now_;

@@ -24,6 +24,9 @@
 
 namespace prtr::trace {
 
+/// Every `req` argument is the request's per-cell arrival ordinal, never
+/// its storage slot: the fleet recycles slots, ordinals are never reused
+/// within a cell, and the trace id derives from the ordinal.
 class CellRecorder {
  public:
   CellRecorder(const TracePolicy& policy, std::uint64_t seed,
@@ -78,7 +81,7 @@ class CellRecorder {
   std::uint64_t seed_ = 0;
   bool sampleAll_ = false;
   std::uint64_t sampleThreshold_ = 0;
-  std::unordered_map<std::uint32_t, RequestTrace> live_;
+  std::unordered_map<std::uint32_t, RequestTrace> live_;  ///< by ordinal
   CellTrace out_;
 };
 

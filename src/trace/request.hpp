@@ -2,7 +2,7 @@
 /// \file request.hpp
 /// The request-trace data model: one causal span tree per fleet request,
 /// addressed by a deterministic 64-bit trace id derived from (seed, cell,
-/// per-cell request index) — never from wall clock — so two runs of the
+/// per-cell arrival ordinal) — never from wall clock — so two runs of the
 /// same fleet produce byte-identical traces at any thread count.
 ///
 /// Span taxonomy (also the label grammar the verify RQ rules parse back):
@@ -104,7 +104,7 @@ struct MarkRec {
 /// One request's recorded tree.
 struct RequestTrace {
   std::uint64_t traceId = 0;
-  std::uint32_t index = 0;  ///< per-cell request index the id derives from
+  std::uint32_t index = 0;  ///< per-cell arrival ordinal the id derives from
   Outcome outcome = Outcome::kInFlight;
   KeepReason keep = KeepReason::kNone;
   std::int64_t arrivalPs = 0;
@@ -155,8 +155,8 @@ struct FleetTrace {
   [[nodiscard]] std::uint64_t keptTailTotal() const noexcept;
 };
 
-/// Deterministic trace id: a splitmix64-style mix of (seed, cell, request
-/// index). Never zero.
+/// Deterministic trace id: a splitmix64-style mix of (seed, cell, arrival
+/// ordinal). Never zero.
 [[nodiscard]] std::uint64_t requestTraceId(std::uint64_t seed,
                                            std::uint64_t cell,
                                            std::uint64_t index) noexcept;

@@ -11,6 +11,8 @@
 // ceil(bytes / 4) * 13-cycle rounding over the whole stream is not exact.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "tasks/workload.hpp"
+#include "util/error.hpp"
 #include "xd1/node.hpp"
 
 namespace prtr {
@@ -106,6 +109,53 @@ INSTANTIATE_TEST_SUITE_P(
                       LoadCase{xd1::Layout::kQuadPrr, false},
                       LoadCase{xd1::Layout::kQuadPrr, true}),
     loadCaseName);
+
+/// Like timedLoad, for a load a fault hook aborts: the pipeline still
+/// streams the truncated wire bytes before load() throws.
+sim::Process timedAbortedLoad(sim::Simulator& sim, config::IcapController& icap,
+                              const bitstream::Bitstream& stream, Time& took) {
+  const Time start = sim.now();
+  try {
+    co_await icap.load(stream);
+  } catch (const util::ConfigError&) {
+  }
+  took = sim.now() - start;
+}
+
+TEST(IcapOracle, AWholeNumberOfChunksMatchesTheClosedForm) {
+  // With every chunk full there is no short last chunk to drain. Partials
+  // are 68 + 1064 x frames bytes, never a multiple of 2 KiB, so a fault hook
+  // truncates each load to a whole number of chunks instead.
+  sim::Simulator sim;
+  xd1::Node node{sim};
+  bitstream::Library library{node.floorplan(), {{1, "full", 1.0}}};
+  node.configMemory().applyFull(
+      *bitstream::parse(library.full(), node.device()));
+  config::IcapController& icap = node.icap();
+  const bitstream::Bitstream& stream = library.modulePartial(0, 1);
+  const std::uint64_t chunk = icap.timing().chunkBytes.count();
+  std::uint64_t streamed = 0;
+  for (const std::uint64_t chunks :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{9},
+        stream.size().count() / chunk}) {
+    const Bytes wire{chunks * chunk};
+    // The half byte keeps the truncating cast exact.
+    const double fraction = (static_cast<double>(wire.count()) + 0.5) /
+                            static_cast<double>(stream.size().count());
+    icap.setFaultHook([fraction](const bitstream::Bitstream&) {
+      return std::optional<config::IcapFault>{config::IcapFault{
+          fraction, std::make_exception_ptr(util::ConfigError{"truncated"})}};
+    });
+    Time took;
+    sim.spawn(timedAbortedLoad(sim, icap, stream, took));
+    sim.run();
+    EXPECT_EQ(took, oracle(node.linkIn(), icap, wire)) << chunks << " chunks";
+    streamed += wire.count();
+  }
+  EXPECT_EQ(icap.abortedLoads(), 4u);
+  EXPECT_EQ(icap.bytesWritten(), streamed);  // each load streamed `wire`
+  EXPECT_EQ(node.linkIn().contendedTransfers(), 0u);
+}
 
 TEST(IcapOracle, ChunkRoundingIsPerChunkNotPerStream) {
   // The oracle's per-chunk rounding is load-bearing: a whole-stream

@@ -8,6 +8,7 @@
 #include "bitstream/builder.hpp"
 #include "bitstream/library.hpp"
 #include "bitstream/parser.hpp"
+#include "bitstream/relocate.hpp"
 #include "config/icap_controller.hpp"
 #include "config/manager.hpp"
 #include "config/memory.hpp"
@@ -18,6 +19,7 @@
 #include "sim/simulator.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace prtr::config {
 namespace {
@@ -386,6 +388,88 @@ TEST(FrameRuns, NonContiguousWritesApplyLikeTheirWrites) {
       EXPECT_EQ(ownersOf(memory), reference) << "stride " << stride;
     }
   }
+}
+
+TEST(FrameRuns, SeededInterleavingsMatchThePerWriteReference) {
+  // Full streams take the O(1) whole-device path (base owner + epoch) and
+  // partials stamp their frames; random interleavings of both, of
+  // relocated partials and of resets must read back exactly the owners a
+  // write-by-write application leaves.
+  for (const fabric::Floorplan& plan :
+       {fabric::makeSinglePrrLayout(), fabric::makeDualPrrLayout(),
+        fabric::makeQuadPrrLayout()}) {
+    bitstream::Library library{
+        plan, {{1, "a", 1.0}, {2, "b", 0.5}, {3, "c", 0.13}}};
+    const bitstream::Builder builder{plan.device()};
+    std::vector<bitstream::Bitstream> streams{library.full(),
+                                              builder.buildFull(77)};
+    for (std::size_t prr = 0; prr < plan.prrCount(); ++prr) {
+      for (const auto& from : library.modules()) {
+        streams.push_back(library.modulePartial(prr, from.id));
+        streams.push_back(library.prrReload(prr, from.id));
+        for (const auto& to : library.modules()) {
+          if (to.id != from.id) {
+            streams.push_back(library.differencePartial(prr, from.id, to.id));
+          }
+        }
+        for (std::size_t other = 0; other < plan.prrCount(); ++other) {
+          if (other != prr && bitstream::regionsCompatible(
+                                  plan.device(), plan.prr(prr),
+                                  plan.prr(other))) {
+            streams.push_back(bitstream::relocate(
+                library.modulePartial(prr, from.id), plan.device(),
+                plan.prr(prr), plan.prr(other)));
+          }
+        }
+      }
+    }
+    const std::size_t fulls = 2;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      util::Rng rng{seed};
+      ConfigMemory memory{plan.device()};
+      std::vector<std::uint64_t> reference(
+          plan.device().geometry().totalFrames(), 0);
+      for (int step = 0; step < 120; ++step) {
+        if (rng.below(40) == 0) {
+          memory.reset();
+          reference.assign(reference.size(), 0);
+          EXPECT_FALSE(memory.done());
+          EXPECT_EQ(memory.framesWritten(), 0u);
+        } else {
+          // A partial needs an operating device; otherwise load a full.
+          const std::size_t pick =
+              memory.done() ? static_cast<std::size_t>(rng.below(streams.size()))
+                            : static_cast<std::size_t>(rng.below(fulls));
+          const bitstream::ParsedRef parsed = memory.parsedFor(streams[pick]);
+          if (pick < fulls) {
+            memory.applyFull(*parsed);
+          } else {
+            memory.applyPartial(*parsed);
+          }
+          applyWriteByWrite(reference, *parsed);
+        }
+        ASSERT_EQ(ownersOf(memory), reference)
+            << "seed " << seed << " step " << step;
+      }
+    }
+  }
+}
+
+TEST_F(ConfigFixture, ResetClearsEveryOwner) {
+  const auto full = builder_.buildFull(1);
+  memory_.applyFull(*bitstream::parse(full, plan_.device()));
+  const auto part = builder_.buildModulePartial(plan_.prr(1), 7);
+  memory_.applyPartial(*bitstream::parse(part, plan_.device()));
+  memory_.reset();
+  EXPECT_EQ(ownersOf(memory_),
+            std::vector<std::uint64_t>(
+                plan_.device().geometry().totalFrames(), 0));
+  EXPECT_EQ(memory_.framesWritten(), 0u);
+  // Stamps from before the reset stay stale after the next full stream.
+  memory_.applyFull(*bitstream::parse(builder_.buildFull(3), plan_.device()));
+  EXPECT_EQ(ownersOf(memory_),
+            std::vector<std::uint64_t>(
+                plan_.device().geometry().totalFrames(), 3));
 }
 
 TEST_F(ConfigFixture, OutOfRangeFrameRunThrows) {

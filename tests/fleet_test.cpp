@@ -1,16 +1,22 @@
 // prtr::fleet contract tests: calibration sanity, byte-identical output at
 // any thread count, the retry-budget cap, circuit-breaker open/half-open/
 // close cycling under a hostile fault plan, load shedding under overload,
-// hedged requests, and request accounting (admitted = completed + failed).
+// hedged requests, request accounting (admitted = completed + failed), and
+// request memory bounded by the in-flight population (recycled slots).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "analyze/checks_fleet.hpp"
 #include "fleet/fleet.hpp"
+#include "obs/trace_export.hpp"
 #include "tasks/hwfunction.hpp"
 #include "util/error.hpp"
+#include "verify/trace_load.hpp"
 
 namespace prtr {
 namespace {
@@ -243,6 +249,127 @@ degraded-fraction 0.2
   EXPECT_THROW((void)analyze::parseFleetSpec(bad), util::DomainError);
   std::istringstream unknown{"no-such-key 1\n"};
   EXPECT_THROW((void)analyze::parseFleetSpec(unknown), util::DomainError);
+}
+
+/// The steady configuration of examples/fleet/steady.fleet: the
+/// FleetOptions defaults (4 cells of 6 blades at 0.7 load, P2C, 1 MiB
+/// payloads, no faults) under the spec's seed.
+fleet::FleetOptions steadyFleet(std::uint64_t requests) {
+  fleet::FleetOptions options;
+  options.seed = 61927;
+  options.requests = requests;
+  return options;
+}
+
+/// The blade profile at the steady configuration's 1 MiB payload.
+const fleet::BladeProfile& steadyProfile() {
+  static const fleet::BladeProfile profile = fleet::calibrateBladeProfile(
+      paperRegistry(), runtime::ScenarioOptions{},
+      fleet::FleetOptions{}.payloadBytes);
+  return profile;
+}
+
+TEST(FleetMemoryTest, SlotsStayBoundedByInFlight) {
+  // Request memory follows the in-flight population: ten times the
+  // requests must not need ten times the slots.
+  const fleet::FleetReport small =
+      runFleet(paperRegistry(), steadyProfile(), steadyFleet(100'000));
+  const fleet::FleetReport large =
+      runFleet(paperRegistry(), steadyProfile(), steadyFleet(1'000'000));
+  ASSERT_EQ(large.completed, 1'000'000u);
+  EXPECT_GT(small.requestSlots, 0u);
+  EXPECT_LE(large.requestSlots, 2 * small.requestSlots);
+  EXPECT_LE(small.requestSlots * 100, small.offered);
+  EXPECT_LE(large.requestSlots * 100, large.offered);
+  // A cost counter, not a simulated output.
+  EXPECT_EQ(small.toString().find("slot"), std::string::npos);
+  EXPECT_EQ(small.metrics.toString().find("slot"), std::string::npos);
+}
+
+TEST(FleetMemoryTest, PendingTimersPinTheirSlot) {
+  // Retry backoffs and hedge timers name a slot after its request may
+  // have gone quiet; recycling such a slot early would hand a timer a
+  // stranger's request. Every mechanism that schedules one is engaged.
+  fleet::FleetOptions options = smallFleet();
+  options.degradedFraction = 0.25;
+  options.degradedFaults = hostilePlan();
+  options.faults.linkStallRate = 0.05;
+  options.faults.stallDuration = util::Time::milliseconds(2);
+  options.hedge.enabled = true;
+  options.hedge.minSamples = 200;
+  options.hedge.budgetFraction = 0.10;
+  options.tracing.enabled = true;
+  options.tracing.sampleRate = 1.0;
+  options.tracing.maxSampledPerCell = 1'000'000;
+
+  obs::ChromeTrace serialTrace;
+  options.threads = 1;
+  options.hooks.trace = &serialTrace;
+  const fleet::FleetReport serial =
+      runFleet(paperRegistry(), sharedProfile(), options);
+  obs::ChromeTrace parallelTrace;
+  options.threads = 4;
+  options.hooks.trace = &parallelTrace;
+  const fleet::FleetReport parallel =
+      runFleet(paperRegistry(), sharedProfile(), options);
+
+  ASSERT_GT(serial.retries, 0u);
+  ASSERT_GT(serial.hedges, 0u);
+  EXPECT_EQ(serial.offered, serial.completed + serial.failed + serial.shed);
+  EXPECT_EQ(serial.tracesRecorded, serial.offered);
+  EXPECT_EQ(serial.tracesKept, serial.offered);
+  EXPECT_LT(serial.requestSlots, options.requests / options.cells);
+  // Trace ids follow arrival ordinals, never recycled slots.
+  for (const trace::CellTrace& cell : serial.traces.cells) {
+    std::set<std::uint32_t> ordinals;
+    for (const trace::RequestTrace& rt : cell.kept) {
+      EXPECT_TRUE(ordinals.insert(rt.index).second) << "ordinal " << rt.index;
+      EXPECT_EQ(rt.traceId, trace::requestTraceId(options.seed, cell.cell,
+                                                  rt.index));
+    }
+    EXPECT_EQ(ordinals.size(), cell.recorded);
+  }
+
+  const auto processes = verify::loadChromeTrace(serialTrace.toJson());
+  ASSERT_FALSE(processes.empty());
+  analyze::DiagnosticSink sink;
+  verify::checkTrace(processes, sink);
+  EXPECT_TRUE(sink.empty()) << sink.toText();
+
+  EXPECT_EQ(serial.metrics.toString(), parallel.metrics.toString());
+  EXPECT_EQ(serial.toString(), parallel.toString());
+  EXPECT_EQ(serial.requestSlots, parallel.requestSlots);
+  EXPECT_EQ(serialTrace.toJson(), parallelTrace.toJson());
+}
+
+TEST(FleetHorizonTest, HundredMillionRequestsFitTheTimeAxis) {
+  // The surge configuration of examples/fleet/surge.fleet, whose arrival
+  // rate sets the makespan: 100 M requests must stay far inside the int64
+  // picosecond axis. Open-loop arrivals make the makespan linear in the
+  // request count.
+  fleet::FleetOptions options = steadyFleet(100'000);
+  options.offeredLoad = 0.9;
+  options.routing = fleet::RoutingPolicy::kLeastLoaded;
+  const fleet::FleetReport report =
+      runFleet(paperRegistry(), steadyProfile(), options);
+  const double hundredMillionPs =
+      static_cast<double>(report.makespan.ps()) * (100'000'000 / 100'000);
+  EXPECT_LE(hundredMillionPs,
+            0.02 * static_cast<double>(
+                       std::numeric_limits<std::int64_t>::max()));
+}
+
+TEST(FleetOptionsTest, ValidationRejectsPerCellQuotasPastTheOrdinal) {
+  // Ordinals are 32 bits; recycled slots no longer bound the count.
+  fleet::FleetOptions options = smallFleet();
+  options.cells = 1;
+  options.requests = std::uint64_t{1} << 32;
+  EXPECT_THROW((void)runFleet(paperRegistry(), sharedProfile(), options),
+               util::DomainError);
+  options.cells = 4;
+  options.requests = (std::uint64_t{4} << 32) - 3;  // one cell gets 2^32
+  EXPECT_THROW((void)runFleet(paperRegistry(), sharedProfile(), options),
+               util::DomainError);
 }
 
 }  // namespace

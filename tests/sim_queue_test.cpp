@@ -355,13 +355,17 @@ TEST(KernelOrder, RandomProgramsResumeInReferenceTimeSeqOrder) {
 /// (time, seq) key of an event; the reference order is these keys sorted.
 using Key = std::pair<std::int64_t, std::uint64_t>;
 
+/// The payload each test event carries: a function of its seq, so a pop
+/// that separated an event's fields would show.
+std::uint64_t payloadOf(std::uint64_t seq) { return ~seq * 0x9e3779b97f4a7c15ULL; }
+
 /// Pops every event from `heap` and returns the (time, seq) sequence.
-std::vector<Key> drain(EventHeap<Event>& heap) {
+std::vector<Key> drain(EventHeap<std::uint64_t>& heap) {
   std::vector<Key> order;
   while (!heap.empty()) {
-    const std::int64_t topPs = heap.top().timePs;
-    const Event event = heap.pop();
-    EXPECT_EQ(event.timePs, topPs);
+    const TimedEvent<std::uint64_t> event = heap.top();
+    heap.pop();
+    EXPECT_EQ(event.payload, payloadOf(event.seq));
     order.emplace_back(event.timePs, event.seq);
   }
   return order;
@@ -373,14 +377,14 @@ TEST(EventHeap, PopsInSortedTimeSeqOrderWithManyTies) {
   // common case. Pushed in seq order, popped in (time, seq) order: the
   // independent reference is simply the keys sorted.
   util::Rng rng{20260807};
-  EventHeap<Event> heap;
+  EventHeap<std::uint64_t> heap;
   std::vector<Key> reference;
   for (std::uint64_t seq = 0; seq < 6000; ++seq) {
     const std::int64_t timePs =
         rng() % 4 == 0
             ? static_cast<std::int64_t>(rng() % 100'000'000'000ull)
             : static_cast<std::int64_t>(rng() % 300) * 333'333'333;
-    heap.push(Event{timePs, seq, {}});
+    heap.push({timePs, seq, payloadOf(seq)});
     reference.emplace_back(timePs, seq);
   }
   ASSERT_EQ(heap.size(), reference.size());
@@ -394,11 +398,11 @@ TEST(EventHeap, InterleavedPushPopMatchesTheSortedReference) {
   // past 2.1 ms). The reference is a sorted multiset of pending keys; the
   // heap's minimum must equal the reference's front at every pop.
   util::Rng rng{42};
-  EventHeap<Event> heap;
+  EventHeap<std::uint64_t> heap;
   std::vector<Key> pending;  // kept sorted: the reference pending set
   std::uint64_t seq = 0;
   const auto pushBoth = [&](std::int64_t timePs) {
-    heap.push(Event{timePs, seq, {}});
+    heap.push({timePs, seq, payloadOf(seq)});
     const Key key{timePs, seq++};
     pending.insert(std::upper_bound(pending.begin(), pending.end(), key), key);
   };
@@ -406,9 +410,10 @@ TEST(EventHeap, InterleavedPushPopMatchesTheSortedReference) {
   std::size_t pops = 0;
   while (!heap.empty()) {
     ASSERT_FALSE(pending.empty());
-    ASSERT_EQ(heap.top().timePs, pending.front().first);
-    const Event event = heap.pop();
+    const TimedEvent<std::uint64_t> event = heap.top();
+    heap.pop();
     ASSERT_EQ(Key(event.timePs, event.seq), pending.front()) << "pop " << pops;
+    ASSERT_EQ(event.payload, payloadOf(event.seq)) << "pop " << pops;
     pending.erase(pending.begin());
     ++pops;
     const std::int64_t nowPs = event.timePs;
