@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): throughput of the load-bearing
-// substrate pieces -- the DES kernel, bitstream build/parse, image kernels,
-// a steady fleet batch, and a full PRTR scenario end to end.
+// substrate pieces -- the DES kernel, bitstream build/parse, CRC-32, image
+// kernels, a steady fleet batch, and a full PRTR scenario end to end.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,6 +18,8 @@
 #include "sim/simulator.hpp"
 #include "tasks/kernels.hpp"
 #include "tasks/workload.hpp"
+#include "util/crc32.hpp"
+#include "util/rng.hpp"
 #include "xd1/node.hpp"
 
 namespace {
@@ -109,6 +111,19 @@ void BM_BitstreamParsePartial(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.size().count()));
 }
 BENCHMARK(BM_BitstreamParsePartial);
+
+/// util::Crc32 over one buffer: a 64 B minimum-kernel input, a 2 KiB host
+/// chunk, and the 404,388 B dual-PRR partial.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng{3};
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::Crc32::of(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(2'048)->Arg(404'388);
 
 void BM_MedianFilter(benchmark::State& state) {
   util::Rng rng{5};

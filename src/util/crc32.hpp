@@ -9,7 +9,11 @@
 
 namespace prtr::util {
 
-/// Incremental CRC-32 computation.
+/// Incremental CRC-32 computation. On x86 CPUs with PCLMULQDQ and SSE4.1,
+/// an update() of 64 B or more folds its whole 16 B blocks with carry-less
+/// multiplies; shorter inputs and the last < 16 B run the slicing-by-8 table
+/// loop. The value is the same for every input at any split into update()
+/// calls, on every CPU.
 class Crc32 {
  public:
   /// Feeds `data` into the running checksum.
@@ -28,5 +32,15 @@ class Crc32 {
  private:
   std::uint32_t crc_ = 0xFFFFFFFFu;
 };
+
+namespace detail {
+
+/// The slicing-by-8 table loop: advances the running (pre-inversion)
+/// register `crc` over `data`. The portable path of Crc32::update, and the
+/// reference its folding kernel is tested against.
+[[nodiscard]] std::uint32_t crc32Table(std::uint32_t crc,
+                                       std::span<const std::uint8_t> data) noexcept;
+
+}  // namespace detail
 
 }  // namespace prtr::util

@@ -49,8 +49,13 @@ class Rng {
     return lo + (hi - lo) * uniform();
   }
 
-  /// Uniform integer in [0, n). Uses rejection-free Lemire reduction bias
-  /// acceptable for simulation workloads (n << 2^64).
+  /// Integer in [0, n): one 64-bit draw reduced modulo n, with no rejection.
+  /// Each value has probability floor(2^64/n)/2^64 or ceil(2^64/n)/2^64, so
+  /// it misses 1/n by less than 2^-64 (relative bias below n/2^64), which is
+  /// negligible for simulation workloads (n << 2^64). The reduction is part
+  /// of the determinism contract: seeded workloads and payloads depend on
+  /// it, so switching to another (e.g. Lemire's multiply-shift) changes
+  /// every output that draws from below() or range().
   constexpr std::uint64_t below(std::uint64_t n) noexcept {
     return n == 0 ? 0 : (*this)() % n;
   }

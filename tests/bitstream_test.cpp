@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "bitstream/builder.hpp"
 #include "bitstream/library.hpp"
@@ -283,6 +286,112 @@ TEST(LibraryTest, CachesStreams) {
   const Bitstream& second = lib.modulePartial(0, 11);
   EXPECT_EQ(&first, &second);
   EXPECT_EQ(&lib.full(), &lib.full());
+}
+
+// FNV-1a (64-bit) of a stream's bytes.
+std::uint64_t fnv1a(const Bitstream& stream) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::uint8_t b : stream.bytes()) {
+    h = (h ^ b) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Hashes every stream a two-module Library holds on the single, dual and
+// quad layouts, named "<layout>/<stream>".
+std::vector<std::pair<std::string, std::uint64_t>> libraryStreamHashes() {
+  using Layout = fabric::Floorplan (*)();
+  const std::pair<std::string, Layout> layouts[] = {
+      {"single", &fabric::makeSinglePrrLayout},
+      {"dual", &fabric::makeDualPrrLayout},
+      {"quad", &fabric::makeQuadPrrLayout}};
+  const std::vector<Library::ModuleSpec> modules{{1, "median", 0.45},
+                                                 {2, "sobel", 0.8}};
+  std::vector<std::pair<std::string, std::uint64_t>> hashes;
+  for (const auto& [layoutName, make] : layouts) {
+    const fabric::Floorplan plan = make();
+    Library lib{plan, modules};
+    hashes.emplace_back(layoutName + "/full", fnv1a(lib.full()));
+    for (std::size_t prr = 0; prr < plan.prrCount(); ++prr) {
+      const std::string at = layoutName + "/prr" + std::to_string(prr);
+      for (const auto& m : modules) {
+        const std::string id = std::to_string(m.id);
+        hashes.emplace_back(at + "/module" + id,
+                            fnv1a(lib.modulePartial(prr, m.id)));
+        hashes.emplace_back(at + "/reload" + id,
+                            fnv1a(lib.prrReload(prr, m.id)));
+        for (const auto& to : modules) {
+          if (to.id == m.id) continue;
+          hashes.emplace_back(at + "/diff" + id + "to" + std::to_string(to.id),
+                              fnv1a(lib.differencePartial(prr, m.id, to.id)));
+        }
+      }
+    }
+  }
+  return hashes;
+}
+
+// Pins the synthesized bytes of every Library stream, CRC trailer included:
+// a change to payload synthesis, framing or the CRC-32 shows up here.
+TEST(LibraryTest, StreamBytesArePinned) {
+  const std::vector<std::pair<std::string, std::uint64_t>> expected{
+      {"single/full", 0x4EAE97C8CB7094CCULL},
+      {"single/prr0/module1", 0xD3235EBEB6520DAEULL},
+      {"single/prr0/reload1", 0x72634E55C2DAE50EULL},
+      {"single/prr0/diff1to2", 0xDA1377D85C322584ULL},
+      {"single/prr0/module2", 0xAE550FA0AE0BEB68ULL},
+      {"single/prr0/reload2", 0xC0F0FC1C05B4203AULL},
+      {"single/prr0/diff2to1", 0x51DEFAE6365AB8F9ULL},
+      {"dual/full", 0x4EAE97C8CB7094CCULL},
+      {"dual/prr0/module1", 0xF39F54DACD5C4E4FULL},
+      {"dual/prr0/reload1", 0x6F386960E2A0A9E6ULL},
+      {"dual/prr0/diff1to2", 0xBE675C6636D09C61ULL},
+      {"dual/prr0/module2", 0xB39EA087C2F1FA6CULL},
+      {"dual/prr0/reload2", 0x9DAB3DE1BC3F6E43ULL},
+      {"dual/prr0/diff2to1", 0x94C6144528800C6FULL},
+      {"dual/prr1/module1", 0x88AE96E802AD2E15ULL},
+      {"dual/prr1/reload1", 0x70E94643AF6F7719ULL},
+      {"dual/prr1/diff1to2", 0x56723D2254B6B7A8ULL},
+      {"dual/prr1/module2", 0xE665397CDC748D16ULL},
+      {"dual/prr1/reload2", 0xE6AC28EF94E33D1EULL},
+      {"dual/prr1/diff2to1", 0x334CE9C7D12D0A16ULL},
+      {"quad/full", 0x4EAE97C8CB7094CCULL},
+      {"quad/prr0/module1", 0x202C9974B7DDEDABULL},
+      {"quad/prr0/reload1", 0x8E0EBCCCC6E5BD66ULL},
+      {"quad/prr0/diff1to2", 0x3160AEE5B09CD034ULL},
+      {"quad/prr0/module2", 0x01097A2B556E03CCULL},
+      {"quad/prr0/reload2", 0x1E4BEA05EE6E953BULL},
+      {"quad/prr0/diff2to1", 0x59408EA17245C14AULL},
+      {"quad/prr1/module1", 0x247602F694762368ULL},
+      {"quad/prr1/reload1", 0xC011441F5D1B2233ULL},
+      {"quad/prr1/diff1to2", 0xB9784113BDD3BF3FULL},
+      {"quad/prr1/module2", 0x23FEEC7760E44AD7ULL},
+      {"quad/prr1/reload2", 0x1BE9B464AC89544BULL},
+      {"quad/prr1/diff2to1", 0x04CD36F2A576A685ULL},
+      {"quad/prr2/module1", 0x232FC8226B1635F6ULL},
+      {"quad/prr2/reload1", 0x61C352CD40A3B7FBULL},
+      {"quad/prr2/diff1to2", 0xC8ABE150BB5FF732ULL},
+      {"quad/prr2/module2", 0x8D4D3410164A1CB4ULL},
+      {"quad/prr2/reload2", 0x10E5D89592C153FBULL},
+      {"quad/prr2/diff2to1", 0xF60126FE3FC5C380ULL},
+      {"quad/prr3/module1", 0xCF798071D8F4126AULL},
+      {"quad/prr3/reload1", 0xE6A935C893A4CB8EULL},
+      {"quad/prr3/diff1to2", 0x9685A68719FCCD83ULL},
+      {"quad/prr3/module2", 0x3710B4551B9D7061ULL},
+      {"quad/prr3/reload2", 0x680D85729002CBE4ULL},
+      {"quad/prr3/diff2to1", 0xCECD81FB896FEA44ULL},
+  };
+  const auto actual = libraryStreamHashes();
+  EXPECT_EQ(actual, expected) << [&] {
+    std::string table;
+    for (const auto& [name, hash] : actual) {
+      char line[96];
+      std::snprintf(line, sizeof line, "      {\"%s\", 0x%016llXULL},\n",
+                    name.c_str(), static_cast<unsigned long long>(hash));
+      table += line;
+    }
+    return table;
+  }();
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Tests for CRC-32, the deterministic RNG, statistics, tables, and plots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "util/crc32.hpp"
 #include "util/error.hpp"
@@ -36,6 +38,51 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const auto before = Crc32::of(data);
   data[17] ^= 0x04;
   EXPECT_NE(before, Crc32::of(data));
+}
+
+// update() may take the carry-less-multiply kernel; detail::crc32Table is
+// the portable table loop it must agree with bit for bit.
+std::uint32_t tableCrc(std::span<const std::uint8_t> data) {
+  return ~detail::crc32Table(0xFFFFFFFFu, data);
+}
+
+TEST(Crc32Test, MatchesTableAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> data(4200 + 16);
+  Rng rng{7};
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 4200; ++length) {
+      const std::span<const std::uint8_t> view{data.data() + offset, length};
+      ASSERT_EQ(Crc32::of(view), tableCrc(view))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesTableAtRandomSplits) {
+  std::vector<std::uint8_t> data(20'000);
+  Rng rng{11};
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t expected = tableCrc(data);
+  for (int trial = 0; trial < 50; ++trial) {
+    Crc32 inc;
+    std::size_t at = 0;
+    while (at < data.size()) {
+      // Pieces straddle the 64 B kernel threshold and the 16 B fold width.
+      const std::size_t piece =
+          std::min<std::size_t>(rng.below(300), data.size() - at);
+      inc.update(std::span{data.data() + at, piece});
+      at += piece;
+    }
+    ASSERT_EQ(inc.value(), expected) << "trial " << trial;
+  }
+}
+
+TEST(Crc32Test, MatchesTableOnConstantMegabytes) {
+  for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    const std::vector<std::uint8_t> data(1u << 20, fill);
+    EXPECT_EQ(Crc32::of(data), tableCrc(data)) << "fill " << int{fill};
+  }
 }
 
 TEST(RngTest, DeterministicForSeed) {

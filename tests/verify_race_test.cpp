@@ -196,9 +196,11 @@ TEST(RaceDetectorIntegration, ArtifactCacheMutexEdgesOrderEntryAccesses) {
 }
 
 TEST(RaceDetectorIntegration, FreeFunctionArmsTheGlobalSeam) {
-  // Static: the global pool's workers outlive this test body, and a task's
-  // completion edge may land just after the parallelFor barrier.
-  static RaceDetector detector;
+  // Never destroyed: the global pool's workers outlive this test body, and
+  // a task's completion edge may land just after the parallelFor barrier.
+  // A function-local static would be destroyed at exit before the global
+  // pool (a namespace-scope static) joins its workers.
+  static RaceDetector& detector = *new RaceDetector;
   detector.reset();
   exec::setRaceChecker(&detector);
   std::vector<int> out(32, 0);
