@@ -37,7 +37,6 @@ std::vector<analysis::Fig9Point> fig9(obs::BenchReport& report,
   opts.xTaskHi = 50.0;
   opts.nCalls = 400;
   opts.threads = report.options().threads();
-  opts.artifacts = &exec::ArtifactCache::global();
   opts.trace = report.trace();
 
   const std::string basisName = model::toString(basis);

@@ -7,7 +7,7 @@
 #include "model/bounds.hpp"
 #include "model/model.hpp"
 #include "obs/host.hpp"
-#include "prof/counters.hpp"
+#include "obs/trace_export.hpp"
 #include "tasks/hwfunction.hpp"
 #include "xd1/rtcore.hpp"
 
@@ -205,7 +205,7 @@ std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
           util::formatDouble(points[i].xTask, 4);
       options.trace->add(process, pointTimelines[i]);
       options.trace->addCounters(
-          process, prof::sampleTimelineCounters(pointTimelines[i]));
+          process, obs::sampleTimelineCounters(pointTimelines[i]));
     }
   }
   return points;

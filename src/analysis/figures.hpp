@@ -48,9 +48,9 @@ struct Fig9Options {
   double xTaskHi = 50.0;
   std::uint64_t nCalls = 400;
   std::size_t threads = 0;  ///< participants on the exec pool (0 = pool width)
-  /// Shares floorplans/bitstreams across sweep points (every Fig-9 point
-  /// uses the same dual-PRR layout, so the repeated-layout hit rate is
-  /// high). Null = each point rebuilds its artifacts.
+  /// Store the sweep points share floorplans/bitstreams through (every
+  /// Fig-9 point uses the same dual-PRR layout, so the repeated-layout hit
+  /// rate is high). Null = exec::ArtifactCache::global().
   exec::ArtifactCache* artifacts = nullptr;
   /// Trace collector: each sweep point's PRTR timeline is added as one
   /// process ("fig9[i] x=...") with sampled counter tracks (link occupancy,

@@ -1,8 +1,6 @@
 #include "bitstream/library.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <mutex>
 #include <tuple>
 
 #include "obs/host.hpp"
@@ -49,67 +47,7 @@ std::uint32_t geometryCrc(const fabric::DeviceGeometry& geometry) {
   return crc.value();
 }
 
-/// Process-wide memoization of stream synthesis. Stream bytes are a pure
-/// function of the StreamKey fields, and Bitstream is immutable, so every
-/// library asking for the same content shares one copy instead of paying
-/// the multi-millisecond synthesis again (the FRTR and PRTR sides of one
-/// scenario, and every point of a sweep, need identical streams). Keyed by
-/// the full field tuple — not hash() — so a collision can never alias two
-/// different streams. Entries live for the process; a sweep's worth of
-/// distinct streams is a few tens of megabytes.
-class StreamMemo {
- public:
-  std::shared_ptr<const Bitstream> getOrBuild(
-      const StreamKey& key, const std::function<Bitstream()>& build) {
-    const auto mapKey =
-        std::make_tuple(key.deviceTag, key.geometryCrc, key.flow,
-                        key.firstFrame, key.frameCount, key.fromModule,
-                        key.toModule, key.fromOccupancy, key.toOccupancy);
-    {
-      const std::lock_guard<std::mutex> lock{mutex_};
-      const auto it = map_.find(mapKey);
-      if (it != map_.end()) return it->second;
-    }
-    // Build outside the lock: concurrent first requests may synthesize
-    // twice, but both produce identical bytes and the first insert wins.
-    auto stream = std::make_shared<const Bitstream>(build());
-    const std::lock_guard<std::mutex> lock{mutex_};
-    return map_.emplace(mapKey, std::move(stream)).first->second;
-  }
-
- private:
-  using MapKey = std::tuple<std::uint32_t, std::uint32_t, StreamKey::Flow,
-                            std::uint32_t, std::uint32_t, ModuleId, ModuleId,
-                            double, double>;
-  std::mutex mutex_;
-  std::map<MapKey, std::shared_ptr<const Bitstream>> map_;
-};
-
-StreamMemo& streamMemo() {
-  static StreamMemo memo;
-  return memo;
-}
-
 }  // namespace
-
-std::uint64_t StreamKey::hash() const noexcept {
-  util::Crc32 crc;
-  feed(crc, deviceTag);
-  feed(crc, geometryCrc);
-  feed(crc, static_cast<std::uint64_t>(flow));
-  feed(crc, firstFrame);
-  feed(crc, frameCount);
-  feed(crc, fromModule);
-  feed(crc, toModule);
-  feed(crc, std::bit_cast<std::uint64_t>(fromOccupancy));
-  feed(crc, std::bit_cast<std::uint64_t>(toOccupancy));
-  // Widen the CRC with the flow tag and frame count so the three flows (and
-  // differently sized regions) land in disjoint 64-bit ranges even on a
-  // 32-bit CRC collision.
-  return (static_cast<std::uint64_t>(crc.value()) << 32) |
-         (static_cast<std::uint64_t>(flow) << 24) |
-         (frameCount & 0xFFFFFFu);
-}
 
 Library::Library(const fabric::Floorplan& floorplan,
                  std::vector<ModuleSpec> modules, StreamSource source)
@@ -141,9 +79,8 @@ StreamKey Library::keyBase() const noexcept {
 
 std::shared_ptr<const Bitstream> Library::resolve(
     const StreamKey& key, const std::function<Bitstream()>& build) {
-  // Time actual synthesis only: a memoizing source (or the process-wide
-  // memo) that hits its cache never invokes the builder, so no timer opens
-  // for it.
+  // Time actual synthesis only: a memoizing source that hits its cache
+  // never invokes the builder, so no timer opens for it.
   static const obs::HistogramId kBuildNs =
       obs::MetricTable::global().histogram("host.bitstream.build_ns");
   const std::function<Bitstream()> timed = [&build] {
@@ -151,7 +88,7 @@ std::shared_ptr<const Bitstream> Library::resolve(
     return build();
   };
   if (source_) return source_(key, timed);
-  return streamMemo().getOrBuild(key, timed);
+  return std::make_shared<const Bitstream>(timed());
 }
 
 FlowStats Library::buildModuleFlow() {

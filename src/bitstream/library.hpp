@@ -1,9 +1,9 @@
 #pragma once
 /// \file library.hpp
-/// Bitstream library: caches generated streams per (region, module) and
-/// accounts for the flow cost comparison of paper section 2.2 — a module-
-/// based flow needs n fixed-size bitstreams per region, a difference-based
-/// flow needs n(n-1) variable-size bitstreams.
+/// Bitstream library: holds the streams a module set needs per (region,
+/// module) and accounts for the flow cost comparison of paper section 2.2 —
+/// a module-based flow needs n fixed-size bitstreams per region, a
+/// difference-based flow needs n(n-1) variable-size bitstreams.
 
 #include <cstdint>
 #include <functional>
@@ -25,10 +25,10 @@ struct FlowStats {
   util::Bytes maxBytes{};
 };
 
-/// Content address of one stream a Library needs: everything the stream's
-/// bytes are a pure function of. Two sweep points on the same device,
-/// floorplan, module, and flow produce byte-identical streams, so a cache
-/// keyed by hash() (CRC-32 based; see exec::ArtifactCache) can share them.
+/// Identity of one stream a Library needs: everything the stream's bytes
+/// are a pure function of. Two sweep points on the same device, floorplan,
+/// module, and flow produce byte-identical streams, so a store keyed by
+/// every field (see exec::cachingStreamSource) can share them.
 struct StreamKey {
   enum class Flow : std::uint8_t { kFull, kModule, kDifference };
 
@@ -41,18 +41,15 @@ struct StreamKey {
   ModuleId toModule = 0;           ///< target module / full designId
   double fromOccupancy = 0.0;
   double toOccupancy = 0.0;
-
-  /// 64-bit content address of the key fields.
-  [[nodiscard]] std::uint64_t hash() const noexcept;
 };
 
-/// Pluggable stream provider: given the content address and a builder for
-/// the stream, returns a shared handle (typically memoized — see
-/// exec::cachingStreamSource). An empty source means "always build".
+/// Pluggable stream provider: given the stream's key and a builder for it,
+/// returns a shared handle (memoized by exec::cachingStreamSource, which
+/// runtime::runScenario installs). An empty source means "always build".
 using StreamSource = std::function<std::shared_ptr<const Bitstream>(
     const StreamKey&, const std::function<Bitstream()>&)>;
 
-/// Owns every bitstream needed to run a module set on a floorplan.
+/// Holds every bitstream needed to run a module set on a floorplan.
 class Library {
  public:
   /// A module to be made loadable into PRRs.
@@ -63,7 +60,8 @@ class Library {
   };
 
   /// `source`, when set, resolves every stream build (see StreamSource);
-  /// unset, the library builds and owns each stream privately.
+  /// unset, the library builds and owns each stream privately, once per
+  /// (region, module) it is asked for.
   Library(const fabric::Floorplan& floorplan, std::vector<ModuleSpec> modules,
           StreamSource source = {});
 

@@ -8,10 +8,15 @@
 namespace prtr::exec {
 namespace {
 
-/// Disjoint key salts per artifact type, so a bitstream and a floorplan
-/// whose KeyBuilder inputs collide still occupy distinct cache slots.
-constexpr std::uint64_t kBitstreamSalt = 0x5842462D42495453ull;  // "XBF-BITS"
-constexpr std::uint64_t kFloorplanSalt = 0x464C4F4F52504C4Eull;  // "FLOORPLN"
+/// Artifact-type tags in front of every slot, so a bitstream and a
+/// floorplan whose KeyBuilder inputs match still occupy distinct slots.
+constexpr char kBitstreamTag = 'B';
+constexpr char kFloorplanTag = 'F';
+
+/// Race-checker object id of one slot.
+std::uint64_t objectId(const ArtifactCache::Key& slot) {
+  return std::hash<ArtifactCache::Key>{}(slot);
+}
 
 /// Resident byte estimate of one bitstream: encoded bytes plus the handle
 /// and header bookkeeping.
@@ -30,37 +35,27 @@ std::uint64_t floorplanBytes(const fabric::Floorplan& plan) {
 
 }  // namespace
 
-KeyBuilder& KeyBuilder::add(std::uint64_t value) noexcept {
-  std::uint8_t bytes[8];
+KeyBuilder& KeyBuilder::add(std::uint64_t value) {
   for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    bytes_.push_back(static_cast<char>(value >> (8 * i)));
   }
-  crc_.update(bytes);
-  fed_ += 8;
   return *this;
 }
 
-KeyBuilder& KeyBuilder::add(std::string_view text) noexcept {
-  crc_.update({reinterpret_cast<const std::uint8_t*>(text.data()),
-               text.size()});
-  fed_ += text.size();
+KeyBuilder& KeyBuilder::add(std::string_view text) {
+  bytes_.append(text);
   // Length separator: "ab" + "c" must not alias "a" + "bc".
   return add(static_cast<std::uint64_t>(text.size()));
 }
 
-KeyBuilder& KeyBuilder::add(double value) noexcept {
+KeyBuilder& KeyBuilder::add(double value) {
   return add(std::bit_cast<std::uint64_t>(value));
-}
-
-std::uint64_t KeyBuilder::value() const noexcept {
-  return (static_cast<std::uint64_t>(crc_.value()) << 32) |
-         (fed_ & 0xFFFFFFFFull);
 }
 
 ArtifactCache::ArtifactCache(std::uint64_t byteBudget)
     : byteBudget_(byteBudget) {}
 
-std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
+std::shared_ptr<const void> ArtifactCache::getOrBuild(const Key& slot,
                                                       const ErasedBuild& build) {
   RaceObserver* observer = raceObserver_.load(std::memory_order_acquire);
   // mutex_ and each Inflight latch are modeled as sync objects so the
@@ -73,25 +68,25 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
   {
     std::unique_lock lock{mutex_};
     if (observer != nullptr) observer->acquire(mutexSync);
-    const auto hit = entries_.find(key);
+    const auto hit = entries_.find(slot);
     if (hit != entries_.end()) {
       ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, hit->second.lruPosition);
       auto artifact = hit->second.artifact;
       if (observer != nullptr) {
-        observer->access(key, "exec.cache.entry", /*write=*/false);
+        observer->access(objectId(slot), "exec.cache.entry", /*write=*/false);
         observer->release(mutexSync);
       }
       lock.unlock();
       return artifact;
     }
-    const auto pending = inflight_.find(key);
+    const auto pending = inflight_.find(slot);
     if (pending != inflight_.end()) {
       flight = pending->second;  // someone else is building: wait below
     } else {
       ++stats_.misses;
       flight = std::make_shared<Inflight>();
-      inflight_.emplace(key, flight);
+      inflight_.emplace(slot, flight);
       builder = true;
     }
     if (observer != nullptr) observer->release(mutexSync);
@@ -110,7 +105,7 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
     if (observer != nullptr) observer->acquire(mutexSync);
     ++stats_.hits;
     if (observer != nullptr) {
-      observer->access(key, "exec.cache.entry", /*write=*/false);
+      observer->access(objectId(slot), "exec.cache.entry", /*write=*/false);
       observer->release(mutexSync);
     }
     return flight->artifact;
@@ -132,13 +127,13 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
   {
     const std::scoped_lock lock{mutex_};
     if (observer != nullptr) observer->acquire(mutexSync);
-    inflight_.erase(key);
+    inflight_.erase(slot);
     if (!failure) {
       if (observer != nullptr) {
-        observer->access(key, "exec.cache.entry", /*write=*/true);
+        observer->access(objectId(slot), "exec.cache.entry", /*write=*/true);
       }
-      lru_.push_front(key);
-      entries_.emplace(key, Entry{artifact, artifactBytes, lru_.begin()});
+      lru_.push_front(slot);
+      entries_.emplace(slot, Entry{artifact, artifactBytes, lru_.begin()});
       bytes_ += artifactBytes;
       evictOverBudgetLocked();
     }
@@ -166,21 +161,21 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(Key key,
 void ArtifactCache::evictOverBudgetLocked() {
   RaceObserver* observer = raceObserver_.load(std::memory_order_acquire);
   while (bytes_ > byteBudget_ && !lru_.empty()) {
-    const Key victim = lru_.back();
-    lru_.pop_back();
-    const auto it = entries_.find(victim);
+    const auto it = entries_.find(lru_.back());
+    if (observer != nullptr) {
+      observer->access(objectId(it->first), "exec.cache.entry",
+                       /*write=*/true);
+    }
     bytes_ -= it->second.bytes;
     entries_.erase(it);
+    lru_.pop_back();
     ++stats_.evictions;
-    if (observer != nullptr) {
-      observer->access(victim, "exec.cache.entry", /*write=*/true);
-    }
   }
 }
 
 std::shared_ptr<const bitstream::Bitstream> ArtifactCache::bitstream(
-    Key key, const std::function<bitstream::Bitstream()>& build) {
-  auto erased = getOrBuild(key ^ kBitstreamSalt, [&] {
+    const Key& key, const std::function<bitstream::Bitstream()>& build) {
+  auto erased = getOrBuild(kBitstreamTag + key, [&] {
     auto stream = std::make_shared<const bitstream::Bitstream>(build());
     const std::uint64_t size = bitstreamBytes(*stream);
     return std::pair<std::shared_ptr<const void>, std::uint64_t>{
@@ -190,8 +185,8 @@ std::shared_ptr<const bitstream::Bitstream> ArtifactCache::bitstream(
 }
 
 std::shared_ptr<const fabric::Floorplan> ArtifactCache::floorplan(
-    Key key, const std::function<fabric::Floorplan()>& build) {
-  auto erased = getOrBuild(key ^ kFloorplanSalt, [&] {
+    const Key& key, const std::function<fabric::Floorplan()>& build) {
+  auto erased = getOrBuild(kFloorplanTag + key, [&] {
     auto plan = std::make_shared<const fabric::Floorplan>(build());
     const std::uint64_t size = floorplanBytes(*plan);
     return std::pair<std::shared_ptr<const void>, std::uint64_t>{
@@ -212,8 +207,8 @@ void ArtifactCache::clear() {
   const std::scoped_lock lock{mutex_};
   if (observer != nullptr) {
     observer->acquire(mutexSync);
-    for (const auto& [key, entry] : entries_) {
-      observer->access(key, "exec.cache.entry", /*write=*/true);
+    for (const auto& [slot, entry] : entries_) {
+      observer->access(objectId(slot), "exec.cache.entry", /*write=*/true);
     }
   }
   entries_.clear();
@@ -260,7 +255,18 @@ ArtifactCache& ArtifactCache::global() {
 bitstream::StreamSource cachingStreamSource(ArtifactCache& cache) {
   return [&cache](const bitstream::StreamKey& key,
                   const std::function<bitstream::Bitstream()>& build) {
-    return cache.bitstream(key.hash(), build);
+    return cache.bitstream(KeyBuilder{}
+                               .add(std::uint64_t{key.deviceTag})
+                               .add(std::uint64_t{key.geometryCrc})
+                               .add(static_cast<std::uint64_t>(key.flow))
+                               .add(std::uint64_t{key.firstFrame})
+                               .add(std::uint64_t{key.frameCount})
+                               .add(key.fromModule)
+                               .add(key.toModule)
+                               .add(key.fromOccupancy)
+                               .add(key.toOccupancy)
+                               .value(),
+                           build);
   };
 }
 

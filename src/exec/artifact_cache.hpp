@@ -1,16 +1,17 @@
 #pragma once
 /// \file artifact_cache.hpp
-/// Content-addressed cache for the expensive immutable artifacts a sweep
-/// rebuilds at every point today: validated Floorplans and full / module /
+/// Exactly keyed cache for the expensive immutable artifacts every run
+/// would otherwise rebuild: validated Floorplans and full / module /
 /// difference partial bitstreams. This is the host-side mirror of the
 /// paper's own insight (eq. 6–7): avoiding redundant configuration work is
 /// where the speedup lives — here applied to the simulator harness itself,
 /// whose sweep points differ only in workload parameters, never in the
 /// device geometry or the streams loaded onto it.
 ///
-/// Keys are content addresses built with KeyBuilder (CRC-32 over device
-/// geometry, floorplan spec, module id, and flow — see
-/// bitstream::StreamKey). Values are handed out as shared-ownership
+/// Keys are the exact bytes fed to a KeyBuilder (device geometry, floorplan
+/// spec, module id, occupancy, and flow — see bitstream::StreamKey): the
+/// map hashes them and compares them in full, so two different artifacts
+/// can never share a slot. Values are handed out as shared-ownership
 /// handles, so eviction under the LRU byte budget never invalidates a
 /// handle a running simulator still holds. getOrBuild is single-flight:
 /// concurrent requests for the same key run the builder exactly once and
@@ -22,6 +23,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 
@@ -31,30 +33,28 @@
 #include "exec/instrument.hpp"
 #include "fabric/floorplan.hpp"
 #include "obs/metrics.hpp"
-#include "util/crc32.hpp"
 
 namespace prtr::exec {
 
-/// Accumulates typed fields into a CRC-32-based content address.
+/// Accumulates typed fields into an exact cache key: the fed bytes
+/// themselves, so equal keys mean equal inputs.
 class KeyBuilder {
  public:
-  KeyBuilder& add(std::uint64_t value) noexcept;
-  KeyBuilder& add(std::string_view text) noexcept;
-  KeyBuilder& add(double value) noexcept;
+  KeyBuilder& add(std::uint64_t value);
+  KeyBuilder& add(std::string_view text);
+  KeyBuilder& add(double value);
 
-  /// CRC-32 of everything fed, widened with the fed byte count so keys of
-  /// different lengths never collide trivially.
-  [[nodiscard]] std::uint64_t value() const noexcept;
+  /// Everything fed, in order.
+  [[nodiscard]] std::string value() const { return bytes_; }
 
  private:
-  util::Crc32 crc_;
-  std::uint64_t fed_ = 0;
+  std::string bytes_;
 };
 
 /// Thread-safe LRU cache of immutable artifacts with a byte budget.
 class ArtifactCache {
  public:
-  using Key = std::uint64_t;
+  using Key = std::string;
 
   /// Default budget: 256 MiB, comfortably above one layout's full stream
   /// plus every partial of the paper's module set.
@@ -79,11 +79,11 @@ class ArtifactCache {
   /// Returns the bitstream under `key`, invoking `build` once on a miss.
   /// Concurrent misses on the same key wait for the one in-flight build.
   [[nodiscard]] std::shared_ptr<const bitstream::Bitstream> bitstream(
-      Key key, const std::function<bitstream::Bitstream()>& build);
+      const Key& key, const std::function<bitstream::Bitstream()>& build);
 
   /// Same, for validated floorplans.
   [[nodiscard]] std::shared_ptr<const fabric::Floorplan> floorplan(
-      Key key, const std::function<fabric::Floorplan()>& build);
+      const Key& key, const std::function<fabric::Floorplan()>& build);
 
   /// Shrinks/raises the budget, evicting immediately when over.
   void setByteBudget(std::uint64_t bytes);
@@ -102,7 +102,7 @@ class ArtifactCache {
   /// Attaches a happens-before race checker: the cache mutex and every
   /// single-flight latch are modeled as sync objects, and entry lookups /
   /// inserts / evictions are reported as reads/writes of the entry's key
-  /// (site label "exec.cache.entry"). Null (default) = uninstrumented.
+  /// hash (site label "exec.cache.entry"). Null (default) = uninstrumented.
   void setRaceChecker(RaceObserver* observer) noexcept {
     if (observer != nullptr) {
       // Publish the mutex's initial (unlocked) state so the first lock's
@@ -112,7 +112,8 @@ class ArtifactCache {
     raceObserver_.store(observer, std::memory_order_release);
   }
 
-  /// Process-wide cache shared by benches and CLI runs.
+  /// Process-wide cache: the store every runtime::runScenario resolves
+  /// floorplans and streams through unless its options name another.
   [[nodiscard]] static ArtifactCache& global();
 
  private:
@@ -134,7 +135,9 @@ class ArtifactCache {
   using ErasedBuild =
       std::function<std::pair<std::shared_ptr<const void>, std::uint64_t>()>;
 
-  [[nodiscard]] std::shared_ptr<const void> getOrBuild(Key key,
+  /// `slot` is the caller's key behind a one-byte artifact-type tag, so a
+  /// bitstream and a floorplan fed the same KeyBuilder inputs stay apart.
+  [[nodiscard]] std::shared_ptr<const void> getOrBuild(const Key& slot,
                                                        const ErasedBuild& build);
   void evictOverBudgetLocked();
 
@@ -149,7 +152,7 @@ class ArtifactCache {
 };
 
 /// Adapter: a bitstream::StreamSource that resolves every library build
-/// through `cache`, keyed by the stream's content address (StreamKey::hash).
+/// through `cache`, keyed by every field of the stream's StreamKey.
 [[nodiscard]] bitstream::StreamSource cachingStreamSource(ArtifactCache& cache);
 
 }  // namespace prtr::exec

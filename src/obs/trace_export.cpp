@@ -1,8 +1,10 @@
 #include "obs/trace_export.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/error.hpp"
@@ -231,6 +233,126 @@ void ChromeTrace::writeFile(const std::string& path) const {
   std::ofstream file{path};
   if (!file) throw util::Error{"ChromeTrace: cannot open " + path + " for writing"};
   write(file);
+}
+
+namespace {
+
+/// Lane roles for bucketed occupancy sampling. Classified once per lane id
+/// from the timeline's symbol table; the per-span loop is integer-only.
+enum class LaneRole : std::uint8_t { kOther, kLinkIn, kLinkOut, kIcap, kCompute };
+
+LaneRole classify(std::string_view lane) {
+  if (lane == "HT-in") return LaneRole::kLinkIn;
+  if (lane == "HT-out") return LaneRole::kLinkOut;
+  if (lane == "config") return LaneRole::kIcap;
+  if (lane == "FPGA" || lane.starts_with("PRR")) return LaneRole::kCompute;
+  return LaneRole::kOther;
+}
+
+/// Accumulates the [start, end) overlap of one span into per-bucket busy
+/// picosecond counts.
+void accumulate(std::vector<std::uint64_t>& busy, std::int64_t width,
+                std::int64_t start, std::int64_t end) {
+  if (end <= start || width <= 0) return;
+  const auto first = static_cast<std::size_t>(start / width);
+  for (std::size_t b = first; b < busy.size(); ++b) {
+    const std::int64_t lo = static_cast<std::int64_t>(b) * width;
+    if (lo >= end) break;
+    const std::int64_t hi = lo + width;
+    const std::int64_t overlap = std::min(end, hi) - std::max(start, lo);
+    if (overlap > 0) busy[b] += static_cast<std::uint64_t>(overlap);
+  }
+}
+
+CounterTrack finishTrack(std::string name,
+                              const std::vector<std::uint64_t>& busy,
+                              std::int64_t width, std::int64_t horizon,
+                              std::uint64_t laneCount) {
+  CounterTrack track;
+  track.name = std::move(name);
+  track.samples.reserve(busy.size());
+  for (std::size_t b = 0; b < busy.size(); ++b) {
+    const std::int64_t lo = static_cast<std::int64_t>(b) * width;
+    const std::int64_t span = std::min(width, horizon - lo);
+    if (span <= 0) break;
+    const double denom =
+        static_cast<double>(span) * static_cast<double>(laneCount);
+    const double fraction =
+        std::min(1.0, static_cast<double>(busy[b]) / denom);
+    track.samples.push_back({lo, fraction});
+  }
+  return track;
+}
+
+}  // namespace
+
+std::vector<CounterTrack> sampleTimelineCounters(
+    const sim::Timeline& timeline, std::size_t buckets) {
+  std::vector<CounterTrack> tracks;
+  const std::int64_t horizon = timeline.horizon().ps();
+  if (horizon <= 0 || buckets == 0 || timeline.empty()) return tracks;
+
+  const auto n = static_cast<std::int64_t>(buckets);
+  const std::int64_t width = (horizon + n - 1) / n;  // >= 1 ps
+  const auto bucketCount =
+      static_cast<std::size_t>((horizon + width - 1) / width);
+
+  std::vector<std::uint64_t> linkIn(bucketCount), linkOut(bucketCount),
+      icap(bucketCount), compute(bucketCount);
+  bool haveIn = false, haveOut = false, haveIcap = false;
+
+  const sim::SymbolTable& symbols = timeline.symbols();
+  std::vector<LaneRole> roles(symbols.laneCount());
+  std::vector<bool> computeSeen(symbols.laneCount(), false);
+  for (std::size_t i = 0; i < roles.size(); ++i) {
+    roles[i] = classify(symbols.laneNames()[i]);
+  }
+  std::uint64_t computeLanes = 0;
+
+  for (const sim::Span& span : timeline.spans()) {
+    const std::int64_t start = span.start.ps();
+    const std::int64_t end = span.end.ps();
+    switch (roles[span.lane.index()]) {
+      case LaneRole::kLinkIn:
+        haveIn = true;
+        accumulate(linkIn, width, start, end);
+        break;
+      case LaneRole::kLinkOut:
+        haveOut = true;
+        accumulate(linkOut, width, start, end);
+        break;
+      case LaneRole::kIcap:
+        haveIcap = true;
+        accumulate(icap, width, start, end);
+        break;
+      case LaneRole::kCompute:
+        if (!computeSeen[span.lane.index()]) {
+          computeSeen[span.lane.index()] = true;
+          ++computeLanes;
+        }
+        accumulate(compute, width, start, end);
+        break;
+      case LaneRole::kOther:
+        break;
+    }
+  }
+
+  if (haveIn) {
+    tracks.push_back(
+        finishTrack("link.in.occupancy", linkIn, width, horizon, 1));
+  }
+  if (haveOut) {
+    tracks.push_back(
+        finishTrack("link.out.occupancy", linkOut, width, horizon, 1));
+  }
+  if (haveIcap) {
+    tracks.push_back(finishTrack("icap.busy", icap, width, horizon, 1));
+  }
+  if (computeLanes > 0) {
+    tracks.push_back(
+        finishTrack("prr.residency", compute, width, horizon, computeLanes));
+  }
+  return tracks;
 }
 
 }  // namespace prtr::obs

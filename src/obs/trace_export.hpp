@@ -8,11 +8,14 @@
 /// attach to a process and are emitted as "C" events, rendering as
 /// utilization curves above the span lanes.
 ///
+/// sampleTimelineCounters derives those tracks from a recorded timeline.
+///
 /// Timestamps: the trace_event format counts microseconds; simulated time
 /// is integer picoseconds. Values are rendered as exact decimal fractions
 /// (ps / 1e6, up to six fractional digits), so the export is deterministic
 /// and lossless — no floating-point formatting is involved.
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -112,6 +115,22 @@ class ChromeTrace {
 
   std::vector<Process> processes_;
 };
+
+/// Samples busy-fraction counter tracks from `timeline` over `buckets`
+/// equal sim-time intervals, one curve per lane class:
+///
+///   "link.in.occupancy"   from the "HT-in" lane,
+///   "link.out.occupancy"  from the "HT-out" lane,
+///   "icap.busy"           from the "config" lane (configuration port),
+///   "prr.residency"       averaged over the "PRR*"/"FPGA" compute lanes.
+///
+/// Tracks whose lane class recorded no spans are omitted; an empty timeline
+/// yields no tracks. Values are fractions in [0, 1]; each sample is stamped
+/// at its bucket's start time. Everything is integer-picosecond arithmetic
+/// until the final division, so two bit-identical runs emit bit-identical
+/// tracks.
+[[nodiscard]] std::vector<CounterTrack> sampleTimelineCounters(
+    const sim::Timeline& timeline, std::size_t buckets = 128);
 
 /// Exact "<µs>.<frac>" rendering of a picosecond count (trailing zeros
 /// trimmed; whole microseconds render without a fraction). Exposed for the

@@ -3,6 +3,7 @@
 #include <optional>
 #include <sstream>
 
+#include "exec/artifact_cache.hpp"
 #include "runtime/lanes.hpp"
 #include "sim/sync.hpp"
 #include "util/error.hpp"
@@ -173,7 +174,8 @@ MultitaskReport runMultitask(const tasks::FunctionRegistry& registry,
   xd1::Node node{sim, nodeConfig};
   bitstream::Library library{
       node.floorplan(),
-      registry.moduleSpecs(node.floorplan().prr(0).resources(node.device()))};
+      registry.moduleSpecs(node.floorplan().prr(0).resources(node.device())),
+      exec::cachingStreamSource(exec::ArtifactCache::global())};
 
   MultitaskReport report;
   report.apps.resize(apps.size());

@@ -6,7 +6,7 @@
 #include "exec/artifact_cache.hpp"
 #include "model/calibration.hpp"
 #include "obs/host.hpp"
-#include "prof/counters.hpp"
+#include "obs/trace_export.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "verify/timeline_rules.hpp"
@@ -14,42 +14,40 @@
 namespace prtr::runtime {
 namespace {
 
-/// NodeConfig for one scenario run; when an artifact cache is attached, the
-/// floorplan is fetched through it (keyed by device + layout) instead of
-/// rebuilt per node.
+/// The store a run resolves floorplans and streams through.
+exec::ArtifactCache& artifactsFor(const ScenarioOptions& options) {
+  return options.artifacts != nullptr ? *options.artifacts
+                                      : exec::ArtifactCache::global();
+}
+
+/// NodeConfig for one scenario run; the floorplan is fetched through the
+/// run's artifact store (keyed by device + layout), not rebuilt per node.
 xd1::NodeConfig nodeConfigFor(const ScenarioOptions& options) {
   xd1::NodeConfig nodeConfig;
   nodeConfig.layout = options.layout;
   nodeConfig.faults = options.faults;
   nodeConfig.recovery = options.recovery;
-  if (options.artifacts != nullptr) {
-    exec::ArtifactCache* cache = options.artifacts;
-    nodeConfig.floorplanSource =
-        [cache](xd1::Layout layout,
-                const std::function<fabric::Floorplan()>& build) {
-          const exec::ArtifactCache::Key key = exec::KeyBuilder{}
-                                                   .add("xd1.floorplan")
-                                                   .add("XC2VP50")
-                                                   .add(toString(layout))
-                                                   .value();
-          return cache->floorplan(key, build);
-        };
-  }
+  nodeConfig.floorplanSource =
+      [cache = &artifactsFor(options)](
+          xd1::Layout layout, const std::function<fabric::Floorplan()>& build) {
+        return cache->floorplan(exec::KeyBuilder{}
+                                    .add("xd1.floorplan")
+                                    .add("XC2VP50")
+                                    .add(toString(layout))
+                                    .value(),
+                                build);
+      };
   return nodeConfig;
 }
 
-/// Library for one node; with a cache attached, streams resolve through it.
+/// Library for one node; streams resolve through the run's artifact store.
 bitstream::Library makeLibrary(const ScenarioOptions& options,
                                const tasks::FunctionRegistry& registry,
                                const xd1::Node& node) {
-  bitstream::StreamSource source;
-  if (options.artifacts != nullptr) {
-    source = exec::cachingStreamSource(*options.artifacts);
-  }
   return bitstream::Library{
       node.floorplan(),
       registry.moduleSpecs(node.floorplan().prr(0).resources(node.device())),
-      std::move(source)};
+      exec::cachingStreamSource(artifactsFor(options))};
 }
 
 /// Module-id sequence of a workload (for Belady / oracle construction).
@@ -252,11 +250,11 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   if (hooks.trace != nullptr) {
     if (frtrTl != nullptr && !frtrTl->empty()) {
       hooks.trace->add("frtr", *frtrTl);
-      hooks.trace->addCounters("frtr", prof::sampleTimelineCounters(*frtrTl));
+      hooks.trace->addCounters("frtr", obs::sampleTimelineCounters(*frtrTl));
     }
     if (prtrTl != nullptr && !prtrTl->empty()) {
       hooks.trace->add("prtr", *prtrTl);
-      hooks.trace->addCounters("prtr", prof::sampleTimelineCounters(*prtrTl));
+      hooks.trace->addCounters("prtr", obs::sampleTimelineCounters(*prtrTl));
     }
   }
 

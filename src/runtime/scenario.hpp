@@ -74,10 +74,10 @@ struct ScenarioOptions {
   /// locally when no hook provides one, so enabling this needs no other
   /// observability setup.
   bool verify = false;
-  /// Memoizes floorplans and bitstreams across runs (sweeps set this to
-  /// share artifacts between points; see exec::ArtifactCache). Null = every
-  /// run builds its own. Simulation results are identical either way — the
-  /// artifacts are immutable and content-addressed.
+  /// The store floorplans and bitstreams resolve through (see
+  /// exec::ArtifactCache). Null = exec::ArtifactCache::global(), so runs in
+  /// one process share every artifact. Simulation results are identical
+  /// with any store — the artifacts are immutable and keyed exactly.
   exec::ArtifactCache* artifacts = nullptr;
 };
 

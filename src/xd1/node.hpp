@@ -29,9 +29,10 @@ enum class Layout : std::uint8_t { kSinglePrr, kDualPrr, kQuadPrr };
 [[nodiscard]] const char* toString(Layout layout) noexcept;
 
 /// Pluggable floorplan provider: given the layout and a builder for it,
-/// returns a shared validated floorplan. Sweeps install a memoizing source
-/// (exec::ArtifactCache) so the plan is built once per layout instead of
-/// once per Node; unset, each Node builds and owns its plan privately.
+/// returns a shared validated floorplan. runtime::runScenario installs a
+/// memoizing source (exec::ArtifactCache) so the plan is built once per
+/// layout instead of once per Node; unset, each Node builds and owns its
+/// plan privately.
 using FloorplanSource = std::function<std::shared_ptr<const fabric::Floorplan>(
     Layout, const std::function<fabric::Floorplan()>&)>;
 

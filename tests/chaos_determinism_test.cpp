@@ -123,7 +123,8 @@ TEST(ChaosDeterminismTest, FailedArtifactBuildsAreNeverCached) {
   // the caller and leave nothing resident, so the next caller rebuilds
   // (and can succeed) instead of being served a phantom artifact.
   exec::ArtifactCache cache;
-  const exec::ArtifactCache::Key key = 0xBAD5EEDu;
+  const exec::ArtifactCache::Key key =
+      exec::KeyBuilder{}.add("chaos.failed-build").value();
   EXPECT_THROW(
       (void)cache.bitstream(key,
                             []() -> bitstream::Bitstream {

@@ -1,6 +1,7 @@
 // Determinism contract of the exec sweep engine: pooled figure sweeps and
 // chassis runs must be byte-identical to the serial run at any thread
-// count, with or without the artifact cache attached. Rendered tables /
+// count, whichever artifact store they resolve through (the global one, a
+// private one, or a zero-budget one that keeps nothing). Rendered tables /
 // report strings are the comparison medium — they capture every number the
 // benches publish.
 #include <gtest/gtest.h>
@@ -67,7 +68,11 @@ TEST(ExecDeterminismTest, Fig9SweepIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ExecDeterminismTest, Fig9SweepWithArtifactCacheMatchesUncached) {
-  const std::string serial = fig9Render(1, nullptr);
+  // A zero-budget store evicts every entry right after its build, so the
+  // serial reference rebuilds every artifact it needs.
+  exec::ArtifactCache uncached{0};
+  const std::string serial = fig9Render(1, &uncached);
+  EXPECT_EQ(uncached.stats().hits, 0u);
   exec::ArtifactCache cache;
   // Cold cache, then warm cache: both must reproduce the uncached bytes.
   EXPECT_EQ(fig9Render(8, &cache), serial);
@@ -88,7 +93,9 @@ TEST(ExecDeterminismTest, ChassisRunIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ExecDeterminismTest, ChassisRunWithArtifactCacheMatchesUncached) {
-  const std::string serial = chassisRender(1, nullptr);
+  exec::ArtifactCache uncached{0};  // keeps nothing: every blade rebuilds
+  const std::string serial = chassisRender(1, &uncached);
+  EXPECT_EQ(uncached.stats().hits, 0u);
   exec::ArtifactCache cache;
   EXPECT_EQ(chassisRender(8, &cache), serial);
   EXPECT_EQ(chassisRender(8, &cache), serial);

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "obs/bench_io.hpp"
-#include "prof/regression.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -38,7 +37,7 @@ std::string writeBenchJson(const std::string& file, double speedup,
 
 TEST(BenchDoc, RoundTripsTheBenchReportWriter) {
   const std::string path = writeBenchJson("roundtrip.json", 12.5, 100.0, "7.1");
-  const prof::BenchDoc doc = prof::BenchDoc::parseFile(path);
+  const obs::BenchDoc doc = obs::BenchDoc::parseFile(path);
   EXPECT_EQ(doc.bench, "demo");
   // "threads" always leads the scalar list; registration order follows.
   ASSERT_GE(doc.scalars.size(), 3u);
@@ -55,101 +54,101 @@ TEST(BenchDoc, RoundTripsTheBenchReportWriter) {
 }
 
 TEST(BenchDoc, ParseRejectsNonBenchDocuments) {
-  EXPECT_THROW((void)prof::BenchDoc::parse(util::json::Value::parse(
+  EXPECT_THROW((void)obs::BenchDoc::parse(util::json::Value::parse(
                    "{\"scalars\":{}}")),
                util::DomainError);
-  EXPECT_THROW((void)prof::BenchDoc::parseFile(tempPath("missing.json")),
+  EXPECT_THROW((void)obs::BenchDoc::parseFile(tempPath("missing.json")),
                util::Error);
 }
 
 TEST(RegressionCompare, SelfComparisonPasses) {
   const std::string path = writeBenchJson("self.json", 12.5, 100.0, "7.1");
-  const prof::BenchDoc doc = prof::BenchDoc::parseFile(path);
-  const prof::CompareResult result = prof::compare(doc, doc);
+  const obs::BenchDoc doc = obs::BenchDoc::parseFile(path);
+  const obs::CompareResult result = obs::compare(doc, doc);
   EXPECT_TRUE(result.pass);
-  for (const prof::ScalarDelta& d : result.scalars) {
-    EXPECT_TRUE(d.kind == prof::DeltaKind::kMatch ||
-                d.kind == prof::DeltaKind::kInfo)
+  for (const obs::ScalarDelta& d : result.scalars) {
+    EXPECT_TRUE(d.kind == obs::DeltaKind::kMatch ||
+                d.kind == obs::DeltaKind::kInfo)
         << d.name;
   }
 }
 
 TEST(RegressionCompare, SimulatedScalarDriftIsARegression) {
-  const prof::BenchDoc baseline = prof::BenchDoc::parseFile(
+  const obs::BenchDoc baseline = obs::BenchDoc::parseFile(
       writeBenchJson("base.json", 12.5, 100.0, "7.1"));
-  const prof::BenchDoc current = prof::BenchDoc::parseFile(
+  const obs::BenchDoc current = obs::BenchDoc::parseFile(
       writeBenchJson("cur.json", 11.9, 100.0, "7.1"));
-  const prof::CompareResult result = prof::compare(baseline, current);
+  const obs::CompareResult result = obs::compare(baseline, current);
   EXPECT_FALSE(result.pass);
   bool found = false;
-  for (const prof::ScalarDelta& d : result.scalars) {
+  for (const obs::ScalarDelta& d : result.scalars) {
     if (d.name != "peak_sim_speedup") continue;
     found = true;
-    EXPECT_EQ(d.kind, prof::DeltaKind::kRegression);
+    EXPECT_EQ(d.kind, obs::DeltaKind::kRegression);
     EXPECT_LT(d.relDelta, 0.0);
   }
   EXPECT_TRUE(found);
 }
 
 TEST(RegressionCompare, WallClockDriftIsInformationalUnlessGated) {
-  const prof::BenchDoc baseline = prof::BenchDoc::parseFile(
+  const obs::BenchDoc baseline = obs::BenchDoc::parseFile(
       writeBenchJson("wbase.json", 12.5, 100.0, "7.1"));
-  const prof::BenchDoc current = prof::BenchDoc::parseFile(
+  const obs::BenchDoc current = obs::BenchDoc::parseFile(
       writeBenchJson("wcur.json", 12.5, 170.0, "7.1"));
-  const prof::CompareResult loose = prof::compare(baseline, current);
+  const obs::CompareResult loose = obs::compare(baseline, current);
   EXPECT_TRUE(loose.pass);
 
-  prof::ComparePolicy gated;
+  obs::ComparePolicy gated;
   gated.gateWallClock = true;
   gated.wallBand = 0.25;
-  const prof::CompareResult strict = prof::compare(baseline, current, gated);
+  const obs::CompareResult strict = obs::compare(baseline, current, gated);
   EXPECT_FALSE(strict.pass);  // +70% is outside the 25% band
 
   gated.wallBand = 2.0;
-  EXPECT_TRUE(prof::compare(baseline, current, gated).pass);
+  EXPECT_TRUE(obs::compare(baseline, current, gated).pass);
 }
 
 TEST(RegressionCompare, HostProbesAreNotSimulatedScalars) {
-  EXPECT_TRUE(prof::ComparePolicy::isWallClockScalar("host_concurrency"));
-  EXPECT_FALSE(prof::ComparePolicy::isWallClockScalar("cache_hit_rate"));
+  EXPECT_TRUE(obs::ComparePolicy::isWallClockScalar("host_concurrency"));
+  EXPECT_FALSE(obs::ComparePolicy::isWallClockScalar("cache_hit_rate"));
 }
 
 TEST(RegressionCompare, MissingScalarFailsAndNewScalarIsInformational) {
-  prof::BenchDoc baseline;
+  obs::BenchDoc baseline;
   baseline.bench = "demo";
   baseline.scalars = {{"a", 1.0}, {"b", 2.0}};
-  prof::BenchDoc current;
+  obs::BenchDoc current;
   current.bench = "demo";
   current.scalars = {{"a", 1.0}, {"c", 3.0}};
-  const prof::CompareResult result = prof::compare(baseline, current);
+  const obs::CompareResult result = obs::compare(baseline, current);
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.scalars.size(), 3u);
-  EXPECT_EQ(result.scalars[0].kind, prof::DeltaKind::kMatch);
-  EXPECT_EQ(result.scalars[1].kind, prof::DeltaKind::kMissing);
+  EXPECT_EQ(result.scalars[0].kind, obs::DeltaKind::kMatch);
+  EXPECT_EQ(result.scalars[1].kind, obs::DeltaKind::kMissing);
   EXPECT_EQ(result.scalars[2].name, "c");
-  EXPECT_EQ(result.scalars[2].kind, prof::DeltaKind::kNew);
+  EXPECT_EQ(result.scalars[2].kind, obs::DeltaKind::kNew);
 }
 
 TEST(RegressionCompare, TableCellDriftReportsTheFirstDifference) {
-  const prof::BenchDoc baseline = prof::BenchDoc::parseFile(
+  const obs::BenchDoc baseline = obs::BenchDoc::parseFile(
       writeBenchJson("tbase.json", 12.5, 100.0, "7.1"));
-  const prof::BenchDoc current = prof::BenchDoc::parseFile(
+  const obs::BenchDoc current = obs::BenchDoc::parseFile(
       writeBenchJson("tcur.json", 12.5, 100.0, "7.4"));
-  const prof::CompareResult result = prof::compare(baseline, current);
+  const obs::CompareResult result = obs::compare(baseline, current);
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.tables.size(), 1u);
-  EXPECT_EQ(result.tables[0].kind, prof::DeltaKind::kRegression);
+  EXPECT_EQ(result.tables[0].kind, obs::DeltaKind::kRegression);
   EXPECT_NE(result.tables[0].detail.find("\"7.1\" vs \"7.4\""),
             std::string::npos)
       << result.tables[0].detail;
 }
 
 TEST(RegressionCompare, RenderersCarryTheVerdictAndDeltas) {
-  const prof::BenchDoc baseline = prof::BenchDoc::parseFile(
+  const obs::BenchDoc baseline = obs::BenchDoc::parseFile(
       writeBenchJson("rbase.json", 12.5, 100.0, "7.1"));
-  const prof::BenchDoc current = prof::BenchDoc::parseFile(
+  const obs::BenchDoc current = obs::BenchDoc::parseFile(
       writeBenchJson("rcur.json", 11.9, 100.0, "7.1"));
-  const prof::CompareResult result = prof::compare(baseline, current);
+  const obs::CompareResult result = obs::compare(baseline, current);
 
   const std::string text = result.renderText();
   EXPECT_NE(text.find("bench demo: FAIL"), std::string::npos);

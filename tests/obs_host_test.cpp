@@ -1,6 +1,6 @@
 // Tests for host profiling — the always-on host.* timing histograms in
 // obs::hostMetrics() (aggregation, lossless concurrent recording, and their
-// exclusion from simulated outputs) — and for prtr::prof's deterministic
+// exclusion from simulated outputs) — and for the deterministic
 // counter-track sampler that feeds the Chrome-trace exporter.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 
 #include "exec/pool.hpp"
 #include "obs/host.hpp"
-#include "prof/counters.hpp"
+#include "obs/trace_export.hpp"
 #include "runtime/scenario.hpp"
 #include "sim/trace.hpp"
 #include "tasks/workload.hpp"
@@ -165,7 +165,7 @@ sim::Timeline syntheticTimeline() {
 }
 
 TEST(CounterSampler, GoldenBusyFractionsForAHandBuiltTimeline) {
-  const auto tracks = prof::sampleTimelineCounters(syntheticTimeline(), 4);
+  const auto tracks = obs::sampleTimelineCounters(syntheticTimeline(), 4);
   ASSERT_EQ(tracks.size(), 3u);  // no HT-out spans -> no link.out track
 
   EXPECT_EQ(tracks[0].name, "link.in.occupancy");
@@ -184,13 +184,13 @@ TEST(CounterSampler, GoldenBusyFractionsForAHandBuiltTimeline) {
 }
 
 TEST(CounterSampler, EmptyTimelineYieldsNoTracks) {
-  EXPECT_TRUE(prof::sampleTimelineCounters(sim::Timeline{}).empty());
-  EXPECT_TRUE(prof::sampleTimelineCounters(syntheticTimeline(), 0).empty());
+  EXPECT_TRUE(obs::sampleTimelineCounters(sim::Timeline{}).empty());
+  EXPECT_TRUE(obs::sampleTimelineCounters(syntheticTimeline(), 0).empty());
 }
 
 TEST(CounterSampler, SamplingIsDeterministic) {
-  const auto first = prof::sampleTimelineCounters(syntheticTimeline());
-  const auto second = prof::sampleTimelineCounters(syntheticTimeline());
+  const auto first = obs::sampleTimelineCounters(syntheticTimeline());
+  const auto second = obs::sampleTimelineCounters(syntheticTimeline());
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].name, second[i].name);
@@ -215,7 +215,7 @@ TEST(CounterSampler, ScenarioTimelineYieldsLinkAndIcapTracks) {
   (void)runtime::runScenario(registry, workload, so);
   ASSERT_FALSE(timeline.empty());
 
-  const auto tracks = prof::sampleTimelineCounters(timeline);
+  const auto tracks = obs::sampleTimelineCounters(timeline);
   auto has = [&](std::string_view name) {
     for (const auto& t : tracks) {
       if (t.name == name) return true;

@@ -1,8 +1,9 @@
 // Tests for the redesigned scenario API surface: the typed CachePolicy /
-// PrefetcherKind enums and their string boundaries, ScenarioSides, and the
-// assumedHitRatio option.
+// PrefetcherKind enums and their string boundaries, ScenarioSides, the
+// assumedHitRatio option, and the default artifact store.
 #include <gtest/gtest.h>
 
+#include "exec/artifact_cache.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/workload.hpp"
 
@@ -84,6 +85,27 @@ TEST(ScenarioApi, AssumedHitRatioFeedsModelDerivation) {
   const auto atZero = runtime::deriveModelParams(registry, workload, so);
   EXPECT_DOUBLE_EQ(atHalf.hitRatio, 0.5);
   EXPECT_DOUBLE_EQ(atZero.hitRatio, 0.0);
+}
+
+TEST(ScenarioApi, NullArtifactsShareTheGlobalStore) {
+  // Null ScenarioOptions::artifacts resolves through
+  // exec::ArtifactCache::global(): a second run on the same layout finds the
+  // floorplan and every stream the first one built, so nothing new builds.
+  const auto registry = tasks::makePaperFunctions();
+  const auto workload =
+      tasks::makeRoundRobinWorkload(registry, 4, util::Bytes{1'000'000});
+  const runtime::ScenarioOptions so = baseOptions();
+  ASSERT_EQ(so.artifacts, nullptr);
+  exec::ArtifactCache& global = exec::ArtifactCache::global();
+  const auto first = runtime::runScenario(registry, workload, so);
+  const exec::ArtifactCache::Stats afterFirst = global.stats();
+  EXPECT_GT(afterFirst.entries, 0u);
+  const auto second = runtime::runScenario(registry, workload, so);
+  const exec::ArtifactCache::Stats afterSecond = global.stats();
+  EXPECT_EQ(afterSecond.misses, afterFirst.misses);
+  EXPECT_GT(afterSecond.hits, afterFirst.hits);
+  EXPECT_EQ(second.prtr.total, first.prtr.total);
+  EXPECT_EQ(second.frtr.total, first.frtr.total);
 }
 
 }  // namespace

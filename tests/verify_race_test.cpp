@@ -184,7 +184,8 @@ TEST(RaceDetectorIntegration, ArtifactCacheMutexEdgesOrderEntryAccesses) {
   // (read) are ordered by the modeled cache mutex, so no RC finding.
   pool.parallelFor(32, [&](std::size_t) {
     const auto plan = cache.floorplan(
-        1234, [] { return fabric::makeDualPrrLayout(); });
+        exec::KeyBuilder{}.add("race.plan").value(),
+        [] { return fabric::makeDualPrrLayout(); });
     ASSERT_NE(plan, nullptr);
   });
   pool.setRaceChecker(nullptr);

@@ -2,7 +2,7 @@
 /// prtr-report — bench-regression dashboard. Ingests one or more bench
 /// --json documents, pairs each with its committed baseline
 /// (<baselines>/BENCH_<bench>.json), and classifies every scalar and table
-/// delta under the prof::ComparePolicy noise model: simulated-time scalars
+/// delta under the obs::ComparePolicy noise model: simulated-time scalars
 /// must match exactly, wall-clock scalars are informational unless gated.
 /// Exit code 0 when every bench passes, 1 when any comparison regressed
 /// (or a baseline is missing), 2 on usage or I/O problems.
@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "prof/regression.hpp"
+#include "obs/bench_io.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -34,7 +34,7 @@ struct CliOptions {
   std::string baselinesDir;
   std::string markdownPath;
   std::string verdictPath;
-  prof::ComparePolicy policy;
+  obs::ComparePolicy policy;
   std::vector<std::string> inputs;
 };
 
@@ -111,23 +111,23 @@ int main(int argc, char** argv) {
   CliOptions cli;
   if (!parseArgs(argc, argv, cli)) return usage();
 
-  std::vector<prof::CompareResult> results;
+  std::vector<obs::CompareResult> results;
   bool anyFail = false;
   try {
     for (const std::string& input : cli.inputs) {
-      const prof::BenchDoc current = prof::BenchDoc::parseFile(input);
+      const obs::BenchDoc current = obs::BenchDoc::parseFile(input);
       const std::string baselinePath =
           cli.baselinesDir + "/BENCH_" + current.bench + ".json";
-      const prof::BenchDoc baseline = prof::BenchDoc::parseFile(baselinePath);
-      results.push_back(prof::compare(baseline, current, cli.policy));
-      const prof::CompareResult& result = results.back();
+      const obs::BenchDoc baseline = obs::BenchDoc::parseFile(baselinePath);
+      results.push_back(obs::compare(baseline, current, cli.policy));
+      const obs::CompareResult& result = results.back();
       std::cout << result.renderText() << '\n';
       anyFail = anyFail || !result.pass;
     }
 
     if (!cli.markdownPath.empty()) {
       std::string markdown = "# prtr-report bench regression dashboard\n\n";
-      for (const prof::CompareResult& result : results) {
+      for (const obs::CompareResult& result : results) {
         markdown += result.renderMarkdown();
         markdown += '\n';
       }
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
       w.beginObject();
       w.key("pass").value(!anyFail);
       w.key("benches").beginArray();
-      for (const prof::CompareResult& result : results) result.writeJson(w);
+      for (const obs::CompareResult& result : results) result.writeJson(w);
       w.endArray();
       w.endObject();
       writeToFile(cli.verdictPath, os.str(), "verdict");

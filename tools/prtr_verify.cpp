@@ -145,13 +145,17 @@ int explore(const std::vector<std::string>& args, const CliOptions& cli) {
 /// mutex hand-offs must order every access (an RC finding here is a bug in
 /// the exec layer, not in this demo).
 int raceDemo(const CliOptions& cli) {
-  static verify::RaceDetector detector;  // outlives lingering pool events
-  exec::Pool::setGlobalThreads(4);       // a serial pool would prove nothing
+  // Never destroyed: a task's completion edge may land after parallelFor
+  // returns, and a function-local static would be destroyed at exit before
+  // the global pool (a namespace-scope static) joins its workers.
+  static verify::RaceDetector& detector = *new verify::RaceDetector;
+  exec::Pool::setGlobalThreads(4);  // a serial pool would prove nothing
   exec::setRaceChecker(&detector);
   std::vector<double> out(128, 0.0);
   exec::parallelFor(out.size(), [&out](std::size_t i) {
     const auto plan = exec::ArtifactCache::global().floorplan(
-        0xDEC0DE, [] { return fabric::makeDualPrrLayout(); });
+        exec::KeyBuilder{}.add("race-demo.plan").value(),
+        [] { return fabric::makeDualPrrLayout(); });
     out[i] = static_cast<double>(plan->prrCount() + i);
   });
   exec::setRaceChecker(nullptr);
