@@ -3,6 +3,7 @@
 // kernels, a steady fleet batch, and a full PRTR scenario end to end.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -97,6 +98,37 @@ void BM_BitstreamBuildPartial(benchmark::State& state) {
           plan.prr(0).partialBitstreamBytes(plan.device()).count()));
 }
 BENCHMARK(BM_BitstreamBuildPartial);
+
+/// The payload pass of BM_BitstreamBuildPartial alone: every frame of the
+/// dual-PRR region 0 at the module partial's stride, through
+/// writeFramePayloads (Arg 0: the AVX2 kernel where the CPU has it) or the
+/// scalar reference (Arg 1). Bytes are payload bytes.
+void BM_FramePayloads(benchmark::State& state) {
+  const fabric::Floorplan plan = fabric::makeDualPrrLayout();
+  const fabric::FrameRange range = plan.prr(0).frames(plan.device());
+  const std::uint32_t frameBytes = plan.device().geometry().encoding().frameBytes;
+  const std::size_t stride = std::size_t{frameBytes} + 4;
+  std::vector<std::uint8_t> out(range.count * stride);
+  const bool scalar = state.range(0) == 1;
+  state.SetLabel(scalar || !bitstream::detail::framePayloadsVectorized()
+                     ? "scalar"
+                     : "avx2");
+  for (auto _ : state) {
+    std::fill(out.begin(), out.end(), 0);
+    if (scalar) {
+      bitstream::detail::writeFramePayloadsScalar(7, range.first, range.count,
+                                                  frameBytes, out, stride);
+    } else {
+      bitstream::writeFramePayloads(7, range.first, range.count, frameBytes,
+                                    out, stride);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(range.count * frameBytes));
+}
+BENCHMARK(BM_FramePayloads)->Arg(0)->Arg(1);
 
 void BM_BitstreamParsePartial(benchmark::State& state) {
   const fabric::Floorplan plan = fabric::makeDualPrrLayout();

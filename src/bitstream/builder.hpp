@@ -5,7 +5,9 @@
 /// streams (only the frames that differ between two module images, variable
 /// size) — the two Xilinx flows compared in paper section 2.2.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitstream/format.hpp"
@@ -20,12 +22,45 @@ using ModuleId = std::uint64_t;
 
 /// Deterministic synthetic payload of frame `frame` when module `module`
 /// (with `framesUsed` occupied frames starting at the region base) is
-/// placed into a region beginning at `regionFirstFrame`.
+/// placed into a region beginning at `regionFirstFrame`: a one-frame
+/// writeFramePayloads, or all zeros for an unoccupied frame or module 0.
+///
+/// Determinism contract: an occupied frame seeds its own
+/// `util::Rng{module * 0x100000001b3 ^ frame}` and takes one draw per byte;
+/// when that draw is below 2^62 (probability 1/4), the next draw's low byte
+/// `| 1` is the byte, else the byte is 0. Every stream's bytes and CRC
+/// follow from this sequence, so a change to it changes all of them (and
+/// the FNV-1a pins in tests/bitstream_test.cpp).
 [[nodiscard]] std::vector<std::uint8_t> framePayload(ModuleId module,
                                                      std::uint32_t regionFirstFrame,
                                                      std::uint32_t framesUsed,
                                                      std::uint32_t frame,
                                                      std::uint32_t frameBytes);
+
+/// Writes the payloads of the `count` occupied frames `firstFrame`,
+/// `firstFrame + 1`, ... of `module` into `out`, frame i at
+/// `out[i * stride, i * stride + frameBytes)`. Only the non-zero content
+/// bytes are stored, so those ranges must be zero on entry; bytes between
+/// frames are never touched. Module 0 writes nothing. On x86 CPUs with AVX2
+/// an eight-lane kernel synthesizes eight frames per step; elsewhere the
+/// scalar loop runs. Both write the same bytes (the framePayload contract).
+void writeFramePayloads(ModuleId module, std::uint32_t firstFrame,
+                        std::uint32_t count, std::uint32_t frameBytes,
+                        std::span<std::uint8_t> out, std::size_t stride);
+
+namespace detail {
+
+/// The scalar loop, one frame and one draw at a time: writeFramePayloads'
+/// fallback on CPUs without AVX2, and the reference its kernel is tested
+/// against.
+void writeFramePayloadsScalar(ModuleId module, std::uint32_t firstFrame,
+                              std::uint32_t count, std::uint32_t frameBytes,
+                              std::span<std::uint8_t> out, std::size_t stride);
+
+/// Whether writeFramePayloads runs the AVX2 kernel on this CPU.
+[[nodiscard]] bool framePayloadsVectorized() noexcept;
+
+}  // namespace detail
 
 /// Builds bitstreams against one device's geometry.
 class Builder {

@@ -6,6 +6,7 @@
 /// random cache policies) draw from this generator so that every experiment
 /// is bit-reproducible across platforms, unlike std::default_random_engine.
 
+#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -37,6 +38,12 @@ class Rng {
     state_[2] ^= t;
     state_[3] = rotl(state_[3], 45);
     return result;
+  }
+
+  /// The four state words, in order, so that a vectorized generator can
+  /// step several seeded streams in lock step (bitstream payloads do).
+  [[nodiscard]] constexpr std::array<std::uint64_t, 4> state() const noexcept {
+    return {state_[0], state_[1], state_[2], state_[3]};
   }
 
   /// Uniform double in [0, 1).

@@ -17,6 +17,7 @@
 #include "exec/pool.hpp"
 #include "fabric/floorplan.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace prtr::bitstream {
 namespace {
@@ -244,6 +245,111 @@ TEST_F(BitstreamTest, UnoccupiedFramesCarryBaselineContent) {
   const auto outside = framePayload(9, 100, 10, 115, 64);
   const auto baseline = framePayload(0, 100, 10, 115, 64);
   EXPECT_EQ(outside, baseline);
+}
+
+// Frames `first`..`first + count - 1` of `module` through writeFramePayloads
+// (vector) or the scalar reference, into a zeroed buffer at `stride` with
+// room for two more frames, which stay unoccupied.
+std::vector<std::uint8_t> framePayloads(bool vector, ModuleId module,
+                                        std::uint32_t first, std::uint32_t count,
+                                        std::uint32_t frameBytes,
+                                        std::size_t stride) {
+  std::vector<std::uint8_t> out((count + 2) * stride, 0);
+  if (vector) {
+    writeFramePayloads(module, first, count, frameBytes, out, stride);
+  } else {
+    detail::writeFramePayloadsScalar(module, first, count, frameBytes, out,
+                                     stride);
+  }
+  return out;
+}
+
+// Every frame size class (one byte, a 64-draw block and either side of it,
+// the two device encodings), every group fill of the eight-lane kernel from
+// one lane to two groups and a lane, contiguous and addressed strides, and
+// the baseline module: the bytes match the scalar reference's, and the
+// address gaps and the unoccupied frames after the run stay zero.
+TEST(FramePayloadsTest, KernelMatchesScalarReference) {
+  SCOPED_TRACE(detail::framePayloadsVectorized() ? "AVX2 kernel" : "scalar");
+  for (const std::uint32_t frameBytes : {1u, 2u, 63u, 64u, 65u, 164u, 1060u}) {
+    const std::size_t addressed = std::size_t{frameBytes} + 4;
+    for (std::uint32_t count = 1; count <= 17; ++count) {
+      for (const std::size_t stride : {std::size_t{frameBytes}, addressed}) {
+        for (const ModuleId module : {ModuleId{0}, ModuleId{40} + count}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "frameBytes " << frameBytes << " count " << count
+                       << " stride " << stride << " module " << module);
+          const std::uint32_t first = 1000 * count;
+          const auto vector =
+              framePayloads(true, module, first, count, frameBytes, stride);
+          ASSERT_EQ(vector, framePayloads(false, module, first, count,
+                                          frameBytes, stride));
+          std::size_t content = 0;
+          for (std::size_t at = 0; at < vector.size(); ++at) {
+            const bool inFrame = at / stride < count && at % stride < frameBytes;
+            if (!inFrame) {
+              ASSERT_EQ(vector[at], 0) << "outside a frame at " << at;
+            }
+            content += vector[at] != 0;
+          }
+          if (module == 0) {
+            EXPECT_EQ(content, 0u);
+          } else if (frameBytes >= 63) {
+            EXPECT_GT(content, 0u);  // P(no content) = 0.75^frameBytes
+          }
+        }
+      }
+    }
+  }
+}
+
+// Whether the last byte of (module, frame) is decided by draw 63 of a
+// 64-draw block and carries content, so that its value is the first draw of
+// the next block: the one case where a frame ends across a block boundary.
+bool lastFlagEndsBlock(ModuleId module, std::uint32_t frame,
+                       std::uint32_t frameBytes) {
+  util::Rng rng{module * 0x100000001b3ULL ^ frame};
+  std::uint64_t draw = 0;
+  for (std::uint32_t b = 0; b < frameBytes; ++b) {
+    const std::uint64_t flagAt = draw++;
+    if (rng() < (std::uint64_t{1} << 62)) {
+      rng();
+      ++draw;
+      if (b + 1 == frameBytes && flagAt % 64 == 63) return true;
+    }
+  }
+  return false;
+}
+
+TEST(FramePayloadsTest, ValueAcrossABlockBoundaryMatches) {
+  constexpr ModuleId kModule = 7;
+  constexpr std::uint32_t kFrameBytes = 164;
+  std::uint32_t frame = 0;
+  while (!lastFlagEndsBlock(kModule, frame, kFrameBytes)) ++frame;
+  EXPECT_EQ(frame, 1090u);  // pinned, like the draw contract it follows from
+  // The frame in every lane of a full group.
+  for (std::uint32_t lane = 0; lane < 8; ++lane) {
+    SCOPED_TRACE(::testing::Message() << "lane " << lane);
+    const std::uint32_t first = frame - lane;
+    const auto vector =
+        framePayloads(true, kModule, first, 8, kFrameBytes, kFrameBytes);
+    EXPECT_EQ(vector,
+              framePayloads(false, kModule, first, 8, kFrameBytes, kFrameBytes));
+    const std::size_t last = (lane + 1) * std::size_t{kFrameBytes} - 1;
+    EXPECT_NE(vector[last], 0);  // the boundary value landed in the last byte
+  }
+  std::vector<std::uint8_t> scalar =
+      framePayloads(false, kModule, frame, 1, kFrameBytes, kFrameBytes);
+  scalar.resize(kFrameBytes);
+  EXPECT_EQ(framePayload(kModule, frame, 1, frame, kFrameBytes), scalar);
+}
+
+TEST(FramePayloadsTest, RejectsFramesPastTheBuffer) {
+  std::vector<std::uint8_t> out(100, 0);
+  EXPECT_THROW(writeFramePayloads(1, 0, 2, 60, out, 60), util::DomainError);
+  EXPECT_THROW(writeFramePayloads(1, 0, 2, 40, out, 30), util::DomainError);
+  EXPECT_NO_THROW(writeFramePayloads(1, 0, 2, 50, out, 50));
+  EXPECT_NO_THROW(writeFramePayloads(1, 0, 0, 500, out, 500));
 }
 
 TEST(LibraryTest, ModuleFlowBuildsNStreamsPerRegion) {
