@@ -85,6 +85,9 @@ void BM_IcapPartialLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_IcapPartialLoad);
 
+/// Builder::buildModulePartial on the dual-PRR region 0: the one fused
+/// synthesis pass (payload kernel and CRC per L1-sized block) that leaves a
+/// recipe stream. Bytes are the encoded stream bytes.
 void BM_BitstreamBuildPartial(benchmark::State& state) {
   const fabric::Floorplan plan = fabric::makeDualPrrLayout();
   const bitstream::Builder builder{plan.device()};
@@ -98,6 +101,23 @@ void BM_BitstreamBuildPartial(benchmark::State& state) {
           plan.prr(0).partialBitstreamBytes(plan.device()).count()));
 }
 BENCHMARK(BM_BitstreamBuildPartial);
+
+/// Bitstream::bytes() on a fresh copy of the same recipe stream: the
+/// on-demand materialization (synthesis, CRC check) export and relocation
+/// pay once per stream.
+void BM_BitstreamMaterialize(benchmark::State& state) {
+  const fabric::Floorplan plan = fabric::makeDualPrrLayout();
+  const bitstream::Builder builder{plan.device()};
+  const bitstream::Bitstream stream =
+      builder.buildModulePartial(plan.prr(0), 7);
+  for (auto _ : state) {
+    const bitstream::Bitstream copy = stream;  // a copy starts unmaterialized
+    benchmark::DoNotOptimize(copy.bytes().data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.size().count()));
+}
+BENCHMARK(BM_BitstreamMaterialize);
 
 /// The payload pass of BM_BitstreamBuildPartial alone: every frame of the
 /// dual-PRR region 0 at the module partial's stride, through
@@ -137,7 +157,7 @@ void BM_BitstreamParsePartial(benchmark::State& state) {
   for (auto _ : state) {
     const auto parsed =
         bitstream::parse(std::span{stream.bytes()}, plan.device());
-    benchmark::DoNotOptimize(parsed.writes.size());
+    benchmark::DoNotOptimize(parsed.frameRuns.size());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(stream.size().count()));

@@ -25,7 +25,7 @@ std::string hex32(std::uint32_t value) {
 }
 
 std::optional<std::uint32_t> readU32(std::span<const std::uint8_t> bytes,
-                                     std::size_t offset) {
+                                     std::uint64_t offset) {
   if (offset + 4 > bytes.size()) return std::nullopt;
   return static_cast<std::uint32_t>(bytes[offset]) |
          static_cast<std::uint32_t>(bytes[offset + 1]) << 8 |
@@ -66,76 +66,72 @@ std::optional<Header> scanHeader(std::span<const std::uint8_t> bytes,
   return header;
 }
 
-StreamScan scanStream(std::span<const std::uint8_t> bytes,
-                      const fabric::Device& device, DiagnosticSink& sink) {
-  StreamScan scan;
-  const std::optional<Header> header = scanHeader(bytes, sink);
-  if (!header) return scan;
-  scan.headerValid = true;
-  scan.header = *header;
+namespace {
 
-  const auto& geometry = device.geometry();
-  const auto& enc = geometry.encoding();
-
-  if (header->deviceTag != bitstream::deviceTag(device.name())) {
+void checkDeviceTag(const Header& header, const fabric::Device& device,
+                    DiagnosticSink& sink) {
+  if (header.deviceTag != bitstream::deviceTag(device.name())) {
     sink.emit("BS004", at(8),
               "stream was built for a different device than '" +
                   device.name() + "'");
   }
-  // CRC over everything but the 4-byte trailer (header scan guaranteed >= 32
-  // bytes, so the trailer read cannot fail).
-  const std::uint32_t expected = *readU32(bytes, bytes.size() - 4);
-  const std::uint32_t actual =
-      util::Crc32::of(bytes.subspan(0, bytes.size() - 4));
-  if (expected != actual) {
-    sink.emit("BS006", at(bytes.size() - 4),
-              "stored CRC " + hex32(expected) +
-                  " does not match the stream contents (computed " +
-                  hex32(actual) + ")");
-  }
-  if (header->frameBytes != enc.frameBytes) {
+}
+
+/// The checks after the CRC, none of which reads a payload byte: frame
+/// size, then the frame count (full) or the address words (partial), then
+/// the size the frame math expects of a `size`-byte stream. `addressAt`
+/// returns the address word at a byte offset, nullopt if there is none.
+/// Returns the frames written, as runs.
+template <class AddressAt>
+std::vector<bitstream::FrameRun> scanFrames(const Header& header,
+                                            std::uint64_t size,
+                                            const fabric::Device& device,
+                                            AddressAt addressAt,
+                                            DiagnosticSink& sink) {
+  std::vector<bitstream::FrameRun> runs;
+  const auto& geometry = device.geometry();
+  const auto& enc = geometry.encoding();
+  if (header.frameBytes != enc.frameBytes) {
     sink.emit("BS005", at(20),
-              "stream carries " + std::to_string(header->frameBytes) +
+              "stream carries " + std::to_string(header.frameBytes) +
                   "-byte frames but device '" + device.name() + "' uses " +
                   std::to_string(enc.frameBytes) + "-byte frames");
-    return scan;  // the payload stride is unknown; the walk would misread
+    return runs;  // the payload stride is unknown; the walk would misread
   }
 
-  std::size_t offset = 0;
-  scan.writes.reserve(header->frameCount);
-  if (header->type == StreamType::kFull) {
-    if (header->frameCount != geometry.totalFrames()) {
+  std::uint64_t offset = 0;
+  if (header.type == StreamType::kFull) {
+    if (header.frameCount != geometry.totalFrames()) {
       sink.emit("BS007", at(16),
-                "full stream carries " + std::to_string(header->frameCount) +
+                "full stream carries " + std::to_string(header.frameCount) +
                     " frames but the device has " +
                     std::to_string(geometry.totalFrames()));
-      return scan;
+      return runs;
     }
     offset = enc.fullOverheadBytes - 4;
-    for (std::uint32_t frame = 0; frame < header->frameCount; ++frame) {
-      if (offset + enc.frameBytes + 4 > bytes.size()) {
+    for (std::uint32_t frame = 0; frame < header.frameCount; ++frame) {
+      if (offset + enc.frameBytes + 4 > size) {
         sink.emit("BS001", at(offset),
                   "full stream truncated at frame " + std::to_string(frame) +
-                      " of " + std::to_string(header->frameCount));
-        return scan;
+                      " of " + std::to_string(header.frameCount));
+        return runs;
       }
-      scan.writes.push_back(
-          bitstream::FrameWrite{frame, bytes.subspan(offset, enc.frameBytes)});
+      bitstream::appendFrame(runs, frame);
       offset += enc.frameBytes;
     }
   } else {
     offset = enc.partialOverheadBytes - 4;
     bool monotone = true;
     std::uint32_t previous = 0;
-    for (std::uint32_t i = 0; i < header->frameCount; ++i) {
-      const std::optional<std::uint32_t> frame = readU32(bytes, offset);
+    for (std::uint32_t i = 0; i < header.frameCount; ++i) {
+      const std::optional<std::uint32_t> frame = addressAt(offset);
       if (!frame || offset + enc.frameAddressBytes + enc.frameBytes + 4 >
-                        bytes.size()) {
+                        size) {
         sink.emit("BS001", at(offset),
                   "partial stream truncated at frame write " +
                       std::to_string(i) + " of " +
-                      std::to_string(header->frameCount));
-        return scan;
+                      std::to_string(header.frameCount));
+        return runs;
       }
       offset += enc.frameAddressBytes;
       if (*frame >= geometry.totalFrames()) {
@@ -151,16 +147,65 @@ StreamScan scanStream(std::span<const std::uint8_t> bytes,
                       " follows frame " + std::to_string(previous));
       }
       previous = *frame;
-      scan.writes.push_back(
-          bitstream::FrameWrite{*frame, bytes.subspan(offset, enc.frameBytes)});
+      bitstream::appendFrame(runs, *frame);
       offset += enc.frameBytes;
     }
   }
-  if (offset + 4 != bytes.size()) {
+  if (offset + 4 != size) {
     sink.emit("BS010", at(offset),
-              "stream is " + std::to_string(bytes.size()) + " bytes but the "
+              "stream is " + std::to_string(size) + " bytes but the "
               "frame math expects " + std::to_string(offset + 4));
   }
+  return runs;
+}
+
+}  // namespace
+
+StreamScan scanStream(std::span<const std::uint8_t> bytes,
+                      const fabric::Device& device, DiagnosticSink& sink) {
+  StreamScan scan;
+  const std::optional<Header> header = scanHeader(bytes, sink);
+  if (!header) return scan;
+  scan.headerValid = true;
+  scan.header = *header;
+  checkDeviceTag(*header, device, sink);
+  // CRC over everything but the 4-byte trailer (header scan guaranteed >= 32
+  // bytes, so the trailer read cannot fail).
+  const std::uint32_t expected = *readU32(bytes, bytes.size() - 4);
+  const std::uint32_t actual =
+      util::Crc32::of(bytes.subspan(0, bytes.size() - 4));
+  if (expected != actual) {
+    sink.emit("BS006", at(bytes.size() - 4),
+              "stored CRC " + hex32(expected) +
+                  " does not match the stream contents (computed " +
+                  hex32(actual) + ")");
+  }
+  scan.frameRuns = scanFrames(
+      *header, bytes.size(), device,
+      [bytes](std::uint64_t offset) { return readU32(bytes, offset); }, sink);
+  return scan;
+}
+
+StreamScan scanLayout(const Header& header,
+                      std::span<const bitstream::FrameRun> runs,
+                      std::uint64_t size, const fabric::Device& device,
+                      DiagnosticSink& sink) {
+  StreamScan scan;
+  scan.headerValid = true;
+  scan.header = header;
+  checkDeviceTag(header, device, sink);
+  // The address words, in order, are the frames of `runs`.
+  std::size_t run = 0;
+  std::uint32_t taken = 0;
+  const auto nextAddress = [&](std::uint64_t) -> std::optional<std::uint32_t> {
+    while (run < runs.size() && taken == runs[run].count) {
+      ++run;
+      taken = 0;
+    }
+    if (run == runs.size()) return std::nullopt;
+    return runs[run].first + taken++;
+  };
+  scan.frameRuns = scanFrames(header, size, device, nextAddress, sink);
   return scan;
 }
 
@@ -168,23 +213,22 @@ void checkStreamFitsFloorplan(const StreamScan& scan,
                               const fabric::Floorplan& floorplan,
                               DiagnosticSink& sink) {
   if (!scan.headerValid || scan.header.type != StreamType::kPartial ||
-      scan.writes.empty()) {
+      scan.frameRuns.empty()) {
     return;
   }
-  auto [lowest, highest] = std::minmax_element(
-      scan.writes.begin(), scan.writes.end(),
-      [](const bitstream::FrameWrite& a, const bitstream::FrameWrite& b) {
-        return a.frame < b.frame;
-      });
+  std::uint32_t lowest = scan.frameRuns.front().first;
+  std::uint32_t highest = lowest;
+  for (const bitstream::FrameRun& run : scan.frameRuns) {
+    lowest = std::min(lowest, run.first);
+    highest = std::max(highest, run.first + run.count - 1);
+  }
   const fabric::Device& device = floorplan.device();
   for (const fabric::Region& prr : floorplan.prrs()) {
     const fabric::FrameRange range = prr.frames(device);
-    if (range.contains(lowest->frame) && range.contains(highest->frame)) {
-      return;
-    }
+    if (range.contains(lowest) && range.contains(highest)) return;
   }
-  sink.emit("BS011", "frames [" + std::to_string(lowest->frame) + ", " +
-                         std::to_string(highest->frame) + "]",
+  sink.emit("BS011", "frames [" + std::to_string(lowest) + ", " +
+                         std::to_string(highest) + "]",
             "partial stream touches frames outside every PRR of the "
             "floorplan");
 }

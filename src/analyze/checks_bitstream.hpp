@@ -16,13 +16,12 @@
 
 namespace prtr::analyze {
 
-/// Result of a structural scan. `writes` is only meaningful when no error
-/// was emitted; like bitstream::ParsedStream it is non-owning (the byte
-/// buffer must outlive it).
+/// Result of a structural scan. `frameRuns` (the frames written, in
+/// order, as maximal runs) is only meaningful when no error was emitted.
 struct StreamScan {
   bool headerValid = false;
   bitstream::Header header{};
-  std::vector<bitstream::FrameWrite> writes;
+  std::vector<bitstream::FrameRun> frameRuns;
 };
 
 /// Header-only scan (magic, type, fixed fields). Returns the header when
@@ -34,6 +33,16 @@ struct StreamScan {
 /// device compatibility, CRC, the complete frame-write walk, and the
 /// size-vs-frame-math consistency check.
 [[nodiscard]] StreamScan scanStream(std::span<const std::uint8_t> bytes,
+                                    const fabric::Device& device,
+                                    DiagnosticSink& sink);
+
+/// The checks of scanStream that read no payload byte (BS004, BS005 and
+/// BS007..BS010), for a stream given by its header, the frames it writes
+/// and its encoded size: bitstream::parse runs them on a built stream's
+/// FrameRecipe, so a recipe stream is held to the rules its bytes would be.
+[[nodiscard]] StreamScan scanLayout(const bitstream::Header& header,
+                                    std::span<const bitstream::FrameRun> runs,
+                                    std::uint64_t size,
                                     const fabric::Device& device,
                                     DiagnosticSink& sink);
 

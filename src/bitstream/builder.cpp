@@ -38,10 +38,11 @@ void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   putU32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
-/// Emits the fixed-size header block (overhead minus the 4-byte CRC trailer).
-void emitHeader(std::vector<std::uint8_t>& out, const Header& header,
-                std::uint32_t overheadBytes) {
-  const std::size_t begin = out.size();
+/// The fixed-size header block: the header fields, then zero padding up to
+/// `overheadBytes` minus the 4-byte CRC trailer.
+std::vector<std::uint8_t> headerBlock(const Header& header,
+                                      std::uint32_t overheadBytes) {
+  std::vector<std::uint8_t> out;
   putU32(out, Header::kMagic);
   out.push_back(static_cast<std::uint8_t>(header.type));
   out.push_back(0);  // version
@@ -52,15 +53,44 @@ void emitHeader(std::vector<std::uint8_t>& out, const Header& header,
   putU32(out, header.frameCount);
   putU32(out, header.frameBytes);
   putU64(out, header.moduleId);
-  const std::size_t fieldBytes = out.size() - begin;
-  util::require(overheadBytes >= fieldBytes + 4,
+  util::require(overheadBytes >= out.size() + 4,
                 "Builder: overhead too small for header fields");
-  out.resize(begin + overheadBytes - 4, 0);  // command-preamble padding
+  out.resize(overheadBytes - 4, 0);  // command-preamble padding
+  return out;
 }
 
-void appendCrc(std::vector<std::uint8_t>& out) {
-  const std::uint32_t crc = util::Crc32::of(out);
-  putU32(out, crc);
+/// Frames per synthesis block: whole eight-lane groups of the payload
+/// kernel, as many as fit a 32 KiB L1 data cache at `stride` bytes a frame.
+std::uint32_t blockFrames(std::size_t stride) {
+  constexpr std::size_t kBlockBytes = 32 * 1024;
+  return std::max<std::uint32_t>(
+      8, static_cast<std::uint32_t>(kBlockBytes / stride) / 8 * 8);
+}
+
+/// Zeroes `block`'s first `count` frames at stride `frameBytes + address`
+/// and writes frames `first`..`first + count - 1` of `module` placed at
+/// `regionFirst` with `framesUsed` occupied frames (the framePayload rule),
+/// each after its `address`-byte address word when `address` is not 0.
+void writeBlock(std::span<std::uint8_t> block, ModuleId module,
+                std::uint32_t frameBytes, std::size_t address,
+                std::uint32_t regionFirst, std::uint32_t framesUsed,
+                std::uint32_t first, std::uint32_t count) {
+  const std::size_t stride = frameBytes + address;
+  std::fill_n(block.begin(), count * stride, std::uint8_t{0});
+  if (address != 0) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      storeU32(block.data() + i * stride, first + i);
+    }
+  }
+  const std::uint64_t begin = std::max(first, regionFirst);
+  const std::uint64_t end = std::min(std::uint64_t{first} + count,
+                                     std::uint64_t{regionFirst} + framesUsed);
+  if (begin < end) {
+    writeFramePayloads(module, static_cast<std::uint32_t>(begin),
+                       static_cast<std::uint32_t>(end - begin), frameBytes,
+                       block.subspan((begin - first) * stride + address),
+                       stride);
+  }
 }
 
 /// The generator of an occupied frame's payload (the framePayload contract).
@@ -339,25 +369,20 @@ Bitstream Builder::buildFull(ModuleId designId) const {
   header.frameBytes = enc.frameBytes;
   header.moduleId = designId;
 
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(geometry.fullBitstreamBytes().count());
-  emitHeader(bytes, header, enc.fullOverheadBytes);
-  const std::size_t payloadBegin = bytes.size();
-  bytes.resize(payloadBegin +
-               std::size_t{header.frameCount} * enc.frameBytes, 0);
-  writeFramePayloads(designId, 0, header.frameCount, enc.frameBytes,
-                     std::span{bytes}.subspan(payloadBegin), enc.frameBytes);
-  appendCrc(bytes);
-  util::require(bytes.size() == geometry.fullBitstreamBytes().count(),
+  Bitstream stream = fromRecipe(header,
+                                {.regionFirst = 0,
+                                 .framesUsed = header.frameCount,
+                                 .runs = {{0, header.frameCount}}},
+                                enc.fullOverheadBytes);
+  util::require(stream.size() == geometry.fullBitstreamBytes(),
                 "Builder: full stream size mismatch");
-  return Bitstream{header, std::move(bytes)};
+  return stream;
 }
 
 Bitstream Builder::buildModulePartial(const fabric::Region& region,
                                       ModuleId module, double occupancy) const {
   const auto& enc = device_->geometry().encoding();
   const fabric::FrameRange range = region.frames(*device_);
-  const std::uint32_t used = usedFrames(region, occupancy);
 
   Header header;
   header.type = StreamType::kPartial;
@@ -367,22 +392,14 @@ Bitstream Builder::buildModulePartial(const fabric::Region& region,
   header.frameBytes = enc.frameBytes;
   header.moduleId = module;
 
-  // Each frame is its 4-byte address word, then its payload.
-  const std::size_t stride = std::size_t{enc.frameBytes} + 4;
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(region.partialBitstreamBytes(*device_).count());
-  emitHeader(bytes, header, enc.partialOverheadBytes);
-  const std::size_t framesBegin = bytes.size();
-  bytes.resize(framesBegin + range.count * stride, 0);
-  for (std::uint32_t i = 0; i < range.count; ++i) {
-    storeU32(bytes.data() + framesBegin + i * stride, range.first + i);
-  }
-  writeFramePayloads(module, range.first, used, enc.frameBytes,
-                     std::span{bytes}.subspan(framesBegin + 4), stride);
-  appendCrc(bytes);
-  util::require(bytes.size() == region.partialBitstreamBytes(*device_).count(),
+  Bitstream stream = fromRecipe(header,
+                                {.regionFirst = range.first,
+                                 .framesUsed = usedFrames(region, occupancy),
+                                 .runs = {{range.first, range.count}}},
+                                enc.partialOverheadBytes);
+  util::require(stream.size() == region.partialBitstreamBytes(*device_),
                 "Builder: module partial size mismatch");
-  return Bitstream{header, std::move(bytes)};
+  return stream;
 }
 
 Bitstream Builder::buildDifferencePartial(const fabric::Region& region,
@@ -394,44 +411,121 @@ Bitstream Builder::buildDifferencePartial(const fabric::Region& region,
   const fabric::FrameRange range = region.frames(*device_);
   const std::uint32_t fromUsed = usedFrames(region, fromOccupancy);
   const std::uint32_t toUsed = usedFrames(region, toOccupancy);
+  FrameRecipe recipe{
+      .regionFirst = range.first, .framesUsed = toUsed, .runs = {}};
 
-  // Both images of the frames either module occupies; past them both are
-  // baseline (zero), so no frame there changes.
-  const std::uint32_t imageFrames = std::max(fromUsed, toUsed);
-  const std::size_t frameBytes = enc.frameBytes;
-  std::vector<std::uint8_t> from(imageFrames * frameBytes, 0);
-  std::vector<std::uint8_t> to(imageFrames * frameBytes, 0);
-  writeFramePayloads(fromModule, range.first, fromUsed, enc.frameBytes, from,
-                     frameBytes);
-  writeFramePayloads(toModule, range.first, toUsed, enc.frameBytes, to,
-                     frameBytes);
-  std::vector<std::uint32_t> changed;
-  for (std::uint32_t i = 0; i < imageFrames; ++i) {
-    if (std::memcmp(from.data() + i * frameBytes, to.data() + i * frameBytes,
-                    frameBytes) != 0) {
-      changed.push_back(i);
+  // One pass over both images of the frames either module occupies (past
+  // them both are baseline, so no frame there changes), a block at a time:
+  // a frame whose payloads differ joins the runs, and its address word and
+  // `to` payload feed the CRC of the frame section.
+  const std::uint32_t imageEnd = range.first + std::max(fromUsed, toUsed);
+  const std::uint32_t frameBytes = enc.frameBytes;
+  const std::uint32_t perBlock = blockFrames(frameBytes);
+  std::vector<std::uint8_t> from(std::size_t{perBlock} * frameBytes);
+  std::vector<std::uint8_t> to(from.size());
+  util::Crc32 frames;
+  std::uint32_t changed = 0;
+  for (std::uint32_t first = range.first; first < imageEnd; first += perBlock) {
+    const std::uint32_t count = std::min(perBlock, imageEnd - first);
+    writeBlock(from, fromModule, frameBytes, 0, range.first, fromUsed, first,
+               count);
+    writeBlock(to, toModule, frameBytes, 0, range.first, toUsed, first, count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::span<const std::uint8_t> payload{
+          to.data() + std::size_t{i} * frameBytes, frameBytes};
+      if (std::memcmp(from.data() + std::size_t{i} * frameBytes,
+                      payload.data(), frameBytes) == 0) {
+        continue;
+      }
+      appendFrame(recipe.runs, first + i);
+      std::uint8_t address[kFrameAddressBytes];
+      storeU32(address, first + i);
+      frames.update(address);
+      frames.update(payload);
+      ++changed;
     }
   }
 
   Header header;
   header.type = StreamType::kPartial;
   header.deviceTag = deviceTag(device_->name());
-  header.firstFrame = changed.empty() ? range.first : range.first + changed.front();
-  header.frameCount = static_cast<std::uint32_t>(changed.size());
+  header.firstFrame =
+      recipe.runs.empty() ? range.first : recipe.runs.front().first;
+  header.frameCount = changed;
   header.frameBytes = enc.frameBytes;
   header.moduleId = toModule;
 
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(enc.partialOverheadBytes + changed.size() * (frameBytes + 4));
-  emitHeader(bytes, header, enc.partialOverheadBytes);
-  for (const std::uint32_t i : changed) {
-    putU32(bytes, range.first + i);
-    const auto frame = to.begin() + static_cast<std::ptrdiff_t>(i * frameBytes);
-    bytes.insert(bytes.end(), frame,
-                 frame + static_cast<std::ptrdiff_t>(frameBytes));
-  }
-  appendCrc(bytes);
-  return Bitstream{header, std::move(bytes)};
+  const std::vector<std::uint8_t> head =
+      headerBlock(header, enc.partialOverheadBytes);
+  recipe.headerBytes = static_cast<std::uint32_t>(head.size());
+  recipe.crc = util::Crc32::combine(
+      util::Crc32::of(head), frames.value(),
+      std::uint64_t{changed} * (frameBytes + kFrameAddressBytes));
+  return Bitstream{header, std::move(recipe)};
 }
+
+Bitstream Builder::fromRecipe(const Header& header, FrameRecipe recipe,
+                              std::uint32_t overheadBytes) {
+  const std::vector<std::uint8_t> head = headerBlock(header, overheadBytes);
+  recipe.headerBytes = static_cast<std::uint32_t>(head.size());
+  util::Crc32 crc;
+  crc.update(head);
+  detail::synthesizeFrames(
+      header, recipe.runs, recipe.regionFirst, recipe.framesUsed,
+      [&crc](std::span<const std::uint8_t> block, std::uint32_t,
+             std::uint32_t) { crc.update(block); });
+  recipe.crc = crc.value();
+  return Bitstream{header, std::move(recipe)};
+}
+
+namespace detail {
+
+void synthesizeFrames(const Header& header, std::span<const FrameRun> runs,
+                      std::uint32_t regionFirst, std::uint32_t framesUsed,
+                      const FrameBlockVisitor& visit) {
+  const std::size_t address = header.type == StreamType::kPartial
+                                  ? kFrameAddressBytes
+                                  : 0;
+  const std::size_t stride = header.frameBytes + address;
+  const std::uint32_t perBlock = blockFrames(stride);
+  std::vector<std::uint8_t> block(perBlock * stride);
+  for (const FrameRun& run : runs) {
+    const std::uint64_t end = std::uint64_t{run.first} + run.count;
+    for (std::uint64_t first = run.first; first < end; first += perBlock) {
+      const auto count = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(perBlock, end - first));
+      writeBlock(block, header.moduleId, header.frameBytes, address,
+                 regionFirst, framesUsed, static_cast<std::uint32_t>(first),
+                 count);
+      visit(std::span{block}.first(count * stride),
+            static_cast<std::uint32_t>(first), count);
+    }
+  }
+}
+
+std::vector<std::uint8_t> materialize(const Header& header,
+                                      const FrameRecipe& recipe) {
+  const std::size_t address =
+      header.type == StreamType::kPartial ? kFrameAddressBytes : 0;
+  std::vector<std::uint8_t> bytes =
+      headerBlock(header, recipe.headerBytes + 4);
+  bytes.reserve(bytes.size() +
+                std::size_t{header.frameCount} * (header.frameBytes + address) +
+                4);
+  synthesizeFrames(header, recipe.runs, recipe.regionFirst, recipe.framesUsed,
+                   [&bytes](std::span<const std::uint8_t> block, std::uint32_t,
+                            std::uint32_t) {
+                     bytes.insert(bytes.end(), block.begin(), block.end());
+                   });
+  const std::uint32_t crc = util::Crc32::of(bytes);
+  if (crc != recipe.crc) {
+    throw util::BitstreamError{
+        "XBF: materialized bytes do not match the recipe's CRC"};
+  }
+  putU32(bytes, crc);
+  return bytes;
+}
+
+}  // namespace detail
 
 }  // namespace prtr::bitstream

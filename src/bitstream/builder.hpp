@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -60,9 +61,31 @@ void writeFramePayloadsScalar(ModuleId module, std::uint32_t firstFrame,
 /// Whether writeFramePayloads runs the AVX2 kernel on this CPU.
 [[nodiscard]] bool framePayloadsVectorized() noexcept;
 
+/// Receives one block of a recipe stream's frame section: the encoded
+/// frames `first`, `first + 1`, ... `first + frames - 1` (address words
+/// included in a partial stream), valid only during the call.
+using FrameBlockVisitor = std::function<void(
+    std::span<const std::uint8_t> block, std::uint32_t first,
+    std::uint32_t frames)>;
+
+/// Synthesizes the frames of `runs` for a stream with `header`, whose
+/// payloads follow the FrameRecipe rule for (`regionFirst`, `framesUsed`),
+/// in stream order, into one reused L1-sized block at a time. No block
+/// spans two runs.
+void synthesizeFrames(const Header& header, std::span<const FrameRun> runs,
+                      std::uint32_t regionFirst, std::uint32_t framesUsed,
+                      const FrameBlockVisitor& visit);
+
+/// The encoded bytes of a recipe stream (Bitstream::bytes()). Throws
+/// BitstreamError unless their CRC equals the recipe's.
+[[nodiscard]] std::vector<std::uint8_t> materialize(const Header& header,
+                                                    const FrameRecipe& recipe);
+
 }  // namespace detail
 
-/// Builds bitstreams against one device's geometry.
+/// Builds bitstreams against one device's geometry, as recipes: a build
+/// synthesizes the stream once, an L1-sized block at a time, to compute its
+/// CRC, and keeps no payload byte (format.hpp).
 class Builder {
  public:
   explicit Builder(const fabric::Device& device) : device_(&device) {}
@@ -89,6 +112,11 @@ class Builder {
  private:
   [[nodiscard]] std::uint32_t usedFrames(const fabric::Region& region,
                                          double occupancy) const;
+  /// The stream of `header` and `recipe`, its header block and CRC filled
+  /// in by one synthesis pass.
+  [[nodiscard]] static Bitstream fromRecipe(const Header& header,
+                                            FrameRecipe recipe,
+                                            std::uint32_t overheadBytes);
 
   const fabric::Device* device_;
 };

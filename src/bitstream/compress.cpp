@@ -1,6 +1,7 @@
 #include "bitstream/compress.hpp"
 
-#include <map>
+#include <memory>
+#include <set>
 
 #include "bitstream/parser.hpp"
 #include "util/error.hpp"
@@ -117,24 +118,25 @@ MfwPlan planMfw(const Bitstream& stream, const fabric::Device& device) {
     throw util::BitstreamError{"planMfw: MFW applies to partial streams"};
   }
   const ParsedRef parsed = parse(stream, device);
+  if (const MfwPlan* memo = parsed->mfw.get()) return *memo;
   const auto& enc = device.geometry().encoding();
 
-  MfwPlan plan;
-  plan.totalFrames = static_cast<std::uint32_t>(parsed->writes.size());
-  plan.rawBytes = stream.size();
+  auto plan = std::make_unique<MfwPlan>();
+  plan->totalFrames = parsed->header.frameCount;
+  plan->rawBytes = stream.size();
 
   // Group frames by payload content.
-  std::map<std::vector<std::uint8_t>, std::uint32_t> groups;
-  for (const FrameWrite& write : parsed->writes) {
-    ++groups[std::vector<std::uint8_t>(write.payload.begin(),
-                                       write.payload.end())];
-  }
-  plan.uniqueFrames = static_cast<std::uint32_t>(groups.size());
-  plan.wireBytes = util::Bytes{
+  std::set<std::vector<std::uint8_t>> payloads;
+  parsed->forEachPayload(
+      [&payloads](std::uint32_t, std::span<const std::uint8_t> payload) {
+        payloads.emplace(payload.begin(), payload.end());
+      });
+  plan->uniqueFrames = static_cast<std::uint32_t>(payloads.size());
+  plan->wireBytes = util::Bytes{
       enc.partialOverheadBytes +
-      static_cast<std::uint64_t>(plan.uniqueFrames) * enc.frameBytes +
-      static_cast<std::uint64_t>(plan.totalFrames) * enc.frameAddressBytes};
-  return plan;
+      static_cast<std::uint64_t>(plan->uniqueFrames) * enc.frameBytes +
+      static_cast<std::uint64_t>(plan->totalFrames) * enc.frameAddressBytes};
+  return parsed->mfw.publish(std::move(plan));
 }
 
 util::Time mfwDrainTime(const MfwPlan& plan, util::Time payloadTimePerFrame,

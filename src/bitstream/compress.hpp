@@ -56,7 +56,8 @@ struct MfwPlan {
 };
 
 /// Builds the MFW plan for a partial `stream` on `device`: groups frames by
-/// identical payload.
+/// identical payload. The plan is memoized with the stream's parse
+/// (bitstream::parse), so a stream is grouped once per process and device.
 [[nodiscard]] MfwPlan planMfw(const Bitstream& stream,
                               const fabric::Device& device);
 

@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "bitstream/builder.hpp"
 #include "util/crc32.hpp"
 
 namespace prtr::bitstream {
@@ -12,6 +13,30 @@ const char* toString(StreamType type) noexcept {
     case StreamType::kPartial: return "partial";
   }
   return "?";
+}
+
+const std::vector<std::uint8_t>& Bitstream::bytes() const {
+  if (!recipe_) return bytes_;
+  if (const std::vector<std::uint8_t>* done = materialized_.get()) return *done;
+  return materialized_.publish(
+      std::make_unique<const std::vector<std::uint8_t>>(
+          detail::materialize(header_, *recipe_)));
+}
+
+util::Bytes Bitstream::size() const noexcept {
+  if (!recipe_) return util::Bytes{bytes_.size()};
+  const std::uint64_t stride = std::uint64_t{header_.frameBytes} +
+                               (isPartial() ? kFrameAddressBytes : 0);
+  return util::Bytes{recipe_->headerBytes + header_.frameCount * stride + 4};
+}
+
+std::uint64_t Bitstream::residentBytes() const noexcept {
+  std::uint64_t bytes = sizeof(Bitstream) + bytes_.size();
+  if (recipe_) {
+    bytes += recipe_->runs.size() * sizeof(FrameRun);
+    if (materialized_.get() != nullptr) bytes += size().count();
+  }
+  return bytes;
 }
 
 std::uint32_t deviceTag(const std::string& deviceName) noexcept {

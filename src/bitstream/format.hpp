@@ -12,9 +12,17 @@
 ///
 /// Header fields live at the front of the header block; the remainder is
 /// zero padding standing in for the command preamble of a real stream.
+///
+/// The bytes of a built stream are a materialization of its FrameRecipe:
+/// the header, the frames written and how their payloads follow from frame
+/// geometry, and the CRC. A built stream keeps only that recipe; the
+/// simulator reads sizes and frame runs, and bytes exist only where
+/// something asks for them (export, relocation, byte-level linting).
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,50 +53,132 @@ struct Header {
   std::uint32_t frameCount = 0;   ///< frames carried
   std::uint32_t frameBytes = 0;   ///< payload bytes per frame
   std::uint64_t moduleId = 0;     ///< identity of the configured design
+
+  friend bool operator==(const Header&, const Header&) = default;
 };
 
-/// Holds the parse a Bitstream publishes on its first successful
-/// bitstream::parse (see parser.hpp). The published view points into the
-/// stream's bytes, so a copy starts empty and a move carries the view along
-/// with the buffer it points into.
-class ParseMemo {
+/// A maximal run of consecutive frames written by one stream:
+/// frames [first, first + count).
+struct FrameRun {
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+
+  friend bool operator==(const FrameRun&, const FrameRun&) = default;
+};
+
+/// Appends `frame` to `runs`: extends the last run when `frame` follows it,
+/// else starts a new one.
+inline void appendFrame(std::vector<FrameRun>& runs, std::uint32_t frame) {
+  if (!runs.empty() &&
+      std::uint64_t{runs.back().first} + runs.back().count == frame) {
+    ++runs.back().count;
+  } else {
+    runs.push_back(FrameRun{frame, 1});
+  }
+}
+
+/// A value an object computes on first use and publishes with a CAS: the
+/// first thread to publish wins, and every later get() returns its value
+/// from any thread without a lock. A copy starts empty (the value may point
+/// into the source object); a move carries the value along.
+template <class T>
+class Memo {
  public:
-  ParseMemo() noexcept = default;
-  ParseMemo(const ParseMemo& /*other*/) noexcept {}
-  ParseMemo(ParseMemo&& other) noexcept
-      : entry(other.entry.exchange(nullptr, std::memory_order_relaxed)) {}
-  ParseMemo& operator=(const ParseMemo& other) noexcept {
+  Memo() noexcept = default;
+  Memo(const Memo& /*other*/) noexcept {}
+  Memo(Memo&& other) noexcept
+      : slot_(other.slot_.exchange(nullptr, std::memory_order_relaxed)) {}
+  Memo& operator=(const Memo& other) noexcept {
     if (this != &other) reset(nullptr);
     return *this;
   }
-  ParseMemo& operator=(ParseMemo&& other) noexcept {
+  Memo& operator=(Memo&& other) noexcept {
     if (this != &other) {
-      reset(other.entry.exchange(nullptr, std::memory_order_relaxed));
+      reset(other.slot_.exchange(nullptr, std::memory_order_relaxed));
     }
     return *this;
   }
-  ~ParseMemo() { reset(nullptr); }
+  ~Memo() { reset(nullptr); }
 
-  /// Written once, by the first successful parse; read with acquire loads.
-  std::atomic<const ParseMemoEntry*> entry{nullptr};
+  /// The published value, or null before the first publish().
+  [[nodiscard]] const T* get() const noexcept {
+    return slot_.load(std::memory_order_acquire);
+  }
+
+  /// Publishes `fresh` unless a value is already published; returns the
+  /// published value either way.
+  const T& publish(std::unique_ptr<const T> fresh) const {
+    const T* published = nullptr;
+    if (slot_.compare_exchange_strong(published, fresh.get(),
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      return *fresh.release();
+    }
+    return *published;
+  }
 
  private:
-  void reset(const ParseMemoEntry* next) noexcept;
+  void reset(const T* next) noexcept;
+
+  mutable std::atomic<const T*> slot_{nullptr};
 };
 
-/// An encoded bitstream plus its decoded identity.
+template <class T>
+void Memo<T>::reset(const T* next) noexcept {
+  delete slot_.exchange(next, std::memory_order_acq_rel);
+}
+
+// ParseMemoEntry is complete only in parser.cpp, which deletes it.
+template <>
+void Memo<ParseMemoEntry>::reset(const ParseMemoEntry* next) noexcept;
+
+/// Bytes of the address word before each frame of a built partial stream.
+inline constexpr std::uint32_t kFrameAddressBytes = 4;
+
+/// How a built stream's bytes follow from frame geometry. The stream writes
+/// the frames of `runs`, in order; frame f carries
+/// framePayload(header.moduleId, regionFirst, framesUsed, f) (builder.hpp),
+/// after its address word in a partial stream. The header block is
+/// `headerBytes` long, and `crc` is the CRC-32 of everything before the
+/// trailer.
+struct FrameRecipe {
+  std::uint32_t regionFirst = 0;  ///< first frame of the region placed into
+  std::uint32_t framesUsed = 0;   ///< frames the module occupies from there
+  std::vector<FrameRun> runs;
+  std::uint32_t headerBytes = 0;
+  std::uint32_t crc = 0;
+};
+
+/// An encoded bitstream plus its decoded identity. A stream is backed either
+/// by its bytes (imported, relocated or hand-made streams) or by a
+/// FrameRecipe (every stream Builder makes), whose bytes are synthesized
+/// only when bytes() is first called.
 class Bitstream {
  public:
   Bitstream(Header header, std::vector<std::uint8_t> bytes)
       : header_(header), bytes_(std::move(bytes)) {}
+  Bitstream(Header header, FrameRecipe recipe)
+      : header_(header), recipe_(std::move(recipe)) {}
 
   [[nodiscard]] const Header& header() const noexcept { return header_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
-    return bytes_;
+
+  /// The encoded bytes. A recipe stream materializes them on the first
+  /// call, checks their CRC against the recipe's (BitstreamError on a
+  /// mismatch) and keeps them for the stream's lifetime.
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const;
+
+  /// The recipe of a built stream; null for a byte-backed one.
+  [[nodiscard]] const FrameRecipe* recipe() const noexcept {
+    return recipe_ ? &*recipe_ : nullptr;
   }
-  [[nodiscard]] util::Bytes size() const noexcept {
-    return util::Bytes{bytes_.size()};
-  }
+
+  /// Encoded size, whether or not the bytes are materialized.
+  [[nodiscard]] util::Bytes size() const noexcept;
+
+  /// Host bytes the stream holds: the object, its recipe runs, and its
+  /// encoded bytes if it has any yet.
+  [[nodiscard]] std::uint64_t residentBytes() const noexcept;
+
   [[nodiscard]] bool isPartial() const noexcept {
     return header_.type == StreamType::kPartial;
   }
@@ -98,7 +188,9 @@ class Bitstream {
 
   Header header_;
   std::vector<std::uint8_t> bytes_;
-  mutable ParseMemo memo_;
+  std::optional<FrameRecipe> recipe_;
+  Memo<std::vector<std::uint8_t>> materialized_;
+  Memo<ParseMemoEntry> memo_;
 };
 
 /// CRC-32 tag for a device name, stored in headers for compatibility checks.

@@ -1,13 +1,16 @@
 #include "bitstream/parser.hpp"
 
+#include <algorithm>
+
 #include "analyze/checks_bitstream.hpp"
+#include "bitstream/builder.hpp"
 #include "util/error.hpp"
 
 namespace prtr::bitstream {
 
 /// A published parse and the device it was validated against.
 struct ParseMemoEntry {
-  /// Everything analyze::scanStream reads from the device.
+  /// Everything the parse reads from the device.
   struct DeviceKey {
     std::uint32_t tag = 0;
     std::uint32_t totalFrames = 0;
@@ -20,8 +23,9 @@ struct ParseMemoEntry {
   ParsedStream parsed;
 };
 
-void ParseMemo::reset(const ParseMemoEntry* next) noexcept {
-  delete entry.exchange(next, std::memory_order_acq_rel);
+template <>
+void Memo<ParseMemoEntry>::reset(const ParseMemoEntry* next) noexcept {
+  delete slot_.exchange(next, std::memory_order_acq_rel);
 }
 
 namespace {
@@ -32,9 +36,31 @@ ParseMemoEntry::DeviceKey keyOf(const fabric::Device& device) {
           geometry.encoding()};
 }
 
+/// Throws the first error-severity diagnostic of `sink`, if any.
+void throwOnError(const analyze::DiagnosticSink& sink) {
+  if (sink.hasErrors()) {
+    throw util::BitstreamError{"XBF: " + sink.firstError().format()};
+  }
+}
+
+/// A recipe stream's parse: its layout checked, no payload read.
+ParsedStream parseRecipe(const Bitstream& stream, const FrameRecipe& recipe,
+                         const fabric::Device& device) {
+  analyze::DiagnosticSink sink;
+  analyze::StreamScan scan = analyze::scanLayout(
+      stream.header(), recipe.runs, stream.size().count(), device, sink);
+  throwOnError(sink);
+  ParsedStream out;
+  out.header = scan.header;
+  out.frameRuns = std::move(scan.frameRuns);
+  out.regionFirst = recipe.regionFirst;
+  out.framesUsed = recipe.framesUsed;
+  return out;
+}
+
 }  // namespace
 
-// Both entry points delegate to the analyze scanners so the parser and
+// Every entry point delegates to the analyze scanners so the parser and
 // prtr-lint can never disagree about what makes a stream malformed; the
 // first error-severity diagnostic becomes the thrown BitstreamError.
 
@@ -49,52 +75,78 @@ ParsedStream parse(std::span<const std::uint8_t> bytes,
                    const fabric::Device& device) {
   analyze::DiagnosticSink sink;
   analyze::StreamScan scan = analyze::scanStream(bytes, device, sink);
-  if (sink.hasErrors()) {
-    throw util::BitstreamError{"XBF: " + sink.firstError().format()};
-  }
+  throwOnError(sink);
+  const auto& enc = device.geometry().encoding();
   ParsedStream out;
   out.header = scan.header;
-  out.writes = std::move(scan.writes);
-  out.frameRuns = frameRunsOf(out.writes);
+  out.frameRuns = std::move(scan.frameRuns);
+  out.bytes = bytes;
+  if (out.header.type == StreamType::kFull) {
+    out.payloadOffset = enc.fullOverheadBytes - 4;
+    out.payloadStride = enc.frameBytes;
+  } else {
+    out.payloadOffset = enc.partialOverheadBytes - 4 + enc.frameAddressBytes;
+    out.payloadStride = std::size_t{enc.frameAddressBytes} + enc.frameBytes;
+  }
   return out;
 }
 
-std::vector<FrameRun> frameRunsOf(std::span<const FrameWrite> writes) {
-  std::vector<FrameRun> runs;
-  for (const FrameWrite& write : writes) {
-    if (!runs.empty() &&
-        std::uint64_t{runs.back().first} + runs.back().count == write.frame) {
-      ++runs.back().count;
-    } else {
-      runs.push_back(FrameRun{write.frame, 1});
+void ParsedStream::forEachPayload(
+    const PayloadVisitor& visit,
+    const std::vector<std::uint32_t>* subset) const {
+  std::span<const std::uint8_t> source = bytes;
+  std::size_t at = payloadOffset;
+  std::size_t stride = payloadStride;
+  if (source.empty()) {
+    const std::vector<std::uint8_t>* synthesized = payloads.get();
+    if (synthesized == nullptr) {
+      auto fresh = std::make_unique<std::vector<std::uint8_t>>();
+      fresh->reserve(std::size_t{header.frameCount} * header.frameBytes);
+      const std::size_t address =
+          header.type == StreamType::kPartial ? kFrameAddressBytes : 0;
+      detail::synthesizeFrames(
+          header, frameRuns, regionFirst, framesUsed,
+          [&](std::span<const std::uint8_t> block, std::uint32_t,
+              std::uint32_t frames) {
+            for (std::uint32_t i = 0; i < frames; ++i) {
+              const auto payload =
+                  block.subspan(i * (header.frameBytes + address) + address,
+                                header.frameBytes);
+              fresh->insert(fresh->end(), payload.begin(), payload.end());
+            }
+          });
+      synthesized = &payloads.publish(std::move(fresh));
+    }
+    source = *synthesized;
+    at = 0;
+    stride = header.frameBytes;
+  }
+  for (const FrameRun& run : frameRuns) {
+    for (std::uint32_t frame = run.first; frame - run.first < run.count;
+         ++frame, at += stride) {
+      if (subset == nullptr ||
+          std::binary_search(subset->begin(), subset->end(), frame)) {
+        visit(frame, source.subspan(at, header.frameBytes));
+      }
     }
   }
-  return runs;
 }
 
 ParsedRef parse(const Bitstream& stream, const fabric::Device& device) {
   const ParseMemoEntry::DeviceKey key = keyOf(device);
-  const std::span<const std::uint8_t> bytes{stream.bytes()};
-  std::atomic<const ParseMemoEntry*>& slot = stream.memo_.entry;
-  const ParseMemoEntry* memo = slot.load(std::memory_order_acquire);
+  const auto uncached = [&] {
+    return stream.recipe_ ? parseRecipe(stream, *stream.recipe_, device)
+                          : parse(std::span{stream.bytes_}, device);
+  };
+  const ParseMemoEntry* memo = stream.memo_.get();
   if (memo == nullptr) {
     // First parse: validate without a lock (a throw publishes nothing),
-    // then publish; a racing loader that published first wins.
-    auto fresh = std::make_unique<ParseMemoEntry>(
-        ParseMemoEntry{key, parse(bytes, device)});
-    if (slot.compare_exchange_strong(memo, fresh.get(),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      return ParsedRef{fresh.release()->parsed};
-    }
-    if (memo->key != key) {
-      return ParsedRef{
-          std::make_unique<const ParsedStream>(std::move(fresh->parsed))};
-    }
-  } else if (memo->key != key) {
-    return ParsedRef{std::make_unique<const ParsedStream>(parse(bytes, device))};
+    // then publish; a racing parse that published first wins.
+    memo = &stream.memo_.publish(std::make_unique<const ParseMemoEntry>(
+        ParseMemoEntry{key, uncached()}));
   }
-  return ParsedRef{memo->parsed};
+  if (memo->key == key) return ParsedRef{memo->parsed};
+  return ParsedRef{std::make_unique<const ParsedStream>(uncached())};
 }
 
 }  // namespace prtr::bitstream

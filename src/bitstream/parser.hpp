@@ -6,46 +6,53 @@
 /// on top — see config/vendor_api.hpp).
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "bitstream/compress.hpp"
 #include "bitstream/format.hpp"
 #include "fabric/device.hpp"
 
 namespace prtr::bitstream {
 
-/// A decoded frame write.
-struct FrameWrite {
-  std::uint32_t frame = 0;
-  std::span<const std::uint8_t> payload;
-};
+/// Receives one frame write: the frame and its payload.
+using PayloadVisitor = std::function<void(
+    std::uint32_t frame, std::span<const std::uint8_t> payload)>;
 
-/// A maximal run of consecutive frames written by one stream:
-/// frames [first, first + count).
-struct FrameRun {
-  std::uint32_t first = 0;
-  std::uint32_t count = 0;
-
-  friend bool operator==(const FrameRun&, const FrameRun&) = default;
-};
-
-/// Parsed view over a validated stream. Non-owning: the underlying byte
-/// buffer must outlive the view.
+/// Parsed view over a validated stream. A byte stream's view is
+/// non-owning: its bytes must outlive it.
 struct ParsedStream {
   Header header;
-  std::vector<FrameWrite> writes;
-  /// `writes`' frame addresses, in order, as maximal consecutive runs (a
-  /// full stream or a library partial is one run). Built once by parse()
-  /// and memoized with the stream, so configuration memory applies a
-  /// stream with one bounds check and one fill per run.
+  /// The frames written, in order, as maximal consecutive runs (a full
+  /// stream or a library partial is one run), so configuration memory
+  /// applies a stream with one bounds check and one fill per run.
   std::vector<FrameRun> frameRuns;
-};
+  /// A byte stream's bytes; write i's payload starts at
+  /// `payloadOffset + i * payloadStride`. Empty for a recipe stream, whose
+  /// payloads follow from header.moduleId, `regionFirst` and `framesUsed`
+  /// (FrameRecipe).
+  std::span<const std::uint8_t> bytes;
+  std::size_t payloadOffset = 0;
+  std::size_t payloadStride = 0;
+  std::uint32_t regionFirst = 0;
+  std::uint32_t framesUsed = 0;
+  /// A recipe stream's payloads, back to back in write order: synthesized
+  /// an L1-sized block at a time by the first forEachPayload, then kept, so
+  /// a stream that is read (readback, repair, MFW grouping) is synthesized
+  /// once, and one that is never read holds none.
+  Memo<std::vector<std::uint8_t>> payloads;
+  /// The stream's MFW plan, published by the first planMfw (compress.hpp).
+  Memo<MfwPlan> mfw;
 
-/// Coalesces `writes`' frame addresses, in order, into maximal runs of
-/// consecutive frames.
-[[nodiscard]] std::vector<FrameRun> frameRunsOf(
-    std::span<const FrameWrite> writes);
+  /// Calls `visit(frame, payload)` for every frame write, in stream order,
+  /// or only for the writes to the frames in `subset` (sorted) when it is
+  /// given. A byte stream's payloads are slices of its bytes; a recipe
+  /// stream's are slices of `payloads`.
+  void forEachPayload(const PayloadVisitor& visit,
+                      const std::vector<std::uint32_t>* subset = nullptr) const;
+};
 
 /// Parses and validates `bytes` against `device`'s geometry.
 /// Throws BitstreamError on: bad magic, unknown type, device mismatch,
@@ -71,9 +78,15 @@ class ParsedRef {
 };
 
 /// Validates an immutable stream once per process and device. The first
-/// successful parse of a Bitstream object publishes its ParsedStream next
-/// to the bytes it views; every later call with an equivalent device gets
-/// that same view back, from any thread, without taking a lock.
+/// successful parse of a Bitstream object publishes its ParsedStream with
+/// the stream; every later call with an equivalent device gets that same
+/// view back, from any thread, without taking a lock.
+///
+/// A byte-backed stream is scanned in full (analyze::scanStream, the CRC
+/// included) and its view points into its bytes. A recipe stream (every
+/// stream Builder makes) is checked from its header, frame runs and size
+/// (analyze::scanLayout) and reads no payload byte: its CRC was computed
+/// from the same synthesis its payloads come from.
 ///
 /// Lifetime: the memo lives as long as the Bitstream and dies with it. A
 /// copied Bitstream starts with an empty memo (its view must point into its

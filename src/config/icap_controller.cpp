@@ -157,13 +157,10 @@ sim::Process IcapController::drain(util::Bytes total, ChunkPipe& pipe) {
   pipe.finish();
 }
 
-util::Bytes IcapController::wireBytes(const bitstream::Bitstream& stream) {
+util::Bytes IcapController::wireBytes(
+    const bitstream::Bitstream& stream) const {
   if (!timing_.multiFrameWrite) return stream.size();
-  const auto it = wireBytesCache_.find(&stream);
-  if (it != wireBytesCache_.end()) return it->second;
-  const bitstream::MfwPlan plan =
-      bitstream::planMfw(stream, memory_->device());
-  return wireBytesCache_.emplace(&stream, plan.wireBytes).first->second;
+  return bitstream::planMfw(stream, memory_->device()).wireBytes;
 }
 
 sim::Process IcapController::load(const bitstream::Bitstream& stream) {

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -120,7 +119,7 @@ class IcapController {
 
   /// Bytes that must cross the host link / drain into ICAP for `stream`
   /// under the configured mode (raw size, or the MFW wire size).
-  [[nodiscard]] util::Bytes wireBytes(const bitstream::Bitstream& stream);
+  [[nodiscard]] util::Bytes wireBytes(const bitstream::Bitstream& stream) const;
 
   /// Installs (or clears, with nullptr) the per-load fault hook.
   void setFaultHook(IcapFaultHook hook) { faultHook_ = std::move(hook); }
@@ -162,7 +161,6 @@ class IcapController {
   std::uint64_t abortedLoads_ = 0;
   std::uint64_t bytesWritten_ = 0;
   util::Time contention_;
-  std::map<const bitstream::Bitstream*, util::Bytes> wireBytesCache_;
 };
 
 }  // namespace prtr::config

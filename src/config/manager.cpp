@@ -31,16 +31,14 @@ std::vector<std::uint32_t> corruptedFrames(
     ConfigMemory& memory, const bitstream::ParsedStream& parsed,
     const std::vector<std::uint32_t>* subset) {
   std::vector<std::uint32_t> bad;
-  for (const auto& write : parsed.writes) {
-    if (subset != nullptr &&
-        !std::binary_search(subset->begin(), subset->end(), write.frame)) {
-      continue;
-    }
-    if (util::Crc32::of(memory.frameContent(write.frame)) !=
-        util::Crc32::of(write.payload)) {
-      bad.push_back(write.frame);
-    }
-  }
+  parsed.forEachPayload(
+      [&](std::uint32_t frame, std::span<const std::uint8_t> payload) {
+        if (util::Crc32::of(memory.frameContent(frame)) !=
+            util::Crc32::of(payload)) {
+          bad.push_back(frame);
+        }
+      },
+      subset);
   return bad;
 }
 

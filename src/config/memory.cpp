@@ -39,12 +39,12 @@ void ConfigMemory::writeOwners(const bitstream::ParsedStream& stream) {
 
 void ConfigMemory::retainPayloads(const bitstream::ParsedStream& stream) {
   if (image_.empty()) return;
-  const std::uint32_t frameBytes = device_->geometry().encoding().frameBytes;
-  for (const auto& write : stream.writes) {
-    std::copy(write.payload.begin(), write.payload.end(),
-              image_.begin() + static_cast<std::ptrdiff_t>(
-                                   std::uint64_t{write.frame} * frameBytes));
-  }
+  stream.forEachPayload([this](std::uint32_t frame,
+                               std::span<const std::uint8_t> payload) {
+    std::copy(payload.begin(), payload.end(),
+              image_.begin() +
+                  static_cast<std::ptrdiff_t>(frame * payload.size()));
+  });
 }
 
 void ConfigMemory::applyFull(const bitstream::ParsedStream& stream) {
@@ -53,7 +53,7 @@ void ConfigMemory::applyFull(const bitstream::ParsedStream& stream) {
   }
   writeOwners(stream);
   retainPayloads(stream);
-  framesWritten_ += stream.writes.size();
+  framesWritten_ += stream.header.frameCount;
   done_ = true;
 }
 
@@ -68,7 +68,7 @@ void ConfigMemory::applyPartial(const bitstream::ParsedStream& stream) {
   }
   writeOwners(stream);
   retainPayloads(stream);
-  framesWritten_ += stream.writes.size();
+  framesWritten_ += stream.header.frameCount;
 }
 
 void ConfigMemory::enableReadback() {
@@ -108,17 +108,15 @@ std::uint64_t ConfigMemory::repairFrames(
   if (frames.empty()) return 0;
   std::vector<std::uint32_t> wanted = frames;
   std::sort(wanted.begin(), wanted.end());
-  const std::uint32_t frameBytes = device_->geometry().encoding().frameBytes;
   std::uint64_t repaired = 0;
-  for (const auto& write : stream.writes) {
-    if (!std::binary_search(wanted.begin(), wanted.end(), write.frame)) {
-      continue;
-    }
-    std::copy(write.payload.begin(), write.payload.end(),
-              image_.begin() + static_cast<std::ptrdiff_t>(
-                                   std::uint64_t{write.frame} * frameBytes));
-    ++repaired;
-  }
+  stream.forEachPayload(
+      [&](std::uint32_t frame, std::span<const std::uint8_t> payload) {
+        std::copy(payload.begin(), payload.end(),
+                  image_.begin() +
+                      static_cast<std::ptrdiff_t>(frame * payload.size()));
+        ++repaired;
+      },
+      &wanted);
   framesWritten_ += repaired;
   return repaired;
 }

@@ -12,12 +12,13 @@ std::vector<std::uint32_t> verifyRegion(ConfigMemory& memory,
                 "verifyRegion: enable readback on the configuration memory");
   const bitstream::ParsedRef parsed = memory.parsedFor(golden);
   std::vector<std::uint32_t> corrupted;
-  for (const bitstream::FrameWrite& write : parsed->writes) {
-    const auto current = memory.frameContent(write.frame);
-    if (!std::equal(current.begin(), current.end(), write.payload.begin())) {
-      corrupted.push_back(write.frame);
-    }
-  }
+  parsed->forEachPayload(
+      [&](std::uint32_t frame, std::span<const std::uint8_t> payload) {
+        const auto current = memory.frameContent(frame);
+        if (!std::equal(current.begin(), current.end(), payload.begin())) {
+          corrupted.push_back(frame);
+        }
+      });
   return corrupted;
 }
 

@@ -18,12 +18,6 @@ std::uint64_t objectId(const ArtifactCache::Key& slot) {
   return std::hash<ArtifactCache::Key>{}(slot);
 }
 
-/// Resident byte estimate of one bitstream: encoded bytes plus the handle
-/// and header bookkeeping.
-std::uint64_t bitstreamBytes(const bitstream::Bitstream& stream) {
-  return stream.bytes().size() + sizeof(bitstream::Bitstream);
-}
-
 /// Floorplans carry no frame payloads; estimate per-region/bus-macro
 /// bookkeeping so the budget still sees them.
 std::uint64_t floorplanBytes(const fabric::Floorplan& plan) {
@@ -177,7 +171,7 @@ std::shared_ptr<const bitstream::Bitstream> ArtifactCache::bitstream(
     const Key& key, const std::function<bitstream::Bitstream()>& build) {
   auto erased = getOrBuild(kBitstreamTag + key, [&] {
     auto stream = std::make_shared<const bitstream::Bitstream>(build());
-    const std::uint64_t size = bitstreamBytes(*stream);
+    const std::uint64_t size = stream->residentBytes();
     return std::pair<std::shared_ptr<const void>, std::uint64_t>{
         std::move(stream), size};
   });

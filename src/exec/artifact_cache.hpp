@@ -64,7 +64,8 @@ class ArtifactCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;      ///< builder invocations (single-flight)
     std::uint64_t evictions = 0;
-    std::uint64_t bytes = 0;       ///< resident artifact bytes
+    std::uint64_t bytes = 0;       ///< resident artifact bytes (a recipe
+                                   ///< stream is its runs, not its encoding)
     std::uint64_t entries = 0;     ///< resident artifact count
 
     [[nodiscard]] double hitRate() const noexcept {

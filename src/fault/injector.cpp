@@ -1,5 +1,6 @@
 #include "fault/injector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -75,19 +76,21 @@ void Injector::corruptWrites(config::ConfigMemory& memory,
                              const bitstream::ParsedStream& parsed,
                              const std::vector<std::uint32_t>* frames) {
   if (plan_.wordFlipRate <= 0.0) return;
-  // Collect the writes this operation actually touched (`frames` is sorted
-  // by the repair path; null means the whole stream).
-  std::vector<const bitstream::FrameWrite*> touched;
-  touched.reserve(parsed.writes.size());
-  std::uint64_t payloadBytes = 0;
-  for (const auto& write : parsed.writes) {
-    if (frames != nullptr &&
-        !std::binary_search(frames->begin(), frames->end(), write.frame)) {
-      continue;
+  // Collect the frames this operation actually wrote (`frames` is sorted
+  // by the repair path; null means the whole stream). Every payload is
+  // frameBytes long, so no payload byte is read.
+  std::vector<std::uint32_t> touched;
+  for (const bitstream::FrameRun& run : parsed.frameRuns) {
+    for (std::uint32_t frame = run.first; frame - run.first < run.count;
+         ++frame) {
+      if (frames == nullptr ||
+          std::binary_search(frames->begin(), frames->end(), frame)) {
+        touched.push_back(frame);
+      }
     }
-    touched.push_back(&write);
-    payloadBytes += write.payload.size();
   }
+  const std::uint32_t frameBytes = parsed.header.frameBytes;
+  const std::uint64_t payloadBytes = touched.size() * std::uint64_t{frameBytes};
   if (touched.empty()) return;
   const double words = static_cast<double>(payloadBytes) / 4.0;
   std::uint64_t flips = 0;
@@ -97,11 +100,10 @@ void Injector::corruptWrites(config::ConfigMemory& memory,
     flips = poisson(plan_.wordFlipRate * words);
   }
   for (std::uint64_t i = 0; i < flips; ++i) {
-    const auto& write = *touched[rng_.below(touched.size())];
-    const auto offset =
-        static_cast<std::uint32_t>(rng_.below(write.payload.size()));
+    const std::uint32_t frame = touched[rng_.below(touched.size())];
+    const auto offset = static_cast<std::uint32_t>(rng_.below(frameBytes));
     const auto mask = static_cast<std::uint8_t>(1u << rng_.below(8));
-    memory.injectUpset(write.frame, offset, mask);
+    memory.injectUpset(frame, offset, mask);
     ++injected_[idx(FaultKind::kWordFlip)];
   }
 }

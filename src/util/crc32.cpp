@@ -116,6 +116,17 @@ bool useClmul() noexcept {
 #undef PRTR_CLMUL_TARGET
 #endif  // PRTR_CRC32_CLMUL
 
+/// `a` times `b` modulo the CRC polynomial, both in the reflected bit order
+/// of the register (bit 31 is x^0).
+std::uint32_t multiplyModP(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t bit = 1u << 31; bit != 0; bit >>= 1) {
+    if ((a & bit) != 0) product ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return product;
+}
+
 }  // namespace
 
 namespace detail {
@@ -156,6 +167,18 @@ void Crc32::update(std::span<const std::uint8_t> data) noexcept {
   }
 #endif
   crc_ = detail::crc32Table(crc_, data);
+}
+
+std::uint32_t Crc32::combine(std::uint32_t crcA, std::uint32_t crcB,
+                             std::uint64_t lengthB) noexcept {
+  // Appending lengthB bytes multiplies A's contribution by x^(8 lengthB).
+  std::uint32_t shift = 1u << 31;   // x^0
+  std::uint32_t square = 1u << 23;  // x^8, squared once per bit of lengthB
+  for (; lengthB != 0; lengthB >>= 1) {
+    if ((lengthB & 1u) != 0) shift = multiplyModP(square, shift);
+    square = multiplyModP(square, square);
+  }
+  return multiplyModP(shift, crcA) ^ crcB;
 }
 
 }  // namespace prtr::util

@@ -29,6 +29,12 @@ class Crc32 {
     return c.value();
   }
 
+  /// The checksum of A followed by B, from A's checksum, B's checksum and
+  /// B's length (zlib's crc32_combine), without reading either.
+  [[nodiscard]] static std::uint32_t combine(std::uint32_t crcA,
+                                             std::uint32_t crcB,
+                                             std::uint64_t lengthB) noexcept;
+
  private:
   std::uint32_t crc_ = 0xFFFFFFFFu;
 };

@@ -1,8 +1,12 @@
 // Tests for the ZRL codec and the multi-frame-write (MFW) planner.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "bitstream/builder.hpp"
 #include "bitstream/compress.hpp"
+#include "bitstream/parser.hpp"
 #include "fabric/floorplan.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -89,6 +93,19 @@ TEST(ZrlTest, PartialBitstreamsCompressWell) {
   EXPECT_EQ(zrlDecompress(zrlCompress(stream.bytes())), stream.bytes());
 }
 
+/// `stream`'s payloads grouped by content, read from its materialized bytes
+/// by the span parse: the count an MFW plan must find.
+std::uint32_t distinctPayloads(const Bitstream& stream,
+                               const fabric::Device& device) {
+  std::set<std::vector<std::uint8_t>> payloads;
+  parse(std::span{stream.bytes()}, device)
+      .forEachPayload(
+          [&](std::uint32_t, std::span<const std::uint8_t> payload) {
+            payloads.emplace(payload.begin(), payload.end());
+          });
+  return static_cast<std::uint32_t>(payloads.size());
+}
+
 TEST(MfwTest, DedupCountsUnoccupiedFramesOnce) {
   const fabric::Floorplan plan = fabric::makeDualPrrLayout();
   const Builder builder{plan.device()};
@@ -98,8 +115,16 @@ TEST(MfwTest, DedupCountsUnoccupiedFramesOnce) {
   EXPECT_EQ(plan30.totalFrames, 380u);
   // 114 occupied distinct frames + 1 shared zero frame.
   EXPECT_EQ(plan30.uniqueFrames, 115u);
+  EXPECT_EQ(plan30.uniqueFrames, distinctPayloads(stream, plan.device()));
   EXPECT_LT(plan30.wireBytes.count(), plan30.rawBytes.count());
   EXPECT_NEAR(plan30.frameDedupRatio(), 115.0 / 380.0, 1e-12);
+  // The plan is memoized with the stream's parse, and a byte-backed copy
+  // of the same bytes plans the same.
+  EXPECT_EQ(parse(stream, plan.device())->mfw.get()->uniqueFrames, 115u);
+  const MfwPlan fromBytes =
+      planMfw(Bitstream{stream.header(), stream.bytes()}, plan.device());
+  EXPECT_EQ(fromBytes.uniqueFrames, plan30.uniqueFrames);
+  EXPECT_EQ(fromBytes.wireBytes, plan30.wireBytes);
 }
 
 TEST(MfwTest, FullyOccupiedModuleGainsLittle) {
@@ -108,6 +133,7 @@ TEST(MfwTest, FullyOccupiedModuleGainsLittle) {
   const Bitstream stream = builder.buildModulePartial(plan.prr(0), 7, 1.0);
   const MfwPlan mfw = planMfw(stream, plan.device());
   EXPECT_EQ(mfw.uniqueFrames, mfw.totalFrames);  // every frame distinct
+  EXPECT_EQ(mfw.uniqueFrames, distinctPayloads(stream, plan.device()));
 }
 
 TEST(MfwTest, RejectsFullStreams) {

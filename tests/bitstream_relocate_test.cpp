@@ -35,12 +35,10 @@ TEST(RelocateTest, RelocatedStreamParsesAndTargetsNewRegion) {
       relocate(original, plan.device(), plan.prr(0), plan.prr(2));
 
   EXPECT_EQ(moved.size(), original.size());
-  const ParsedStream parsed = *parse(moved, plan.device());
+  const ParsedStream& parsed = *parse(moved, plan.device());
   const fabric::FrameRange target = plan.prr(2).frames(plan.device());
-  ASSERT_EQ(parsed.writes.size(), target.count);
-  for (const FrameWrite& w : parsed.writes) {
-    EXPECT_TRUE(target.contains(w.frame));
-  }
+  EXPECT_EQ(parsed.frameRuns,
+            (std::vector<FrameRun>{{target.first, target.count}}));
   EXPECT_EQ(parsed.header.moduleId, 77u);
 }
 
@@ -51,14 +49,19 @@ TEST(RelocateTest, PayloadsArePreservedBitExact) {
   const Bitstream moved =
       relocate(original, plan.device(), plan.prr(1), plan.prr(3));
 
-  const ParsedStream before = *parse(original, plan.device());
-  const ParsedStream after = *parse(moved, plan.device());
-  ASSERT_EQ(before.writes.size(), after.writes.size());
-  for (std::size_t i = 0; i < before.writes.size(); ++i) {
-    EXPECT_TRUE(std::equal(before.writes[i].payload.begin(),
-                           before.writes[i].payload.end(),
-                           after.writes[i].payload.begin()));
-  }
+  // Payload i of each stream, in write order.
+  const auto payloads = [&plan](const Bitstream& stream) {
+    std::vector<std::vector<std::uint8_t>> out;
+    parse(stream, plan.device())
+        ->forEachPayload([&out](std::uint32_t,
+                                std::span<const std::uint8_t> payload) {
+          out.emplace_back(payload.begin(), payload.end());
+        });
+    return out;
+  };
+  const auto before = payloads(original);
+  EXPECT_EQ(before.size(), original.header().frameCount);
+  EXPECT_EQ(payloads(moved), before);
 }
 
 TEST(RelocateTest, RelocatedStreamLoadsIntoConfigMemory) {

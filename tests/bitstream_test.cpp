@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "bitstream/parser.hpp"
 #include "exec/pool.hpp"
 #include "fabric/floorplan.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -66,20 +68,50 @@ TEST_F(BitstreamTest, ParseRoundTripsFull) {
   const Bitstream full = builder_.buildFull(3);
   const ParsedStream parsed = *parse(full, plan_.device());
   EXPECT_EQ(parsed.header.moduleId, 3u);
-  EXPECT_EQ(parsed.writes.size(), 2246u);
-  EXPECT_EQ(parsed.writes.front().frame, 0u);
-  EXPECT_EQ(parsed.writes.back().frame, 2245u);
+  EXPECT_EQ(parsed.frameRuns, (std::vector<FrameRun>{{0, 2246}}));
+}
+
+/// The little-endian word at `at` of `bytes`.
+std::uint32_t readU32(std::span<const std::uint8_t> bytes, std::size_t at) {
+  return static_cast<std::uint32_t>(bytes[at]) |
+         static_cast<std::uint32_t>(bytes[at + 1]) << 8 |
+         static_cast<std::uint32_t>(bytes[at + 2]) << 16 |
+         static_cast<std::uint32_t>(bytes[at + 3]) << 24;
+}
+
+/// Every (frame, payload) the parse's payload accessor hands out, in order.
+std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> payloadsOf(
+    const ParsedStream& parsed) {
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> out;
+  parsed.forEachPayload(
+      [&out](std::uint32_t frame, std::span<const std::uint8_t> payload) {
+        out.emplace_back(frame, std::vector<std::uint8_t>(payload.begin(),
+                                                          payload.end()));
+      });
+  return out;
 }
 
 TEST_F(BitstreamTest, ParseRoundTripsPartialWithRegionAddresses) {
   const Bitstream part = builder_.buildModulePartial(plan_.prr(1), 5);
-  const ParsedStream parsed = *parse(part, plan_.device());
+  const ParsedStream& parsed = *parse(part, plan_.device());
   const fabric::FrameRange range = plan_.prr(1).frames(plan_.device());
-  EXPECT_EQ(parsed.writes.size(), range.count);
-  for (const FrameWrite& w : parsed.writes) {
-    EXPECT_TRUE(range.contains(w.frame));
-    EXPECT_EQ(w.payload.size(),
-              plan_.device().geometry().encoding().frameBytes);
+  EXPECT_EQ(parsed.frameRuns,
+            (std::vector<FrameRun>{{range.first, range.count}}));
+  // Write i of the encoded stream is its address word, then its payload:
+  // the accessor hands out the frame the word names and those bytes.
+  const auto& enc = plan_.device().geometry().encoding();
+  const std::span<const std::uint8_t> bytes{part.bytes()};
+  const auto payloads = payloadsOf(parsed);
+  ASSERT_EQ(payloads.size(), range.count);
+  std::size_t at = enc.partialOverheadBytes - 4;
+  for (const auto& [frame, payload] : payloads) {
+    EXPECT_TRUE(range.contains(frame));
+    EXPECT_EQ(readU32(bytes, at), frame);
+    at += enc.frameAddressBytes;
+    ASSERT_EQ(payload.size(), enc.frameBytes);
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           bytes.begin() + static_cast<std::ptrdiff_t>(at)));
+    at += enc.frameBytes;
   }
 }
 
@@ -136,8 +168,8 @@ TEST_F(BitstreamTest, ParseMemoizesOneViewPerStream) {
   ASSERT_NE(&twin.device(), &plan_.device());
   EXPECT_EQ(&*parse(part, twin.device()), first);
   // The span overload never consults the memo.
-  EXPECT_EQ(parse(std::span{part.bytes()}, plan_.device()).writes.size(),
-            first->writes.size());
+  EXPECT_EQ(parse(std::span{part.bytes()}, plan_.device()).frameRuns,
+            first->frameRuns);
 }
 
 TEST_F(BitstreamTest, CorruptStreamThrowsOnEveryParse) {
@@ -156,7 +188,7 @@ TEST_F(BitstreamTest, CorruptStreamThrowsOnEveryParse) {
 TEST_F(BitstreamTest, OtherDeviceNeverReplacesTheMemo) {
   const Bitstream part = builder_.buildModulePartial(plan_.prr(0), 5);
   const ParsedRef memo = parse(part, plan_.device());
-  const std::size_t writes = memo->writes.size();
+  const std::vector<FrameRun> runs = memo->frameRuns;
 
   auto expectCode = [&](const fabric::Device& device, const char* code) {
     try {
@@ -177,14 +209,18 @@ TEST_F(BitstreamTest, OtherDeviceNeverReplacesTheMemo) {
   const fabric::Device moreFrames = variantOf(plan_.device(), frameBytes);
   const ParsedRef other = parse(part, moreFrames);
   EXPECT_NE(&*other, &*memo);
-  EXPECT_EQ(other->writes.size(), writes);
+  EXPECT_EQ(other->frameRuns, runs);
+  EXPECT_EQ(payloadsOf(*other), payloadsOf(*memo));
 
   EXPECT_EQ(&*parse(part, plan_.device()), &*memo);
-  EXPECT_EQ(memo->writes.size(), writes);
+  EXPECT_EQ(memo->frameRuns, runs);
 }
 
 TEST_F(BitstreamTest, CopiedStreamViewsItsOwnBytes) {
-  Bitstream original = builder_.buildModulePartial(plan_.prr(1), 6);
+  // A byte-backed stream: its view's payloads are slices of its bytes.
+  const Bitstream built = builder_.buildModulePartial(plan_.prr(1), 6);
+  Bitstream original{built.header(), built.bytes()};
+  ASSERT_EQ(original.recipe(), nullptr);
   const ParsedStream* originalView = &*parse(original, plan_.device());
 
   const Bitstream copy = original;
@@ -192,10 +228,24 @@ TEST_F(BitstreamTest, CopiedStreamViewsItsOwnBytes) {
   EXPECT_NE(&*copyView, originalView);
   const std::uint8_t* begin = copy.bytes().data();
   const std::uint8_t* end = begin + copy.bytes().size();
-  for (const FrameWrite& write : copyView->writes) {
-    ASSERT_GE(write.payload.data(), begin);
-    ASSERT_LE(write.payload.data() + write.payload.size(), end);
-  }
+  std::size_t visited = 0;
+  copyView->forEachPayload(
+      [&](std::uint32_t, std::span<const std::uint8_t> payload) {
+        ++visited;
+        ASSERT_GE(payload.data(), begin);
+        ASSERT_LE(payload.data() + payload.size(), end);
+      });
+  EXPECT_EQ(visited, copy.header().frameCount);
+  // The same bytes the recipe stream synthesizes.
+  EXPECT_EQ(payloadsOf(*copyView), payloadsOf(*parse(built, plan_.device())));
+
+  // A copied recipe stream gets a memo of its own, with the same payloads.
+  const Bitstream recipeCopy = built;
+  ASSERT_NE(recipeCopy.recipe(), nullptr);
+  EXPECT_NE(&*parse(recipeCopy, plan_.device()),
+            &*parse(built, plan_.device()));
+  EXPECT_EQ(payloadsOf(*parse(recipeCopy, plan_.device())),
+            payloadsOf(*copyView));
 
   // A move keeps the buffer, so it keeps the view too.
   const Bitstream moved = std::move(original);
@@ -228,8 +278,43 @@ TEST_F(BitstreamTest, PoolWorkersShareOneFirstParse) {
     EXPECT_EQ(view, got.front());
   }
   EXPECT_EQ(&*parse(fresh, plan_.device()), got.front());
-  EXPECT_EQ(got.front()->writes.size(),
+  EXPECT_EQ(got.front()->header.frameCount,
             plan_.prr(0).frames(plan_.device()).count);
+}
+
+TEST_F(BitstreamTest, ConcurrentBytesCallsShareOneBuffer) {
+  constexpr std::size_t kThreads = 8;
+  const Bitstream fresh = builder_.buildModulePartial(plan_.prr(1), 9, 0.6);
+  std::atomic<std::size_t> arrived{0};
+  std::vector<const std::vector<std::uint8_t>*> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (arrived.load() < kThreads &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      got[i] = &fresh.bytes();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::vector<std::uint8_t>* bytes : got) {
+    EXPECT_EQ(bytes, got.front());
+  }
+  EXPECT_EQ(&fresh.bytes(), got.front());
+  EXPECT_EQ(got.front()->size(), fresh.size().count());
+}
+
+TEST_F(BitstreamTest, MaterializingAWrongRecipeThrows) {
+  const Bitstream built = builder_.buildModulePartial(plan_.prr(0), 5);
+  FrameRecipe recipe = *built.recipe();
+  recipe.crc ^= 1;
+  const Bitstream wrong{built.header(), recipe};
+  EXPECT_THROW((void)wrong.bytes(), util::BitstreamError);
+  EXPECT_THROW((void)wrong.bytes(), util::BitstreamError);  // never memoized
 }
 
 TEST_F(BitstreamTest, PayloadsAreDeterministic) {
@@ -403,9 +488,11 @@ std::uint64_t fnv1a(const Bitstream& stream) {
   return h;
 }
 
-// Hashes every stream a two-module Library holds on the single, dual and
-// quad layouts, named "<layout>/<stream>".
-std::vector<std::pair<std::string, std::uint64_t>> libraryStreamHashes() {
+// Calls `visit(name, plan, stream)` for every stream a two-module Library
+// holds on the single, dual and quad layouts, named "<layout>/<stream>".
+void forEachLibraryStream(
+    const std::function<void(const std::string&, const fabric::Floorplan&,
+                             const Bitstream&)>& visit) {
   using Layout = fabric::Floorplan (*)();
   const std::pair<std::string, Layout> layouts[] = {
       {"single", &fabric::makeSinglePrrLayout},
@@ -413,28 +500,89 @@ std::vector<std::pair<std::string, std::uint64_t>> libraryStreamHashes() {
       {"quad", &fabric::makeQuadPrrLayout}};
   const std::vector<Library::ModuleSpec> modules{{1, "median", 0.45},
                                                  {2, "sobel", 0.8}};
-  std::vector<std::pair<std::string, std::uint64_t>> hashes;
   for (const auto& [layoutName, make] : layouts) {
     const fabric::Floorplan plan = make();
     Library lib{plan, modules};
-    hashes.emplace_back(layoutName + "/full", fnv1a(lib.full()));
+    visit(layoutName + "/full", plan, lib.full());
     for (std::size_t prr = 0; prr < plan.prrCount(); ++prr) {
       const std::string at = layoutName + "/prr" + std::to_string(prr);
       for (const auto& m : modules) {
         const std::string id = std::to_string(m.id);
-        hashes.emplace_back(at + "/module" + id,
-                            fnv1a(lib.modulePartial(prr, m.id)));
-        hashes.emplace_back(at + "/reload" + id,
-                            fnv1a(lib.prrReload(prr, m.id)));
+        visit(at + "/module" + id, plan, lib.modulePartial(prr, m.id));
+        visit(at + "/reload" + id, plan, lib.prrReload(prr, m.id));
         for (const auto& to : modules) {
           if (to.id == m.id) continue;
-          hashes.emplace_back(at + "/diff" + id + "to" + std::to_string(to.id),
-                              fnv1a(lib.differencePartial(prr, m.id, to.id)));
+          visit(at + "/diff" + id + "to" + std::to_string(to.id), plan,
+                lib.differencePartial(prr, m.id, to.id));
         }
       }
     }
   }
+}
+
+// Hashes every stream forEachLibraryStream visits.
+std::vector<std::pair<std::string, std::uint64_t>> libraryStreamHashes() {
+  std::vector<std::pair<std::string, std::uint64_t>> hashes;
+  forEachLibraryStream([&hashes](const std::string& name,
+                                 const fabric::Floorplan&,
+                                 const Bitstream& stream) {
+    hashes.emplace_back(name, fnv1a(stream));
+  });
   return hashes;
+}
+
+// Every Library stream is a recipe. Its materialized bytes byte-parse with
+// the CRC check (BS006) active, carry the recipe's header, frame runs and
+// CRC, and hold exactly the payloads the recipe's accessor synthesizes.
+TEST(LibraryTest, MaterializedStreamsMatchTheirRecipes) {
+  forEachLibraryStream([](const std::string& name,
+                          const fabric::Floorplan& plan,
+                          const Bitstream& stream) {
+    SCOPED_TRACE(name);
+    const FrameRecipe* recipe = stream.recipe();
+    ASSERT_NE(recipe, nullptr);
+    const ParsedStream& fromRecipe = *parse(stream, plan.device());
+    const std::vector<std::uint8_t>& bytes = stream.bytes();
+    ASSERT_EQ(bytes.size(), stream.size().count());
+    const ParsedStream fromBytes = parse(std::span{bytes}, plan.device());
+    EXPECT_EQ(readU32(bytes, bytes.size() - 4), recipe->crc);
+    EXPECT_EQ(fromBytes.header, stream.header());
+    EXPECT_EQ(fromBytes.frameRuns, recipe->runs);
+    EXPECT_EQ(fromRecipe.frameRuns, recipe->runs);
+    EXPECT_EQ(payloadsOf(fromRecipe), payloadsOf(fromBytes));
+  });
+}
+
+// A recipe's CRC does not depend on the payload path that synthesized it:
+// recomputed over frames the scalar reference writes, it equals the CRC
+// the build computed through the dispatched (on AVX2 CPUs, vector) kernel.
+TEST(LibraryTest, RecipeCrcMatchesTheScalarReference) {
+  SCOPED_TRACE(detail::framePayloadsVectorized() ? "AVX2 kernel" : "scalar");
+  forEachLibraryStream([](const std::string& name, const fabric::Floorplan&,
+                          const Bitstream& stream) {
+    SCOPED_TRACE(name);
+    const FrameRecipe& recipe = *stream.recipe();
+    const Header& header = stream.header();
+    const std::size_t address = stream.isPartial() ? 4 : 0;
+    util::Crc32 crc;
+    crc.update(std::span{stream.bytes()}.first(recipe.headerBytes));
+    std::vector<std::uint8_t> frame(header.frameBytes + address);
+    for (const FrameRun& run : recipe.runs) {
+      for (std::uint32_t f = run.first; f - run.first < run.count; ++f) {
+        std::fill(frame.begin(), frame.end(), 0);
+        for (std::size_t b = 0; b < address; ++b) {
+          frame[b] = static_cast<std::uint8_t>(f >> (8 * b));
+        }
+        if (f - recipe.regionFirst < recipe.framesUsed) {
+          detail::writeFramePayloadsScalar(
+              header.moduleId, f, 1, header.frameBytes,
+              std::span{frame}.subspan(address), frame.size());
+        }
+        crc.update(frame);
+      }
+    }
+    EXPECT_EQ(crc.value(), recipe.crc);
+  });
 }
 
 // Pins the synthesized bytes of every Library stream, CRC trailer included:

@@ -125,7 +125,7 @@ TEST_F(ConfigFixture, CorruptStreamIsNeverCached) {
     EXPECT_THROW((void)memory_.parsedFor(bad), util::BitstreamError);
     EXPECT_THROW((void)other.parsedFor(bad), util::BitstreamError);
   }
-  EXPECT_EQ(memory_.parsedFor(clean)->writes.size(),
+  EXPECT_EQ(memory_.parsedFor(clean)->header.frameCount,
             plan_.prr(0).frames(plan_.device()).count);
 }
 
@@ -275,11 +275,24 @@ TEST_F(ConfigFixture, ManagerRejectsStreamOutsideTargetPrr) {
 // ---- Frame runs: applying a stream run by run must leave exactly the
 // frame owners a write-by-write application would.
 
-/// frameOwner after applying `stream` one write at a time onto `owners`.
+/// frameOwner after applying `stream` one write at a time onto `owners`:
+/// the frames its encoded bytes address, read independently of any parse.
 void applyWriteByWrite(std::vector<std::uint64_t>& owners,
-                       const bitstream::ParsedStream& stream) {
-  for (const bitstream::FrameWrite& write : stream.writes) {
-    owners.at(write.frame) = stream.header.moduleId;
+                       const bitstream::Bitstream& stream,
+                       const fabric::Device& device) {
+  const std::vector<std::uint8_t>& bytes = stream.bytes();
+  const auto& enc = device.geometry().encoding();
+  std::size_t at = enc.partialOverheadBytes - 4;
+  for (std::uint32_t i = 0; i < stream.header().frameCount; ++i) {
+    std::uint32_t frame = i;
+    if (stream.isPartial()) {
+      frame = static_cast<std::uint32_t>(bytes[at]) |
+              static_cast<std::uint32_t>(bytes[at + 1]) << 8 |
+              static_cast<std::uint32_t>(bytes[at + 2]) << 16 |
+              static_cast<std::uint32_t>(bytes[at + 3]) << 24;
+      at += enc.frameAddressBytes + enc.frameBytes;
+    }
+    owners.at(frame) = stream.header().moduleId;
   }
 }
 
@@ -294,11 +307,10 @@ std::vector<std::uint64_t> ownersOf(const ConfigMemory& memory) {
 
 TEST(FrameRuns, CoalesceConsecutiveFramesInOrder) {
   const std::vector<std::uint32_t> frames{3, 4, 5, 9, 10, 20, 21, 22, 23, 40};
-  std::vector<bitstream::FrameWrite> writes;
-  for (const std::uint32_t frame : frames) writes.push_back({frame, {}});
-  EXPECT_EQ(bitstream::frameRunsOf(writes),
+  std::vector<bitstream::FrameRun> runs;
+  for (const std::uint32_t frame : frames) bitstream::appendFrame(runs, frame);
+  EXPECT_EQ(runs,
             (std::vector<bitstream::FrameRun>{{3, 3}, {9, 2}, {20, 4}, {40, 1}}));
-  EXPECT_TRUE(bitstream::frameRunsOf({}).empty());
 }
 
 TEST(FrameRuns, EveryLibraryStreamAppliesLikeItsWrites) {
@@ -318,14 +330,14 @@ TEST(FrameRuns, EveryLibraryStreamAppliesLikeItsWrites) {
       for (const bitstream::FrameRun& run : parsed->frameRuns) {
         covered += run.count;
       }
-      EXPECT_EQ(covered, parsed->writes.size());
+      EXPECT_EQ(covered, parsed->header.frameCount);
       if (parsed->header.type == bitstream::StreamType::kFull) {
         EXPECT_EQ(parsed->frameRuns.size(), 1u);
         memory.applyFull(*parsed);
       } else {
         memory.applyPartial(*parsed);
       }
-      applyWriteByWrite(reference, *parsed);
+      applyWriteByWrite(reference, stream, plan.device());
       EXPECT_EQ(ownersOf(memory), reference);
     };
     check(library.full());
@@ -376,7 +388,7 @@ TEST(FrameRuns, NonContiguousWritesApplyLikeTheirWrites) {
     memory.applyFull(*full);
     std::vector<std::uint64_t> reference(
         plan.device().geometry().totalFrames(), 0);
-    applyWriteByWrite(reference, *full);
+    applyWriteByWrite(reference, library.full(), plan.device());
     const bitstream::Bitstream& base = library.modulePartial(0, 4);
     const std::uint32_t frames = base.header().frameCount;
     for (const std::uint32_t stride : {1u, 2u, 7u, frames - 1}) {
@@ -384,7 +396,7 @@ TEST(FrameRuns, NonContiguousWritesApplyLikeTheirWrites) {
       const bitstream::ParsedRef parsed = memory.parsedFor(stream);
       ASSERT_EQ(parsed->frameRuns.size(), (frames + stride - 1) / stride);
       memory.applyPartial(*parsed);
-      applyWriteByWrite(reference, *parsed);
+      applyWriteByWrite(reference, stream, plan.device());
       EXPECT_EQ(ownersOf(memory), reference) << "stride " << stride;
     }
   }
@@ -446,7 +458,7 @@ TEST(FrameRuns, SeededInterleavingsMatchThePerWriteReference) {
           } else {
             memory.applyPartial(*parsed);
           }
-          applyWriteByWrite(reference, *parsed);
+          applyWriteByWrite(reference, streams[pick], plan.device());
         }
         ASSERT_EQ(ownersOf(memory), reference)
             << "seed " << seed << " step " << step;

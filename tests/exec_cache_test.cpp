@@ -11,6 +11,8 @@
 
 #include "exec/artifact_cache.hpp"
 #include "fabric/floorplan.hpp"
+#include "runtime/scenario.hpp"
+#include "tasks/workload.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 
@@ -114,8 +116,9 @@ TEST(ArtifactCacheTest, DistinctKeysBuildSeparately) {
 }
 
 TEST(ArtifactCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
-  // Budget fits roughly two 64-byte streams (plus header overhead).
-  ArtifactCache cache{2 * (64 + 64)};
+  // Budget fits two 64-byte streams (plus the stream objects).
+  constexpr std::uint64_t kBudget = 2 * (64 + sizeof(bitstream::Bitstream));
+  ArtifactCache cache{kBudget};
   const auto a = cache.bitstream(key(1), [] { return makeStream(1); });
   const auto b = cache.bitstream(key(2), [] { return makeStream(2); });
   // Touch key 1 so key 2 is the LRU victim when key 3 arrives.
@@ -123,7 +126,7 @@ TEST(ArtifactCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   const auto c = cache.bitstream(key(3), [] { return makeStream(3); });
   const ArtifactCache::Stats stats = cache.stats();
   EXPECT_GE(stats.evictions, 1u);
-  EXPECT_LE(stats.bytes, 2 * (64 + 64));
+  EXPECT_LE(stats.bytes, kBudget);
   // The evicted artifact's handle stays valid for its holders.
   EXPECT_EQ(b->header().moduleId, 2u);
   EXPECT_EQ(b->bytes().size(), 64u);
@@ -137,7 +140,7 @@ TEST(ArtifactCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_NE(b2.get(), b.get());
   // Key 1 was touched most recently before 3; it may or may not have
   // survived the later insert, but the cache never exceeds its budget.
-  EXPECT_LE(cache.stats().bytes, 2 * (64 + 64));
+  EXPECT_LE(cache.stats().bytes, kBudget);
   (void)a;
   (void)c;
 }
@@ -251,6 +254,44 @@ TEST(ArtifactCacheTest, StreamsWithCollidingCrcAddressesStayApart) {
   bitstream::Library privateB{plan, {{1, "b", kOccupancyB}}};
   EXPECT_EQ(streamA.bytes(), privateA.modulePartial(0, 1).bytes());
   EXPECT_EQ(streamB.bytes(), privateB.modulePartial(0, 1).bytes());
+}
+
+// One forced-miss Fig-9(b) point (dual PRR, H = 0) on a fresh cache: every
+// stream it resolves is a recipe, so the cache charges kilobytes, not the
+// 4.8 MB the streams encode to, and nothing on the point's path (parse,
+// ICAP loads, configuration memory) materializes one.
+TEST(ArtifactCacheTest, Fig9PointCachesRecipesNotBytes) {
+  const tasks::FunctionRegistry registry = tasks::makePaperFunctions();
+  const tasks::Workload workload =
+      tasks::makeRoundRobinWorkload(registry, 24, util::Bytes{1 << 20});
+  ArtifactCache cache;
+  runtime::ScenarioOptions options;
+  options.layout = xd1::Layout::kDualPrr;
+  options.basis = model::ConfigTimeBasis::kMeasured;
+  options.tControl = util::Time::microseconds(10);
+  options.forceMiss = true;
+  options.prepare = runtime::PrepareSource::kQueue;
+  options.artifacts = &cache;
+  (void)runtime::runScenario(registry, workload, options);
+  EXPECT_LT(cache.metricsSnapshot().counters.at("exec.cache.bytes"), 100'000u);
+
+  // The point's streams, resolved again: all cache hits, none holding bytes.
+  const fabric::Floorplan plan = fabric::makeDualPrrLayout();
+  bitstream::Library library{
+      plan, registry.moduleSpecs(plan.prr(0).resources(plan.device())),
+      cachingStreamSource(cache)};
+  const std::uint64_t misses = cache.stats().misses;
+  std::vector<const bitstream::Bitstream*> streams{&library.full()};
+  for (std::size_t prr = 0; prr < plan.prrCount(); ++prr) {
+    for (const tasks::HwFunction& fn : registry.all()) {
+      streams.push_back(&library.modulePartial(prr, fn.id));
+    }
+  }
+  EXPECT_EQ(cache.stats().misses, misses);
+  for (const bitstream::Bitstream* stream : streams) {
+    ASSERT_NE(stream->recipe(), nullptr);
+    EXPECT_LT(stream->residentBytes(), stream->size().count() / 100);
+  }
 }
 
 }  // namespace

@@ -85,6 +85,27 @@ TEST(Crc32Test, MatchesTableOnConstantMegabytes) {
   }
 }
 
+TEST(Crc32Test, CombineMatchesTheConcatenation) {
+  std::vector<std::uint8_t> data(5000);
+  Rng rng{13};
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  const std::span<const std::uint8_t> all{data};
+  for (const std::size_t split : {0u, 1u, 15u, 16u, 64u, 1000u, 4999u, 5000u}) {
+    const auto a = all.first(split);
+    for (const std::size_t lengthB :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{100},
+          data.size() - split}) {
+      const auto b = all.subspan(split, std::min(lengthB, data.size() - split));
+      Crc32 whole;
+      whole.update(a);
+      whole.update(b);
+      ASSERT_EQ(Crc32::combine(Crc32::of(a), Crc32::of(b), b.size()),
+                whole.value())
+          << "split " << split << " length " << b.size();
+    }
+  }
+}
+
 TEST(RngTest, DeterministicForSeed) {
   Rng a{7};
   Rng b{7};
