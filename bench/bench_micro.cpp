@@ -85,9 +85,9 @@ void BM_IcapPartialLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_IcapPartialLoad);
 
-/// Builder::buildModulePartial on the dual-PRR region 0: the one fused
-/// synthesis pass (payload kernel and CRC per L1-sized block) that leaves a
-/// recipe stream. Bytes are the encoded stream bytes.
+/// Builder::buildModulePartial on the dual-PRR region 0: recipe
+/// construction only (header and frame runs; no frame is synthesized).
+/// Bytes are the encoded stream bytes the recipe stands for.
 void BM_BitstreamBuildPartial(benchmark::State& state) {
   const fabric::Floorplan plan = fabric::makeDualPrrLayout();
   const bitstream::Builder builder{plan.device()};
@@ -102,9 +102,26 @@ void BM_BitstreamBuildPartial(benchmark::State& state) {
 }
 BENCHMARK(BM_BitstreamBuildPartial);
 
+/// Bitstream::crc() on a fresh copy of the same recipe stream: the one
+/// fused synthesis pass (payload kernel and CRC per L1-sized block) a
+/// recipe stream runs on its first CRC demand.
+void BM_BitstreamCrc(benchmark::State& state) {
+  const fabric::Floorplan plan = fabric::makeDualPrrLayout();
+  const bitstream::Builder builder{plan.device()};
+  const bitstream::Bitstream stream =
+      builder.buildModulePartial(plan.prr(0), 7);
+  for (auto _ : state) {
+    const bitstream::Bitstream copy = stream;  // a copy starts without a CRC
+    benchmark::DoNotOptimize(copy.crc());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.size().count()));
+}
+BENCHMARK(BM_BitstreamCrc);
+
 /// Bitstream::bytes() on a fresh copy of the same recipe stream: the
-/// on-demand materialization (synthesis, CRC check) export and relocation
-/// pay once per stream.
+/// on-demand materialization export and relocation pay once per stream,
+/// two synthesis passes (crc(), then the bytes checked against it).
 void BM_BitstreamMaterialize(benchmark::State& state) {
   const fabric::Floorplan plan = fabric::makeDualPrrLayout();
   const bitstream::Builder builder{plan.device()};

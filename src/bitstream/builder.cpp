@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 
+#include "obs/host.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -57,6 +58,15 @@ std::vector<std::uint8_t> headerBlock(const Header& header,
                 "Builder: overhead too small for header fields");
   out.resize(overheadBytes - 4, 0);  // command-preamble padding
   return out;
+}
+
+/// Records `frames` synthesized frames (see detail::synthesizeFrames).
+void countSynthesized(std::uint64_t frames) {
+  static const obs::HistogramId kFrames =
+      obs::MetricTable::global().histogram("host.bitstream.frames_synthesized");
+  if (frames != 0) {
+    obs::hostMetrics().observe(kFrames, static_cast<std::int64_t>(frames));
+  }
 }
 
 /// Frames per synthesis block: whole eight-lane groups of the payload
@@ -445,6 +455,7 @@ Bitstream Builder::buildDifferencePartial(const fabric::Region& region,
       ++changed;
     }
   }
+  countSynthesized(2 * std::uint64_t{imageEnd - range.first});
 
   Header header;
   header.type = StreamType::kPartial;
@@ -466,15 +477,8 @@ Bitstream Builder::buildDifferencePartial(const fabric::Region& region,
 
 Bitstream Builder::fromRecipe(const Header& header, FrameRecipe recipe,
                               std::uint32_t overheadBytes) {
-  const std::vector<std::uint8_t> head = headerBlock(header, overheadBytes);
-  recipe.headerBytes = static_cast<std::uint32_t>(head.size());
-  util::Crc32 crc;
-  crc.update(head);
-  detail::synthesizeFrames(
-      header, recipe.runs, recipe.regionFirst, recipe.framesUsed,
-      [&crc](std::span<const std::uint8_t> block, std::uint32_t,
-             std::uint32_t) { crc.update(block); });
-  recipe.crc = crc.value();
+  recipe.headerBytes =
+      static_cast<std::uint32_t>(headerBlock(header, overheadBytes).size());
   return Bitstream{header, std::move(recipe)};
 }
 
@@ -489,6 +493,7 @@ void synthesizeFrames(const Header& header, std::span<const FrameRun> runs,
   const std::size_t stride = header.frameBytes + address;
   const std::uint32_t perBlock = blockFrames(stride);
   std::vector<std::uint8_t> block(perBlock * stride);
+  std::uint64_t frames = 0;
   for (const FrameRun& run : runs) {
     const std::uint64_t end = std::uint64_t{run.first} + run.count;
     for (std::uint64_t first = run.first; first < end; first += perBlock) {
@@ -500,11 +505,23 @@ void synthesizeFrames(const Header& header, std::span<const FrameRun> runs,
       visit(std::span{block}.first(count * stride),
             static_cast<std::uint32_t>(first), count);
     }
+    frames += run.count;
   }
+  countSynthesized(frames);
+}
+
+std::uint32_t synthesizeCrc(const Header& header, const FrameRecipe& recipe) {
+  util::Crc32 crc;
+  crc.update(headerBlock(header, recipe.headerBytes + 4));
+  synthesizeFrames(header, recipe.runs, recipe.regionFirst, recipe.framesUsed,
+                   [&crc](std::span<const std::uint8_t> block, std::uint32_t,
+                          std::uint32_t) { crc.update(block); });
+  return crc.value();
 }
 
 std::vector<std::uint8_t> materialize(const Header& header,
-                                      const FrameRecipe& recipe) {
+                                      const FrameRecipe& recipe,
+                                      std::uint32_t expectedCrc) {
   const std::size_t address =
       header.type == StreamType::kPartial ? kFrameAddressBytes : 0;
   std::vector<std::uint8_t> bytes =
@@ -518,9 +535,9 @@ std::vector<std::uint8_t> materialize(const Header& header,
                      bytes.insert(bytes.end(), block.begin(), block.end());
                    });
   const std::uint32_t crc = util::Crc32::of(bytes);
-  if (crc != recipe.crc) {
+  if (crc != expectedCrc) {
     throw util::BitstreamError{
-        "XBF: materialized bytes do not match the recipe's CRC"};
+        "XBF: materialized bytes do not match the stream's CRC"};
   }
   putU32(bytes, crc);
   return bytes;

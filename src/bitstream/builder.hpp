@@ -71,21 +71,34 @@ using FrameBlockVisitor = std::function<void(
 /// Synthesizes the frames of `runs` for a stream with `header`, whose
 /// payloads follow the FrameRecipe rule for (`regionFirst`, `framesUsed`),
 /// in stream order, into one reused L1-sized block at a time. No block
-/// spans two runs.
+/// spans two runs. Each call adds the frames it wrote to the
+/// host.bitstream.frames_synthesized histogram (one observation per call),
+/// as the compare pass of Builder::buildDifferencePartial adds both images.
 void synthesizeFrames(const Header& header, std::span<const FrameRun> runs,
                       std::uint32_t regionFirst, std::uint32_t framesUsed,
                       const FrameBlockVisitor& visit);
 
-/// The encoded bytes of a recipe stream (Bitstream::bytes()). Throws
-/// BitstreamError unless their CRC equals the recipe's.
+/// The CRC-32 of a recipe stream's bytes before the trailer, by one fused
+/// pass: the header block, then synthesizeFrames folding each block into
+/// the CRC. Ignores `recipe.crc` (Bitstream::crc() consults it first).
+[[nodiscard]] std::uint32_t synthesizeCrc(const Header& header,
+                                          const FrameRecipe& recipe);
+
+/// The encoded bytes of a recipe stream (Bitstream::bytes()), synthesized
+/// in a pass of their own. Throws BitstreamError unless their CRC equals
+/// `expectedCrc`.
 [[nodiscard]] std::vector<std::uint8_t> materialize(const Header& header,
-                                                    const FrameRecipe& recipe);
+                                                    const FrameRecipe& recipe,
+                                                    std::uint32_t expectedCrc);
 
 }  // namespace detail
 
-/// Builds bitstreams against one device's geometry, as recipes: a build
-/// synthesizes the stream once, an L1-sized block at a time, to compute its
-/// CRC, and keeps no payload byte (format.hpp).
+/// Builds bitstreams against one device's geometry, as recipes that keep
+/// no payload byte (format.hpp). A full or module partial build is
+/// O(header + runs) and synthesizes no frame: its CRC waits for
+/// Bitstream::crc(). A difference partial synthesizes both module images
+/// once, an L1-sized block at a time, to find its changed frames, and
+/// keeps the CRC that pass computes.
 class Builder {
  public:
   explicit Builder(const fabric::Device& device) : device_(&device) {}
@@ -112,8 +125,8 @@ class Builder {
  private:
   [[nodiscard]] std::uint32_t usedFrames(const fabric::Region& region,
                                          double occupancy) const;
-  /// The stream of `header` and `recipe`, its header block and CRC filled
-  /// in by one synthesis pass.
+  /// The stream of `header` and `recipe`, with the header block length
+  /// filled in and the CRC left unset: nothing is synthesized.
   [[nodiscard]] static Bitstream fromRecipe(const Header& header,
                                             FrameRecipe recipe,
                                             std::uint32_t overheadBytes);

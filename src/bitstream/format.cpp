@@ -3,9 +3,21 @@
 #include <span>
 
 #include "bitstream/builder.hpp"
+#include "obs/host.hpp"
 #include "util/crc32.hpp"
+#include "util/error.hpp"
 
 namespace prtr::bitstream {
+namespace {
+
+/// Times one synthesis pass of a recipe stream: the lazy CRC, or the bytes.
+obs::HostTimer materializeTimer() {
+  static const obs::HistogramId kMaterializeNs =
+      obs::MetricTable::global().histogram("host.bitstream.materialize_ns");
+  return obs::HostTimer{kMaterializeNs};
+}
+
+}  // namespace
 
 const char* toString(StreamType type) noexcept {
   switch (type) {
@@ -18,9 +30,27 @@ const char* toString(StreamType type) noexcept {
 const std::vector<std::uint8_t>& Bitstream::bytes() const {
   if (!recipe_) return bytes_;
   if (const std::vector<std::uint8_t>* done = materialized_.get()) return *done;
+  const std::uint32_t expected = crc();
+  const obs::HostTimer timer = materializeTimer();
   return materialized_.publish(
       std::make_unique<const std::vector<std::uint8_t>>(
-          detail::materialize(header_, *recipe_)));
+          detail::materialize(header_, *recipe_, expected)));
+}
+
+std::uint32_t Bitstream::crc() const {
+  if (!recipe_) {
+    if (bytes_.size() < 4) {
+      throw util::BitstreamError{"XBF: stream too short for its CRC trailer"};
+    }
+    const std::uint8_t* trailer = bytes_.data() + bytes_.size() - 4;
+    return std::uint32_t{trailer[0]} | std::uint32_t{trailer[1]} << 8 |
+           std::uint32_t{trailer[2]} << 16 | std::uint32_t{trailer[3]} << 24;
+  }
+  if (recipe_->crc) return *recipe_->crc;
+  if (const std::uint32_t* done = crc_.get()) return *done;
+  const obs::HostTimer timer = materializeTimer();
+  return crc_.publish(std::make_unique<const std::uint32_t>(
+      detail::synthesizeCrc(header_, *recipe_)));
 }
 
 util::Bytes Bitstream::size() const noexcept {

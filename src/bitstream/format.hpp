@@ -15,9 +15,10 @@
 ///
 /// The bytes of a built stream are a materialization of its FrameRecipe:
 /// the header, the frames written and how their payloads follow from frame
-/// geometry, and the CRC. A built stream keeps only that recipe; the
-/// simulator reads sizes and frame runs, and bytes exist only where
-/// something asks for them (export, relocation, byte-level linting).
+/// geometry. A built stream keeps only that recipe; the simulator reads
+/// sizes and frame runs, and payloads, bytes and (for full and module
+/// streams) the CRC exist only where something asks for them (export,
+/// relocation, byte-level linting).
 
 #include <atomic>
 #include <cstdint>
@@ -139,20 +140,24 @@ inline constexpr std::uint32_t kFrameAddressBytes = 4;
 /// the frames of `runs`, in order; frame f carries
 /// framePayload(header.moduleId, regionFirst, framesUsed, f) (builder.hpp),
 /// after its address word in a partial stream. The header block is
-/// `headerBytes` long, and `crc` is the CRC-32 of everything before the
-/// trailer.
+/// `headerBytes` long. `crc`, the CRC-32 of everything before the trailer,
+/// is set when it is known without synthesizing the stream: a difference
+/// partial computes it while finding its changed frames, and a hand-made
+/// recipe may state one. Full and module partials leave it unset, and
+/// Bitstream::crc() computes it on first demand.
 struct FrameRecipe {
   std::uint32_t regionFirst = 0;  ///< first frame of the region placed into
   std::uint32_t framesUsed = 0;   ///< frames the module occupies from there
   std::vector<FrameRun> runs;
   std::uint32_t headerBytes = 0;
-  std::uint32_t crc = 0;
+  std::optional<std::uint32_t> crc{};
 };
 
 /// An encoded bitstream plus its decoded identity. A stream is backed either
 /// by its bytes (imported, relocated or hand-made streams) or by a
-/// FrameRecipe (every stream Builder makes), whose bytes are synthesized
-/// only when bytes() is first called.
+/// FrameRecipe (every stream Builder makes), whose frames are synthesized
+/// only when crc() or bytes() first needs them. Both record their passes
+/// under host.bitstream.materialize_ns (obs/host.hpp).
 class Bitstream {
  public:
   Bitstream(Header header, std::vector<std::uint8_t> bytes)
@@ -163,9 +168,16 @@ class Bitstream {
   [[nodiscard]] const Header& header() const noexcept { return header_; }
 
   /// The encoded bytes. A recipe stream materializes them on the first
-  /// call, checks their CRC against the recipe's (BitstreamError on a
-  /// mismatch) and keeps them for the stream's lifetime.
+  /// call, checks their CRC against crc() (BitstreamError on a mismatch)
+  /// and keeps them for the stream's lifetime. Until crc() is known, that
+  /// check runs a second, separate synthesis pass to compute it.
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const;
+
+  /// The CRC-32 trailer. A byte-backed stream reads it from its bytes
+  /// (BitstreamError if it has fewer than four). A recipe stream returns
+  /// the recipe's CRC when set; otherwise the first call synthesizes the
+  /// stream's frames once to compute it, and keeps the result.
+  [[nodiscard]] std::uint32_t crc() const;
 
   /// The recipe of a built stream; null for a byte-backed one.
   [[nodiscard]] const FrameRecipe* recipe() const noexcept {
@@ -190,6 +202,7 @@ class Bitstream {
   std::vector<std::uint8_t> bytes_;
   std::optional<FrameRecipe> recipe_;
   Memo<std::vector<std::uint8_t>> materialized_;
+  Memo<std::uint32_t> crc_;
   Memo<ParseMemoEntry> memo_;
 };
 

@@ -79,8 +79,8 @@ StreamKey Library::keyBase() const noexcept {
 
 std::shared_ptr<const Bitstream> Library::resolve(
     const StreamKey& key, const std::function<Bitstream()>& build) {
-  // Time actual synthesis only: a memoizing source that hits its cache
-  // never invokes the builder, so no timer opens for it.
+  // Time actual builds only: a memoizing source that hits its cache never
+  // invokes the builder, so no timer opens for it.
   static const obs::HistogramId kBuildNs =
       obs::MetricTable::global().histogram("host.bitstream.build_ns");
   const std::function<Bitstream()> timed = [&build] {

@@ -110,8 +110,10 @@ class Library {
   /// Key template carrying the device/geometry tags of this floorplan.
   [[nodiscard]] StreamKey keyBase() const noexcept;
   /// Resolves via source_ when set, else builds privately. Every actual
-  /// stream synthesis (cache hits excluded) is timed under
-  /// host.bitstream.build_ns (obs/host.hpp).
+  /// stream build (cache hits excluded) is timed under
+  /// host.bitstream.build_ns (obs/host.hpp); a full or module partial build
+  /// synthesizes nothing, so its frames show under
+  /// host.bitstream.materialize_ns when something reads them.
   [[nodiscard]] std::shared_ptr<const Bitstream> resolve(
       const StreamKey& key, const std::function<Bitstream()>& build);
 

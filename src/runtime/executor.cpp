@@ -151,6 +151,12 @@ const ExecutorIds& executorIds(const std::string& executorName) {
 
 }  // namespace
 
+LoadCensus loadCensus(const xd1::Node& node) noexcept {
+  return LoadCensus{.contendedIn = node.linkIn().contendedTransfers(),
+                    .contendedOut = node.linkOut().contendedTransfers(),
+                    .abortedLoads = node.icap().abortedLoads()};
+}
+
 void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
                             const std::string& executorName,
                             const ConfigCache* cache) {
@@ -226,6 +232,7 @@ void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
   reg.add(e.computePs, asCount(report.computeTime));
   reg.add(e.outputPs, asCount(report.outputTime));
   report.metrics = reg.takeSnapshot();
+  report.census = loadCensus(node);
 }
 
 // ---------------------------------------------------------------- FRTR --

@@ -49,10 +49,14 @@ struct ExecutorOptions {
 /// Freezes a finished run's observability counters into `report.metrics`:
 /// sim kernel, configuration machinery, cache (may be null), and the
 /// executor's own accounting, under the stable names documented in
-/// src/obs/README.md. Shared by every executor flavour.
+/// src/obs/README.md; and `node`'s loadCensus into `report.census`. Shared
+/// by every executor flavour.
 void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
                             const std::string& executorName,
                             const ConfigCache* cache);
+
+/// `node`'s contended link transfers and aborted ICAP loads so far.
+[[nodiscard]] LoadCensus loadCensus(const xd1::Node& node) noexcept;
 
 /// Full run-time reconfiguration baseline (Figure 3).
 class FrtrExecutor {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "exec/artifact_cache.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/lanes.hpp"
 #include "sim/sync.hpp"
 #include "util/error.hpp"
@@ -189,6 +190,7 @@ MultitaskReport runMultitask(const tasks::FunctionRegistry& registry,
   }
   sim.run();
   report.makespan = sim.now();
+  report.census = loadCensus(node);
 
   // Fixed scrape names interned once per process; the per-app names are
   // interned per distinct app name (idempotent, and the app set is tiny).

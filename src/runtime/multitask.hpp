@@ -45,6 +45,7 @@ struct MultitaskReport {
   std::uint64_t calls = 0;
   util::Time prrBusyTotal;  ///< summed busy time across PRRs
   obs::MetricsSnapshot metrics;  ///< sim/config/scheduler counters
+  LoadCensus census;             ///< kept out of `metrics` (report.hpp)
 
   [[nodiscard]] double hitRatio() const noexcept {
     return calls ? static_cast<double>(hits) / static_cast<double>(calls) : 0.0;

@@ -13,6 +13,20 @@
 
 namespace prtr::runtime {
 
+/// How often a run left the configuration path's uncontended fast path:
+/// link transfers that queued behind other traffic
+/// (sim::SimplexLink::contendedTransfers) and ICAP loads a fault hook
+/// aborted (config::IcapController::abortedLoads). Deterministic, but kept
+/// out of `metrics`, so digests, baselines and --json documents never see
+/// it; tests/config_icap_oracle_test.cpp pins it per path.
+struct LoadCensus {
+  std::uint64_t contendedIn = 0;   ///< HT-in (host -> FPGA) transfers
+  std::uint64_t contendedOut = 0;  ///< HT-out (FPGA -> host) transfers
+  std::uint64_t abortedLoads = 0;  ///< ICAP loads cut short by a fault hook
+
+  friend bool operator==(const LoadCensus&, const LoadCensus&) = default;
+};
+
 /// Result of executing one workload on one executor.
 struct ExecutionReport {
   std::string executor;        ///< "FRTR" or "PRTR"
@@ -33,6 +47,7 @@ struct ExecutionReport {
   /// Subsystem counters scraped at the end of the run: sim kernel, ICAP /
   /// vendor-API, cache, and the executor's own accounting (see obs/).
   obs::MetricsSnapshot metrics;
+  LoadCensus census;  ///< scraped with `metrics`, never merged into it
 
   /// Measured hit ratio: calls that found their module resident.
   [[nodiscard]] double hitRatio() const noexcept {

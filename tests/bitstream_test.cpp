@@ -17,6 +17,8 @@
 #include "bitstream/parser.hpp"
 #include "exec/pool.hpp"
 #include "fabric/floorplan.hpp"
+#include "obs/host.hpp"
+#include "tasks/hwfunction.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -311,10 +313,21 @@ TEST_F(BitstreamTest, ConcurrentBytesCallsShareOneBuffer) {
 TEST_F(BitstreamTest, MaterializingAWrongRecipeThrows) {
   const Bitstream built = builder_.buildModulePartial(plan_.prr(0), 5);
   FrameRecipe recipe = *built.recipe();
-  recipe.crc ^= 1;
+  recipe.crc = built.crc() ^ 1;
   const Bitstream wrong{built.header(), recipe};
   EXPECT_THROW((void)wrong.bytes(), util::BitstreamError);
   EXPECT_THROW((void)wrong.bytes(), util::BitstreamError);  // never memoized
+}
+
+// A byte-backed stream's CRC is its trailer, with no synthesis: a copy of
+// a recipe stream's bytes reports the recipe stream's CRC. A stream too
+// short to hold a trailer has none.
+TEST_F(BitstreamTest, ByteBackedCrcIsItsTrailer) {
+  const Bitstream built = builder_.buildModulePartial(plan_.prr(0), 5);
+  const Bitstream copy{built.header(), built.bytes()};
+  EXPECT_EQ(copy.crc(), built.crc());
+  const Bitstream stub{built.header(), std::vector<std::uint8_t>{1, 2, 3}};
+  EXPECT_THROW((void)stub.crc(), util::BitstreamError);
 }
 
 TEST_F(BitstreamTest, PayloadsAreDeterministic) {
@@ -531,6 +544,32 @@ std::vector<std::pair<std::string, std::uint64_t>> libraryStreamHashes() {
   return hashes;
 }
 
+// The CRC-32 of `stream`'s bytes before the trailer, recomputed over frames
+// the scalar reference writes (the header block is read from bytes()).
+std::uint32_t scalarReferenceCrc(const Bitstream& stream) {
+  const FrameRecipe& recipe = *stream.recipe();
+  const Header& header = stream.header();
+  const std::size_t address = stream.isPartial() ? 4 : 0;
+  util::Crc32 crc;
+  crc.update(std::span{stream.bytes()}.first(recipe.headerBytes));
+  std::vector<std::uint8_t> frame(header.frameBytes + address);
+  for (const FrameRun& run : recipe.runs) {
+    for (std::uint32_t f = run.first; f - run.first < run.count; ++f) {
+      std::fill(frame.begin(), frame.end(), 0);
+      for (std::size_t b = 0; b < address; ++b) {
+        frame[b] = static_cast<std::uint8_t>(f >> (8 * b));
+      }
+      if (f - recipe.regionFirst < recipe.framesUsed) {
+        detail::writeFramePayloadsScalar(
+            header.moduleId, f, 1, header.frameBytes,
+            std::span{frame}.subspan(address), frame.size());
+      }
+      crc.update(frame);
+    }
+  }
+  return crc.value();
+}
+
 // Every Library stream is a recipe. Its materialized bytes byte-parse with
 // the CRC check (BS006) active, carry the recipe's header, frame runs and
 // CRC, and hold exactly the payloads the recipe's accessor synthesizes.
@@ -545,7 +584,7 @@ TEST(LibraryTest, MaterializedStreamsMatchTheirRecipes) {
     const std::vector<std::uint8_t>& bytes = stream.bytes();
     ASSERT_EQ(bytes.size(), stream.size().count());
     const ParsedStream fromBytes = parse(std::span{bytes}, plan.device());
-    EXPECT_EQ(readU32(bytes, bytes.size() - 4), recipe->crc);
+    EXPECT_EQ(readU32(bytes, bytes.size() - 4), stream.crc());
     EXPECT_EQ(fromBytes.header, stream.header());
     EXPECT_EQ(fromBytes.frameRuns, recipe->runs);
     EXPECT_EQ(fromRecipe.frameRuns, recipe->runs);
@@ -555,34 +594,103 @@ TEST(LibraryTest, MaterializedStreamsMatchTheirRecipes) {
 
 // A recipe's CRC does not depend on the payload path that synthesized it:
 // recomputed over frames the scalar reference writes, it equals the CRC
-// the build computed through the dispatched (on AVX2 CPUs, vector) kernel.
+// crc() computed through the dispatched (on AVX2 CPUs, vector) kernel.
 TEST(LibraryTest, RecipeCrcMatchesTheScalarReference) {
   SCOPED_TRACE(detail::framePayloadsVectorized() ? "AVX2 kernel" : "scalar");
   forEachLibraryStream([](const std::string& name, const fabric::Floorplan&,
                           const Bitstream& stream) {
     SCOPED_TRACE(name);
-    const FrameRecipe& recipe = *stream.recipe();
-    const Header& header = stream.header();
-    const std::size_t address = stream.isPartial() ? 4 : 0;
-    util::Crc32 crc;
-    crc.update(std::span{stream.bytes()}.first(recipe.headerBytes));
-    std::vector<std::uint8_t> frame(header.frameBytes + address);
-    for (const FrameRun& run : recipe.runs) {
-      for (std::uint32_t f = run.first; f - run.first < run.count; ++f) {
-        std::fill(frame.begin(), frame.end(), 0);
-        for (std::size_t b = 0; b < address; ++b) {
-          frame[b] = static_cast<std::uint8_t>(f >> (8 * b));
-        }
-        if (f - recipe.regionFirst < recipe.framesUsed) {
-          detail::writeFramePayloadsScalar(
-              header.moduleId, f, 1, header.frameBytes,
-              std::span{frame}.subspan(address), frame.size());
-        }
-        crc.update(frame);
-      }
-    }
-    EXPECT_EQ(crc.value(), recipe.crc);
+    EXPECT_EQ(scalarReferenceCrc(stream), stream.crc());
   });
+}
+
+// Eight threads asking one fresh recipe stream for its CRC race to run the
+// lazy pass; every one of them gets the scalar reference's value.
+TEST_F(BitstreamTest, ConcurrentCrcCallsAgree) {
+  constexpr std::size_t kThreads = 8;
+  const Bitstream fresh = builder_.buildModulePartial(plan_.prr(1), 9, 0.6);
+  ASSERT_FALSE(fresh.recipe()->crc.has_value());
+  const std::uint32_t expected = scalarReferenceCrc(Bitstream{fresh});
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::uint32_t> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (arrived.load() < kThreads &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      got[i] = fresh.crc();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::uint32_t crc : got) EXPECT_EQ(crc, expected);
+  EXPECT_EQ(fresh.crc(), expected);
+}
+
+// Frames synthesized (the host.bitstream.frames_synthesized sum) and lazy
+// passes timed (host.bitstream.materialize_ns observations) since `before`.
+struct SynthesisDelta {
+  std::int64_t frames = 0;
+  std::uint64_t passes = 0;
+};
+
+SynthesisDelta synthesisSince(const obs::MetricsSnapshot& before) {
+  const obs::MetricsSnapshot delta =
+      obs::hostMetrics().snapshot().diff(before);
+  SynthesisDelta out;
+  if (const auto it = delta.histograms.find("host.bitstream.frames_synthesized");
+      it != delta.histograms.end()) {
+    out.frames = it->second.sum;
+  }
+  if (const auto it = delta.histograms.find("host.bitstream.materialize_ns");
+      it != delta.histograms.end()) {
+    out.passes = it->second.count;
+  }
+  return out;
+}
+
+// The seven streams of a dual-PRR Fig-9 node (the full stream and one
+// module partial per PRR and paper function), built by a fresh Library
+// with no cache: building them synthesizes no frame; the first crc()
+// synthesizes each stream's frames once, a second none; bytes() then
+// synthesizes them once more, for its independent CRC check.
+TEST(LibraryTest, Fig9StreamsSynthesizeNoFrameUntilRead) {
+  const tasks::FunctionRegistry registry = tasks::makePaperFunctions();
+  const fabric::Floorplan plan = fabric::makeDualPrrLayout();
+  Library library{plan,
+                  registry.moduleSpecs(plan.prr(0).resources(plan.device()))};
+
+  const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
+  std::vector<const Bitstream*> streams{&library.full()};
+  for (std::size_t prr = 0; prr < plan.prrCount(); ++prr) {
+    for (const tasks::HwFunction& fn : registry.all()) {
+      streams.push_back(&library.modulePartial(prr, fn.id));
+    }
+  }
+  ASSERT_EQ(streams.size(), 7u);
+  const SynthesisDelta builds = synthesisSince(before);
+  EXPECT_EQ(builds.frames, 0);
+  EXPECT_EQ(builds.passes, 0u);
+
+  for (const Bitstream* stream : streams) {
+    const std::int64_t frameCount = stream->header().frameCount;
+    SCOPED_TRACE(frameCount);
+    const auto expectRead = [&](auto read, std::int64_t frames,
+                                std::uint64_t passes) {
+      const obs::MetricsSnapshot start = obs::hostMetrics().snapshot();
+      read();
+      const SynthesisDelta delta = synthesisSince(start);
+      EXPECT_EQ(delta.frames, frames);
+      EXPECT_EQ(delta.passes, passes);
+    };
+    expectRead([&] { (void)stream->crc(); }, frameCount, 1);
+    expectRead([&] { (void)stream->crc(); }, 0, 0);
+    expectRead([&] { (void)stream->bytes(); }, frameCount, 1);
+  }
 }
 
 // Pins the synthesized bytes of every Library stream, CRC trailer included:

@@ -13,20 +13,35 @@
 
 #include <exception>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "bitstream/library.hpp"
 #include "bitstream/parser.hpp"
+#include "fleet/calibrate.hpp"
+#include "hprc/chassis.hpp"
 #include "model/calibration.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/multitask.hpp"
 #include "runtime/prefetch.hpp"
+#include "runtime/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "tasks/workload.hpp"
 #include "util/error.hpp"
 #include "xd1/node.hpp"
+
+namespace prtr::runtime {
+
+// Prints a census in gtest failure messages.
+std::ostream& operator<<(std::ostream& os, const LoadCensus& c) {
+  return os << "{in " << c.contendedIn << ", out " << c.contendedOut
+            << ", aborted " << c.abortedLoads << '}';
+}
+
+}  // namespace prtr::runtime
 
 namespace prtr {
 namespace {
@@ -225,6 +240,129 @@ TEST(IcapOracle, EveryPartialSpanOfAFig9PointMatchesTheClosedForm) {
   EXPECT_EQ(checked, 120u);
   EXPECT_EQ(node.linkIn().contendedTransfers(), 0u);
   EXPECT_GT(node.linkIn().totalTransfers(), 0u);
+}
+
+// The load census of the other paths a config load takes (runtime::
+// LoadCensus): how many transfers left the uncontended fast path the
+// closed form covers, and how many loads a fault hook aborted. Each count
+// is pinned, so a change to how often those paths run shows here.
+
+runtime::LoadCensus census(std::uint64_t in, std::uint64_t out,
+                           std::uint64_t aborted) {
+  return runtime::LoadCensus{
+      .contendedIn = in, .contendedOut = out, .abortedLoads = aborted};
+}
+
+std::uint64_t icapLoads(const obs::MetricsSnapshot& metrics) {
+  return metrics.counterOr("config.icap.loads");
+}
+
+std::uint64_t icapBytes(const runtime::ExecutionReport& report) {
+  return report.metrics.counterOr("config.icap.bytes_written");
+}
+
+// The scenario behind Fig. 5's dual-PRR curves, 12 calls of 1 MB: the
+// estimated basis (X_PRTR = 0.17) is what prtr-bench fig5 --trace runs,
+// and it configures through the external port, never the ICAP; the
+// measured basis (X_PRTR = 0.012) loads through the ICAP on every call.
+TEST(IcapLoadCensus, Fig5Scenarios) {
+  const tasks::FunctionRegistry registry = tasks::makePaperFunctions();
+  const tasks::Workload workload =
+      tasks::makeRoundRobinWorkload(registry, 12, Bytes{1'000'000});
+  for (const auto basis : {model::ConfigTimeBasis::kEstimated,
+                           model::ConfigTimeBasis::kMeasured}) {
+    SCOPED_TRACE(toString(basis));
+    runtime::ScenarioOptions options;
+    options.layout = xd1::Layout::kDualPrr;
+    options.basis = basis;
+    options.verify = true;
+    const runtime::ScenarioResult result =
+        runtime::runScenario(registry, workload, options);
+    EXPECT_EQ(result.frtr.census, census(0, 0, 0));
+    EXPECT_EQ(result.prtr.census, census(0, 0, 0));
+    EXPECT_EQ(icapLoads(result.prtr.metrics),
+              basis == model::ConfigTimeBasis::kMeasured ? 12u : 0u);
+  }
+}
+
+// prtr-bench multitask: four apps of 25 calls x 10 MB on one blade, at each
+// mean inter-arrival time and layout the bench sweeps. Concurrent apps
+// share the links, so this is the one path here that takes the contended
+// transfer path, on both links.
+TEST(IcapLoadCensus, MultitaskSweep) {
+  struct Point {
+    std::int64_t msArrival;
+    xd1::Layout layout;
+    runtime::LoadCensus census;
+    std::uint64_t icapLoads;
+  };
+  const Point points[] = {
+      {200, xd1::Layout::kDualPrr, census(7, 3, 0), 42},
+      {200, xd1::Layout::kQuadPrr, census(7, 5, 0), 4},
+      {60, xd1::Layout::kDualPrr, census(15, 13, 0), 40},
+      {60, xd1::Layout::kQuadPrr, census(6, 52, 0), 4},
+      {20, xd1::Layout::kDualPrr, census(15, 13, 0), 40},
+      {20, xd1::Layout::kQuadPrr, census(7, 66, 0), 4},
+      {5, xd1::Layout::kDualPrr, census(15, 13, 0), 40},
+      {5, xd1::Layout::kQuadPrr, census(7, 66, 0), 4}};
+  const tasks::FunctionRegistry registry = tasks::makeExtendedFunctions();
+  for (const Point& point : points) {
+    SCOPED_TRACE(std::to_string(point.msArrival) + " ms, " +
+                 toString(point.layout));
+    std::vector<runtime::AppSpec> apps;
+    for (std::size_t a = 0; a < 4; ++a) {
+      runtime::AppSpec app;
+      app.name = "app" + std::to_string(a);
+      app.meanInterArrival = Time::milliseconds(point.msArrival);
+      app.workload.calls.assign(
+          25, tasks::TaskCall{a % registry.size(), Bytes{10'000'000}});
+      apps.push_back(std::move(app));
+    }
+    runtime::MultitaskOptions options;
+    options.layout = point.layout;
+    const runtime::MultitaskReport report =
+        runtime::runMultitask(registry, apps, options);
+    EXPECT_EQ(report.census, point.census);
+    EXPECT_EQ(icapLoads(report.metrics), point.icapLoads);
+  }
+}
+
+// fleet::calibrateBladeProfile at the steady.fleet payload (1 MiB): per
+// paper function, a resident run at the payload and at half of it, and a
+// forced-miss run, 8 calls each, on PRTR-only blade options with faults
+// and recovery cleared. One call at a time on an idle blade: no transfer
+// is ever contended, and the miss run loads through the ICAP per call.
+TEST(IcapLoadCensus, FleetCalibrationRuns) {
+  const tasks::FunctionRegistry registry = tasks::makePaperFunctions();
+  const Bytes payload = Bytes::kibi(1024);
+  runtime::ScenarioOptions blade =
+      hprc::bladeScenarioOptions(runtime::ScenarioOptions{}, 0);
+  blade.faults = fault::Plan{};
+  blade.recovery = runtime::RecoveryPolicy{};
+  const fleet::BladeProfile profile =
+      fleet::calibrateBladeProfile(registry, runtime::ScenarioOptions{}, payload);
+  for (std::size_t fn = 0; fn < registry.size(); ++fn) {
+    SCOPED_TRACE(registry.at(fn).name);
+    const auto run = [&](Bytes bytes, bool forceMiss) {
+      tasks::Workload workload;
+      workload.calls.assign(8, tasks::TaskCall{fn, bytes});
+      runtime::ScenarioOptions options = blade;
+      options.forceMiss = forceMiss;
+      return runtime::runScenario(registry, workload, options).prtr;
+    };
+    const runtime::ExecutionReport resident = run(payload, false);
+    const runtime::ExecutionReport half = run(Bytes{payload.count() / 2}, false);
+    const runtime::ExecutionReport miss = run(payload, true);
+    // The replica is the calibration's own run: it prices the same reload.
+    EXPECT_EQ((icapBytes(miss) - icapBytes(resident)) / 4 / 8,
+              profile.tasks[fn].configWords);
+    EXPECT_EQ(resident.census, census(0, 0, 0));
+    EXPECT_EQ(half.census, census(0, 0, 0));
+    EXPECT_EQ(miss.census, census(0, 0, 0));
+    EXPECT_EQ(icapLoads(resident.metrics), 1u);
+    EXPECT_EQ(icapLoads(half.metrics), 1u);
+    EXPECT_EQ(icapLoads(miss.metrics), 8u);
+  }
 }
 
 }  // namespace
