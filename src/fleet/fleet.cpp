@@ -1,14 +1,16 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <deque>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "exec/pool.hpp"
 #include "obs/host.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 #include "trace/recorder.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -90,13 +92,27 @@ Ids internIds() {
   return ids;
 }
 
-enum class EventKind : std::uint8_t { kArrival, kCompletion, kRetry, kHedge };
+/// The time of an empty pending-set source.
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
-/// An event's payload; the heap's (timePs, seq) order is total, so equal
-/// times fire in schedule order.
-struct EventArgs {
-  EventKind kind = EventKind::kArrival;
-  std::uint32_t arg = 0;  ///< blade index (completion) or request slot
+/// When a pending event fires. Every event a cell schedules takes the next
+/// seq, so (timePs, seq) is a total order and equal times fire in schedule
+/// order.
+struct Due {
+  std::int64_t timePs = kNever;
+  std::uint64_t seq = 0;
+};
+
+/// Strict (timePs, seq) order: `a` is due before `b`.
+template <typename A, typename B>
+bool dueBefore(const A& a, const B& b) noexcept {
+  return a.timePs != b.timePs ? a.timePs < b.timePs : a.seq < b.seq;
+}
+
+/// A retry backoff or hedge delay naming a request slot.
+struct Timer {
+  bool hedge = false;  ///< a hedge delay, else a retry backoff
+  std::uint32_t req = 0;
 };
 
 /// One request, held in a recyclable slot of its cell (see Cell::slots).
@@ -134,8 +150,11 @@ struct Job {
 constexpr double kRungConfigFactor[config::kRecoveryRungCount] = {
     1.0, 1.25, 1.6, 2.5, 8.0};
 
+/// An XD1 chassis holds at most six blades.
+constexpr std::size_t kMaxBlades = 6;
+
 struct Blade {
-  std::deque<Job> queue;
+  sim::detail::SmallFifo<Job> queue;
   Job current{};
   bool busy = false;
   bool currentFails = false;  ///< decided at service start
@@ -163,21 +182,6 @@ struct CellResult {
   obs::TimeSeries series{};   ///< windowed series (tracing or SLO enabled)
 };
 
-/// Registry::observe's bucket logic for a cell-local summary (the hedge
-/// delay reads its own cell's latency quantile without a snapshot).
-void observeLocal(obs::HistogramSummary& h, std::int64_t value) {
-  if (h.count == 0) {
-    h.min = value;
-    h.max = value;
-  } else {
-    h.min = std::min(h.min, value);
-    h.max = std::max(h.max, value);
-  }
-  ++h.count;
-  h.sum += value;
-  ++h.buckets[obs::HistogramSummary::bucketIndex(value)];
-}
-
 /// One fault draw: Poisson plans draw a Bernoulli from the blade's RNG;
 /// kFixedPeriod plans fire deterministically every fixedPeriod-th
 /// eligible event, with `rate` only gating eligibility.
@@ -199,11 +203,17 @@ struct Cell {
   // Request slots. A slot returns to the free list once its request is
   // terminal, no copy of it is queued or in service, and no retry or hedge
   // event still names it, so memory follows the in-flight population, not
-  // the request count. Jobs and events name slots; traces name ordinals.
+  // the request count. Jobs and timers name slots; traces name ordinals.
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   std::vector<Request> slots;
   std::uint32_t freeHead = kNoSlot;  ///< free list, linked through ordinal
-  sim::EventHeap<EventArgs> heap;
+  // The pending set. Source 0 is the next arrival and source 1 + b is
+  // blade b's completion (a blade serves one job at a time); an empty
+  // source is due at kNever. Only retry and hedge timers, of which any
+  // number may pend, go through a heap. All three take `seq` from one
+  // counter, so dispatch follows the one total (timePs, seq) order.
+  std::array<Due, 1 + kMaxBlades> due;
+  sim::EventHeap<Timer> timers;
   util::Rng rng;
   std::uint64_t seq = 0;
   std::uint64_t quota = 0;      ///< fresh requests this cell generates
@@ -216,8 +226,13 @@ struct Cell {
   std::int64_t deadlineWaitPs = 0;
   std::int64_t interarrivalPs = 1;
   std::int64_t nowPs = 0;
-  std::int64_t endPs = 0;
+  /// Cell-local latency of successful requests; only hedge delays and the
+  /// tracer's slow-tail threshold read it, so it is kept only for them.
   obs::HistogramSummary localLatency;
+  bool trackLatency = false;
+  /// Blades whose breaker is not Closed. While none is, every blade is
+  /// eligible and routing needs no breaker refresh and no list.
+  std::uint32_t unclosedBreakers = 0;
   std::vector<std::uint32_t> eligible;  ///< routing scratch
 
   // Observers. The recorder and series are driven from the same event
@@ -239,8 +254,9 @@ struct Cell {
         ids(i),
         rng(opt.seed ^ (0x9e3779b97f4a7c15ULL * (cellIdx + 1))) {}
 
-  void schedule(std::int64_t atPs, EventKind kind, std::uint32_t arg) {
-    heap.push({atPs, seq++, EventArgs{kind, arg}});
+  void scheduleTimer(std::int64_t atPs, bool hedge, std::uint32_t req) {
+    ++slots[req].pendingTimers;
+    timers.push({atPs, seq++, Timer{hedge, req}});
   }
 
   std::size_t taskCount() const { return profile.tasks.size(); }
@@ -298,6 +314,9 @@ struct Cell {
   /// (retries avoid the blade that just failed; hedges avoid the
   /// primary). Returns -1 when no blade is eligible.
   std::int32_t route(std::int32_t exclude) {
+    if (unclosedBreakers == 0 && exclude < 0) {
+      return pick(blades.size(), [](std::size_t i) { return i; });
+    }
     eligible.clear();
     for (std::uint32_t b = 0; b < blades.size(); ++b) {
       if (static_cast<std::int32_t>(b) == exclude) continue;
@@ -308,22 +327,29 @@ struct Cell {
       eligible.push_back(static_cast<std::uint32_t>(exclude));
     }
     if (eligible.empty()) return -1;
+    return pick(eligible.size(), [this](std::size_t i) { return eligible[i]; });
+  }
+
+  /// Applies the routing policy to the `n` candidates `candidate(0..n-1)`
+  /// (ascending blade indices).
+  template <typename Candidate>
+  std::int32_t pick(std::size_t n, Candidate candidate) {
     switch (options.routing) {
       case RoutingPolicy::kRoundRobin:
-        return static_cast<std::int32_t>(
-            eligible[rrCounter++ % eligible.size()]);
+        return static_cast<std::int32_t>(candidate(rrCounter++ % n));
       case RoutingPolicy::kLeastLoaded: {
-        std::uint32_t best = eligible[0];
-        for (std::uint32_t b : eligible) {
+        std::size_t best = candidate(0);
+        for (std::size_t i = 1; i < n; ++i) {
+          const std::size_t b = candidate(i);
           if (depth(blades[b]) < depth(blades[best])) best = b;
         }
         return static_cast<std::int32_t>(best);
       }
       case RoutingPolicy::kPowerOfTwoChoices: {
-        const std::uint32_t a = eligible[rng.below(eligible.size())];
-        const std::uint32_t b = eligible[rng.below(eligible.size())];
-        const std::uint32_t lo = std::min(a, b);
-        const std::uint32_t hi = std::max(a, b);
+        const std::size_t a = candidate(rng.below(n));
+        const std::size_t b = candidate(rng.below(n));
+        const std::size_t lo = std::min(a, b);
+        const std::size_t hi = std::max(a, b);
         return static_cast<std::int32_t>(
             depth(blades[hi]) < depth(blades[lo]) ? hi : lo);
       }
@@ -375,7 +401,7 @@ struct Cell {
     blade.currentFails = willFail;
     blade.busyPs += servicePs;
     reg.observe(ids.servicePs, servicePs);
-    schedule(nowPs + servicePs, EventKind::kCompletion, bladeIdx);
+    due[1 + bladeIdx] = {nowPs + servicePs, seq++};
     if (rec) {
       rec->onServiceStart(r.ordinal, job.attempt, bladeIdx, nowPs, stallPs,
                           configPs, execPs, nowPs + servicePs);
@@ -399,15 +425,12 @@ struct Cell {
     if (!hedge) r.primaryBlade = static_cast<std::int32_t>(bladeIdx);
     if (rec) rec->onDispatch(r.ordinal, job.attempt, hedge, bladeIdx, nowPs);
     if (blade.busy) {
-      blade.queue.push_back(job);
+      blade.queue.push(job);
     } else {
       startService(bladeIdx, job);
     }
   }
 
-  /// Admission -> routing -> dispatch for one fresh arrival. Sheds (and
-  /// returns) when no breaker admits traffic, the queue is over depth,
-  /// or the estimated wait blows the SLO-derived deadline.
   /// Sheds one fresh request: counter, terminal trace, series window.
   void shedFresh(std::uint32_t reqIdx, obs::CounterId counter,
                  trace::Outcome outcome) {
@@ -422,6 +445,9 @@ struct Cell {
     if (rec) rec->onShed(r.ordinal, outcome, nowPs);
   }
 
+  /// Admission -> routing -> dispatch for one fresh arrival. Sheds (and
+  /// returns) when no breaker admits traffic, the queue is over depth,
+  /// or the estimated wait blows the SLO-derived deadline.
   void admitFresh(std::uint32_t reqIdx) {
     Request& r = slots[reqIdx];
     reg.add(ids.offered);
@@ -469,9 +495,8 @@ struct Cell {
         localLatency.count >= options.hedge.minSamples) {
       const auto delayPs = static_cast<std::int64_t>(
           localLatency.quantile(options.hedge.quantile));
-      ++slots[reqIdx].pendingTimers;
-      schedule(nowPs + std::max<std::int64_t>(1, delayPs), EventKind::kHedge,
-               reqIdx);
+      scheduleTimer(nowPs + std::max<std::int64_t>(1, delayPs),
+                    /*hedge=*/true, reqIdx);
     }
   }
 
@@ -537,7 +562,7 @@ struct Cell {
         gapPs = options.trace[traceIdx % options.trace.size()].deltaPs;
         break;
     }
-    schedule(nowPs + std::max<std::int64_t>(1, gapPs), EventKind::kArrival, 0);
+    due[0] = {nowPs + std::max<std::int64_t>(1, gapPs), seq++};
   }
 
   /// A request reached a terminal failure (attempts exhausted or retry
@@ -610,6 +635,7 @@ struct Cell {
           ++blade.probeOk;
           if (blade.probeOk >= options.breaker.probeSuccesses) {
             blade.state = BreakerState::kClosed;
+            --unclosedBreakers;
             blade.consecFail = 0;
             reg.add(ids.breakerCloses);
             if (rec) {
@@ -623,6 +649,7 @@ struct Cell {
                   blade.rung >= static_cast<std::size_t>(
                                     options.breaker.openRung))) {
         blade.state = BreakerState::kOpen;
+        ++unclosedBreakers;
         blade.reopenAtPs = nowPs + options.breaker.openDuration.ps();
         reg.add(ids.breakerOpens);
         if (recordSeries) ++series.at(nowPs).breakerOpens;
@@ -649,13 +676,13 @@ struct Cell {
           slowThresholdPs = static_cast<std::int64_t>(
               localLatency.quantile(options.tracing.slowQuantile));
         }
-        observeLocal(localLatency, latencyPs);
+        if (trackLatency) localLatency.observe(latencyPs);
         reg.observe(ids.attempts, r.attempts);
         if (job.hedge) reg.add(ids.hedgeWins);
         if (recordSeries) {
           obs::TimeSeries::Window& w = series.at(nowPs);
           ++w.completed;
-          observeLocal(w.latency, latencyPs);
+          w.latency.observe(latencyPs);
           if (latencyPs <= sloTargetPs) {
             ++w.good;
           } else {
@@ -675,10 +702,9 @@ struct Cell {
             const double backoff =
                 static_cast<double>(options.retry.backoffBase.ps()) *
                 std::pow(options.retry.backoffFactor, r.attempts - 1);
-            ++r.pendingTimers;
-            schedule(nowPs + std::max<std::int64_t>(
-                                 1, static_cast<std::int64_t>(backoff)),
-                     EventKind::kRetry, job.req);
+            scheduleTimer(nowPs + std::max<std::int64_t>(
+                                      1, static_cast<std::int64_t>(backoff)),
+                          /*hedge=*/false, job.req);
           } else {
             reg.add(ids.retriesDenied);
             if (rec) rec->onRetryDenied(r.ordinal, nowPs);
@@ -699,8 +725,7 @@ struct Cell {
   void pumpQueue(std::uint32_t bladeIdx) {
     Blade& blade = blades[bladeIdx];
     while (!blade.busy && !blade.queue.empty()) {
-      const Job job = blade.queue.front();
-      blade.queue.pop_front();
+      const Job job = blade.queue.pop();
       Request& r = slots[job.req];
       if (r.done) {
         --r.inFlight;
@@ -755,6 +780,7 @@ struct Cell {
       rec = recorder.get();
     }
     recordSeries = options.slo.enabled || rec != nullptr;
+    trackLatency = options.hedge.enabled || rec != nullptr;
     series = obs::TimeSeries{options.slo.windowPs > 0
                                  ? options.slo.windowPs
                                  : obs::SloSpec{}.windowPs};
@@ -807,24 +833,35 @@ struct Cell {
                 static_cast<double>(options.bladesPerCell))));
 
     if (quota > 0) scheduleNextArrival();
-    while (!heap.empty()) {
-      nowPs = heap.top().timePs;
-      const EventArgs e = heap.top().payload;
-      heap.pop();
-      endPs = std::max(endPs, nowPs);
-      switch (e.kind) {
-        case EventKind::kArrival: generateArrival(); break;
-        case EventKind::kCompletion: onCompletion(e.arg); break;
-        case EventKind::kRetry:
-          onRetry(e.arg);
-          releaseIfIdle(e.arg);
-          break;
-        case EventKind::kHedge:
-          onHedge(e.arg);
-          releaseIfIdle(e.arg);
-          break;
+    const std::size_t sources = 1 + blades.size();
+    for (;;) {
+      std::size_t next = 0;
+      for (std::size_t s = 1; s < sources; ++s) {
+        if (dueBefore(due[s], due[next])) next = s;
+      }
+      if (!timers.empty() && dueBefore(timers.top(), due[next])) {
+        nowPs = timers.top().timePs;
+        const Timer timer = timers.top().payload;
+        timers.pop();
+        if (timer.hedge) {
+          onHedge(timer.req);
+        } else {
+          onRetry(timer.req);
+        }
+        releaseIfIdle(timer.req);
+        continue;
+      }
+      if (due[next].timePs == kNever) break;
+      nowPs = due[next].timePs;
+      due[next].timePs = kNever;
+      if (next == 0) {
+        generateArrival();
+      } else {
+        onCompletion(static_cast<std::uint32_t>(next - 1));
       }
     }
+    // Events fire in time order, so the last one ends the run.
+    const std::int64_t endPs = nowPs;
 
     CellResult result;
     result.endPs = endPs;
@@ -857,7 +894,8 @@ struct Cell {
 
 void validate(const FleetOptions& options) {
   util::require(options.cells >= 1, "runFleet: need at least one cell");
-  util::require(options.bladesPerCell >= 1 && options.bladesPerCell <= 6,
+  util::require(options.bladesPerCell >= 1 &&
+                    options.bladesPerCell <= kMaxBlades,
                 "runFleet: an XD1 chassis holds 1..6 blades");
   util::require(options.requests >= 1, "runFleet: need at least one request");
   // A request's per-cell ordinal is 32 bits; with recycled slots nothing

@@ -35,7 +35,7 @@
 /// away from the original blade.
 ///
 /// Determinism: a cell (one chassis) is an independent simulation with its
-/// own event heap, its own arrival/routing RNG, and one RNG per blade
+/// own pending set, its own arrival/routing RNG, and one RNG per blade
 /// (fault::Plan::forNode of the global blade index). Cells run through
 /// exec::parallelMap and their per-cell Registry snapshots fold in cell
 /// order via obs::reduceSnapshots, so output is byte-identical at any

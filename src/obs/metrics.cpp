@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <deque>
 #include <mutex>
@@ -36,12 +35,6 @@ void HistogramSummary::fold(const HistogramSummary& from) noexcept {
   for (std::size_t b = 0; b < kBucketCount; ++b) {
     buckets[b] += from.buckets[b];
   }
-}
-
-std::size_t HistogramSummary::bucketIndex(std::int64_t value) noexcept {
-  if (value <= 0) return 0;
-  return static_cast<std::size_t>(
-      std::bit_width(static_cast<std::uint64_t>(value)));
 }
 
 double HistogramSummary::quantile(double q) const noexcept {

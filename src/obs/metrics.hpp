@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -60,7 +61,25 @@ struct HistogramSummary {
   }
 
   /// Bucket index of one observation (see kBucketCount).
-  [[nodiscard]] static std::size_t bucketIndex(std::int64_t value) noexcept;
+  [[nodiscard]] static std::size_t bucketIndex(std::int64_t value) noexcept {
+    if (value <= 0) return 0;
+    return static_cast<std::size_t>(
+        std::bit_width(static_cast<std::uint64_t>(value)));
+  }
+
+  /// Records one observation.
+  void observe(std::int64_t value) noexcept {
+    if (count == 0) {
+      min = value;
+      max = value;
+    } else {
+      min = std::min(min, value);
+      max = std::max(max, value);
+    }
+    ++count;
+    sum += value;
+    ++buckets[bucketIndex(value)];
+  }
 
   /// Deterministic quantile estimate for q in [0, 1]: linear interpolation
   /// inside the log2 bucket holding the q-th observation, clamped to the
@@ -256,17 +275,7 @@ class Registry {
     HistogramSlot& slot = histograms_[id.index()];
     touchedHistograms_ += !slot.touched;
     slot.touched = true;
-    HistogramSummary& h = slot.summary;
-    if (h.count == 0) {
-      h.min = value;
-      h.max = value;
-    } else {
-      h.min = std::min(h.min, value);
-      h.max = std::max(h.max, value);
-    }
-    ++h.count;
-    h.sum += value;
-    ++h.buckets[HistogramSummary::bucketIndex(value)];
+    slot.summary.observe(value);
   }
 
   // The PR 4/7 string shims (add/set/observe by name) are gone: intern

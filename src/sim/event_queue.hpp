@@ -8,8 +8,9 @@
 ///
 /// The Simulator's pending set is this heap plus a same-instant FIFO:
 /// events scheduled at now() never enter the heap (see simulator.hpp for
-/// why dispatch still follows (timePs, seq) exactly). The fleet loop uses
-/// the heap alone.
+/// why dispatch still follows (timePs, seq) exactly). The fleet loop keeps
+/// only its retry and hedge timers here; its next arrival and per-blade
+/// completions sit in fixed registers that share the timers' seq counter.
 ///
 /// A heap fits the measured traffic: the kernel's pending set is a handful
 /// of events (executor, prepare, ICAP producer, drain), so a push or pop
@@ -31,7 +32,7 @@ namespace prtr::sim {
 /// One pending event: absolute time (integer picoseconds), a schedule
 /// sequence number that breaks ties deterministically in schedule order,
 /// and an 8-byte payload (the kernel's coroutine handle, the fleet's
-/// packed {kind, arg}).
+/// packed timer {kind, request slot}).
 template <typename Payload>
 struct TimedEvent {
   std::int64_t timePs;

@@ -1,8 +1,10 @@
 // prtr::fleet contract tests: calibration sanity, byte-identical output at
 // any thread count, the retry-budget cap, circuit-breaker open/half-open/
 // close cycling under a hostile fault plan, load shedding under overload,
-// hedged requests, request accounting (admitted = completed + failed), and
-// request memory bounded by the in-flight population (recycled slots).
+// hedged requests, request accounting (admitted = completed + failed),
+// request memory bounded by the in-flight population (recycled slots), and
+// digest pins of a hedged, traced chaos run and of a run whose events keep
+// falling on the same picosecond (schedule-order tie-breaks).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -178,6 +180,77 @@ TEST(FleetHedgeTest, HedgesFireAndAreAccounted) {
       report.metrics.counterOr("fleet.hedge_cancelled");
   EXPECT_LE(report.hedgeWins + cancelled, report.hedges + report.completed);
   EXPECT_EQ(report.admitted, report.completed + report.failed);
+}
+
+/// FNV-1a over a report's text and metrics: a byte-identity pin.
+std::uint64_t reportDigest(const fleet::FleetReport& report) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : report.toString() + report.metrics.toString()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(FleetHedgeTest, HedgedChaosRunIsPinned) {
+  // No committed baseline counts hedges, so this pins hedged dispatch with
+  // every mechanism that schedules a timer or reroutes: hedges, retries,
+  // tracing, and breakers tripping on degraded blades.
+  fleet::FleetOptions options = smallFleet();
+  options.degradedFraction = 0.25;
+  options.degradedFaults = hostilePlan();
+  options.faults.linkStallRate = 0.05;
+  options.faults.stallDuration = util::Time::milliseconds(2);
+  options.hedge.enabled = true;
+  options.hedge.minSamples = 200;
+  options.hedge.budgetFraction = 0.10;
+  options.tracing.enabled = true;
+  const fleet::FleetReport report =
+      runFleet(paperRegistry(), sharedProfile(), options);
+  EXPECT_GT(report.hedges, 0u);
+  EXPECT_GT(report.breakerOpens, 0u);
+  EXPECT_EQ(reportDigest(report), 0xe7379ceea6753bcfULL)
+      << report.toString() << report.metrics.toString();
+}
+
+TEST(FleetDeterminismTest, SimultaneousEventsFireInScheduleOrder) {
+  // Every service, gap, stall and backoff is a multiple of 100 us, so
+  // arrivals, completions and retry timers keep landing on the same
+  // picosecond; only their schedule order (seq) tells them apart. The
+  // digest pins that order.
+  static const tasks::FunctionRegistry registry =
+      tasks::makeSyntheticFunctions(2, 2.0);
+  const std::int64_t us100 = util::Time::microseconds(100).ps();
+  fleet::BladeProfile profile;
+  profile.tasks = {{us100, 3 * us100, 0.0, 1000}, {2 * us100, us100, 0.0, 1000}};
+  fleet::FleetOptions options;
+  options.cells = 2;
+  options.bladesPerCell = 3;
+  options.requests = 20'000;
+  options.arrival = fleet::ArrivalProcess::kTrace;
+  options.trace = {{us100, 0, 0}, {us100, 1, 0}, {2 * us100, -1, 0},
+                   {us100, -1, 0}};
+  options.payloadBytes = util::Bytes::kibi(64);
+  options.payloadSpread = 0.0;
+  options.retry.backoffBase = util::Time::microseconds(100);
+  options.degradedFraction = 0.5;
+  options.degradedFaults.arrival = fault::Arrival::kFixedPeriod;
+  options.degradedFaults.fixedPeriod = 2;
+  options.degradedFaults.icapAbortRate = 0.5;
+  options.degradedFaults.linkStallRate = 0.5;
+  // Every failure slides a rung and the first rung opens the breaker, so
+  // breakers open and close throughout.
+  options.escalateAfter = 1;
+  options.breaker.openRung = config::RecoveryRung::kDifferencePartial;
+  options.hedge.enabled = true;
+  options.hedge.minSamples = 50;
+  options.tracing.enabled = true;
+  const fleet::FleetReport report = runFleet(registry, profile, options);
+  EXPECT_GT(report.retries, 0u);
+  EXPECT_GT(report.hedges, 0u);
+  EXPECT_GT(report.breakerCloses, 0u);
+  EXPECT_EQ(reportDigest(report), 0x0dd634ee06d46ee6ULL)
+      << report.toString() << report.metrics.toString();
 }
 
 TEST(FleetOptionsTest, ValidationRejectsBrokenTopologies) {

@@ -1,4 +1,5 @@
-// Tests for CRC-32, the deterministic RNG, statistics, tables, and plots.
+// Tests for CRC-32, the deterministic RNG, statistics, tables, plots, and
+// the JSON parser's \u escapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/plot.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -276,6 +278,37 @@ TEST(HeatmapTest, LogScaleAndValidation) {
   EXPECT_NE(out.find("log10"), std::string::npos);
   EXPECT_THROW(renderHeatmap({}, opts), DomainError);
   EXPECT_THROW(renderHeatmap({{1.0, 2.0}, {1.0}}, opts), DomainError);
+}
+
+/// The message of the DomainError that parsing `text` throws, or "" when
+/// it parses.
+std::string jsonError(std::string_view text) {
+  try {
+    (void)json::Value::parse(text);
+  } catch (const DomainError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
+  EXPECT_EQ(json::Value::parse(R"("a\u0041b")").asString(), "aAb");
+  // U+00E9 (2 bytes), U+20AC (3 bytes), U+1F600 as a surrogate pair (4).
+  EXPECT_EQ(json::Value::parse(R"("\u00e9")").asString(), "\xC3\xA9");
+  EXPECT_EQ(json::Value::parse(R"("\u20AC")").asString(), "\xE2\x82\xAC");
+  EXPECT_EQ(json::Value::parse(R"("\ud83D\uDE00!")").asString(),
+            "\xF0\x9F\x98\x80!");
+}
+
+TEST(JsonTest, MalformedUnicodeEscapesAreCoded) {
+  EXPECT_EQ(jsonError(R"("\u12")"), "json: truncated \\u escape at offset 3");
+  EXPECT_EQ(jsonError(R"("\u12G4")"),
+            "json: bad hex digit in \\u escape at offset 6");
+  EXPECT_EQ(jsonError(R"("\ud83d")"), "json: lone high surrogate at offset 7");
+  EXPECT_EQ(jsonError(R"("\ud83dx")"), "json: lone high surrogate at offset 7");
+  EXPECT_EQ(jsonError(R"("\ud83d\u0041")"),
+            "json: bad low surrogate at offset 13");
+  EXPECT_EQ(jsonError(R"("\ude00")"), "json: lone low surrogate at offset 7");
 }
 
 }  // namespace
