@@ -103,7 +103,6 @@ void DynamicPrtrExecutor::evictUntilFits(std::size_t width) {
 }
 
 sim::Process DynamicPrtrExecutor::execute(const tasks::Workload& workload) {
-  auto& sim = node_->sim();
   co_await fullLoad();
 
   double occupiedSum = 0.0;
@@ -134,23 +133,9 @@ sim::Process DynamicPrtrExecutor::execute(const tasks::Workload& workload) {
       placed->second.lastUse = ++useClock_;
     }
 
-    util::Time mark = sim.now();
-    co_await sim.delay(options_.tControl);
-    report_.base.controlTime += sim.now() - mark;
-
-    mark = sim.now();
-    co_await node_->linkIn().transfer(call.dataBytes);
-    report_.base.inputTime += sim.now() - mark;
-
-    mark = sim.now();
-    co_await sim.delay(fn.computeTime(call.dataBytes));
-    report_.base.computeTime += sim.now() - mark;
-
-    mark = sim.now();
-    co_await node_->linkOut().transfer(fn.outputBytes(call.dataBytes));
-    report_.base.outputTime += sim.now() - mark;
-
-    ++report_.base.calls;
+    CallRecord record;
+    co_await runCall(*node_, call, fn, options_.tControl, record);
+    report_.base.add(record);
     occupiedSum += static_cast<double>(allocator_.managedColumns() -
                                        allocator_.freeColumns());
   }
@@ -162,13 +147,8 @@ sim::Process DynamicPrtrExecutor::execute(const tasks::Workload& workload) {
 
 DynamicReport DynamicPrtrExecutor::run(const tasks::Workload& workload) {
   report_ = DynamicReport{};
-  report_.base.executor = "PRTR(dynamic)";
-  auto& sim = node_->sim();
-  const util::Time start = sim.now();
-  sim.spawn(execute(workload));
-  sim.run();
-  report_.base.total = sim.now() - start;
-  scrapeExecutionMetrics(report_.base, *node_, "dynamic", nullptr);
+  runExecution(*node_, report_.base, "PRTR(dynamic)", "dynamic", nullptr,
+               execute(workload));
   report_.base.metrics.counters["dynamic.evictions"] = report_.evictions;
   report_.base.metrics.counters["dynamic.defrag_runs"] = report_.defragRuns;
   report_.base.metrics.counters["dynamic.defrag_moves"] = report_.defragMoves;

@@ -13,17 +13,6 @@
 namespace prtr::runtime {
 namespace {
 
-/// Estimated-basis configuration times go through the raw external port.
-util::Time estimatedFullTime(const xd1::Node& node) {
-  return config::makeSelectMap().transferTime(
-      node.device().geometry().fullBitstreamBytes());
-}
-
-util::Time estimatedPartialTime(const xd1::Node& node, std::size_t prr) {
-  return config::makeSelectMap().transferTime(
-      node.floorplan().prr(prr).partialBitstreamBytes(node.device()));
-}
-
 std::uint64_t asCount(util::Time t) noexcept {
   return t.ps() > 0 ? static_cast<std::uint64_t>(t.ps()) : 0;
 }
@@ -149,14 +138,8 @@ const ExecutorIds& executorIds(const std::string& executorName) {
   return byExecutor.emplace(executorName, ids).first->second;
 }
 
-}  // namespace
-
-LoadCensus loadCensus(const xd1::Node& node) noexcept {
-  return LoadCensus{.contendedIn = node.linkIn().contendedTransfers(),
-                    .contendedOut = node.linkOut().contendedTransfers(),
-                    .abortedLoads = node.icap().abortedLoads()};
-}
-
+/// Freezes a finished run's counters into `report.metrics` and `node`'s
+/// loadCensus into `report.census` (see runExecution).
 void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
                             const std::string& executorName,
                             const ConfigCache* cache) {
@@ -235,6 +218,103 @@ void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
   report.census = loadCensus(node);
 }
 
+}  // namespace
+
+LoadCensus loadCensus(const xd1::Node& node) noexcept {
+  return LoadCensus{.contendedIn = node.linkIn().contendedTransfers(),
+                    .contendedOut = node.linkOut().contendedTransfers(),
+                    .abortedLoads = node.icap().abortedLoads()};
+}
+
+void runExecution(xd1::Node& node, ExecutionReport& report,
+                  std::string executor, const std::string& metricsName,
+                  const ConfigCache* cache, sim::Process body) {
+  report = ExecutionReport{};
+  report.executor = std::move(executor);
+  auto& sim = node.sim();
+  const util::Time start = sim.now();
+  sim.spawn(std::move(body));
+  sim.run();
+  report.total = sim.now() - start;
+  scrapeExecutionMetrics(report, node, metricsName, cache);
+}
+
+sim::Process fullConfigure(xd1::Node& node, bitstream::Library& library,
+                           model::ConfigTimeBasis basis) {
+  if (basis == model::ConfigTimeBasis::kEstimated) {
+    co_await node.sim().delay(config::makeSelectMap().transferTime(
+        node.device().geometry().fullBitstreamBytes()));
+  } else if (node.manager().recoveryPolicy().enabled) {
+    co_await node.manager().fullConfigureRecovering(library.full());
+  } else {
+    co_await node.manager().fullConfigure(library.full());
+  }
+}
+
+sim::Process partialConfigure(xd1::Node& node, bitstream::Library& library,
+                              model::ConfigTimeBasis basis, std::size_t prr,
+                              const tasks::HwFunction& fn,
+                              TimelineRecorder* trace) {
+  auto& sim = node.sim();
+  const util::Time start = sim.now();
+  if (basis == model::ConfigTimeBasis::kEstimated) {
+    co_await sim.delay(config::makeSelectMap().transferTime(
+        node.floorplan().prr(prr).partialBitstreamBytes(node.device())));
+  } else if (node.manager().recoveryPolicy().enabled) {
+    // Entry rung is the module partial (same stream a non-recovering load
+    // would transfer, so a fault-free run stays bit-identical); the ladder
+    // rungs are only materialized when escalation is allowed at all.
+    config::RecoveryStreams streams;
+    streams.modulePartial = &library.modulePartial(prr, fn.id);
+    if (node.manager().recoveryPolicy().ladder) {
+      streams.fullPrr = &library.prrReload(prr, fn.id);
+      streams.fullDevice = &library.full();
+    }
+    co_await node.manager().loadModuleRecovering(prr, fn.id, streams);
+  } else {
+    co_await node.manager().loadModule(prr, fn.id,
+                                       library.modulePartial(prr, fn.id));
+  }
+  if (trace != nullptr && trace->enabled()) {
+    trace->record(trace->config, trace->label("partial(" + fn.name + ")"), 'P',
+                  start, sim.now());
+  }
+}
+
+sim::Process runCall(xd1::Node& node, const tasks::TaskCall& call,
+                     const tasks::HwFunction& fn, util::Time tControl,
+                     CallRecord& record, TimelineRecorder* trace,
+                     std::optional<std::size_t> prr,
+                     std::function<void()> afterInput) {
+  auto& sim = node.sim();
+  const bool tracing = trace != nullptr && trace->enabled();
+
+  util::Time mark = sim.now();
+  co_await sim.delay(tControl);
+  record.control = sim.now() - mark;
+
+  mark = sim.now();
+  co_await node.linkIn().transfer(call.dataBytes);
+  record.input = sim.now() - mark;
+  if (tracing) trace->record(trace->htIn, trace->dataIn, '>', mark, sim.now());
+  if (afterInput) afterInput();
+
+  mark = sim.now();
+  co_await sim.delay(fn.computeTime(call.dataBytes));
+  record.compute = sim.now() - mark;
+  if (tracing) {
+    trace->record(prr ? trace->prrLane(*prr) : trace->fpga,
+                  trace->label(fn.name), '#', mark, sim.now());
+  }
+
+  mark = sim.now();
+  co_await node.linkOut().transfer(fn.outputBytes(call.dataBytes));
+  record.output = sim.now() - mark;
+  if (tracing) {
+    trace->record(trace->htOut, trace->dataOut, '<', mark, sim.now());
+  }
+}
+
 // ---------------------------------------------------------------- FRTR --
 
 FrtrExecutor::FrtrExecutor(xd1::Node& node,
@@ -246,69 +326,27 @@ FrtrExecutor::FrtrExecutor(xd1::Node& node,
       options_(options),
       trace_(options.timeline) {}
 
-sim::Process FrtrExecutor::fullLoad() {
-  auto& sim = node_->sim();
-  const util::Time start = sim.now();
-  if (options_.basis == model::ConfigTimeBasis::kEstimated) {
-    co_await sim.delay(estimatedFullTime(*node_));
-  } else if (node_->manager().recoveryPolicy().enabled) {
-    co_await node_->manager().fullConfigureRecovering(library_->full());
-  } else {
-    co_await node_->manager().fullConfigure(library_->full());
-  }
-  ++report_.configurations;
-  report_.configStall += sim.now() - start;
-  if (trace_.enabled()) {
-    trace_.record(trace_.config, trace_.fullConfig, 'F', start, sim.now());
-  }
-}
-
 sim::Process FrtrExecutor::execute(const tasks::Workload& workload) {
   auto& sim = node_->sim();
   for (const tasks::TaskCall& call : workload.calls) {
     const tasks::HwFunction& fn = registry_->at(call.functionIndex);
     // FRTR reloads the whole device for every task (Figure 3).
-    co_await fullLoad();
-
-    util::Time mark = sim.now();
-    co_await sim.delay(options_.tControl);
-    report_.controlTime += sim.now() - mark;
-
-    mark = sim.now();
-    co_await node_->linkIn().transfer(call.dataBytes);
-    report_.inputTime += sim.now() - mark;
+    const util::Time start = sim.now();
+    co_await fullConfigure(*node_, *library_, options_.basis);
+    ++report_.configurations;
+    report_.configStall += sim.now() - start;
     if (trace_.enabled()) {
-      trace_.record(trace_.htIn, trace_.dataIn, '>', mark, sim.now());
+      trace_.record(trace_.config, trace_.fullConfig, 'F', start, sim.now());
     }
-
-    mark = sim.now();
-    co_await sim.delay(fn.computeTime(call.dataBytes));
-    report_.computeTime += sim.now() - mark;
-    if (trace_.enabled()) {
-      trace_.record(trace_.fpga, trace_.label(fn.name), '#', mark, sim.now());
-    }
-
-    mark = sim.now();
-    co_await node_->linkOut().transfer(fn.outputBytes(call.dataBytes));
-    report_.outputTime += sim.now() - mark;
-    if (trace_.enabled()) {
-      trace_.record(trace_.htOut, trace_.dataOut, '<', mark, sim.now());
-    }
-
-    ++report_.calls;
+    CallRecord record;
+    co_await runCall(*node_, call, fn, options_.tControl, record, &trace_);
+    report_.add(record);
   }
 }
 
 ExecutionReport FrtrExecutor::run(const tasks::Workload& workload) {
-  report_ = ExecutionReport{};
-  report_.executor = "FRTR";
   node_->manager().setRecoveryTimeline(options_.timeline);
-  auto& sim = node_->sim();
-  const util::Time start = sim.now();
-  sim.spawn(execute(workload));
-  sim.run();
-  report_.total = sim.now() - start;
-  scrapeExecutionMetrics(report_, *node_, "frtr", nullptr);
+  runExecution(*node_, report_, "FRTR", "frtr", nullptr, execute(workload));
   return report_;
 }
 
@@ -329,53 +367,7 @@ PrtrExecutor::PrtrExecutor(xd1::Node& node,
                 "PrtrExecutor: cache slots must match the PRR count");
 }
 
-sim::Process PrtrExecutor::fullLoad() {
-  auto& sim = node_->sim();
-  const util::Time start = sim.now();
-  if (options_.basis == model::ConfigTimeBasis::kEstimated) {
-    co_await sim.delay(estimatedFullTime(*node_));
-  } else if (node_->manager().recoveryPolicy().enabled) {
-    co_await node_->manager().fullConfigureRecovering(library_->full());
-  } else {
-    co_await node_->manager().fullConfigure(library_->full());
-  }
-  cache_->invalidateAll();
-  report_.initialConfig += sim.now() - start;
-  if (trace_.enabled()) {
-    trace_.record(trace_.config, trace_.initialFullConfig, 'F', start,
-                  sim.now());
-  }
-}
-
-sim::Process PrtrExecutor::partialLoad(std::size_t prr,
-                                       const tasks::HwFunction& fn) {
-  auto& sim = node_->sim();
-  const util::Time start = sim.now();
-  if (options_.basis == model::ConfigTimeBasis::kEstimated) {
-    co_await sim.delay(estimatedPartialTime(*node_, prr));
-  } else if (node_->manager().recoveryPolicy().enabled) {
-    // Entry rung is the module partial (same stream a non-recovering load
-    // would transfer, so a fault-free run stays bit-identical); the ladder
-    // rungs are only materialized when escalation is allowed at all.
-    config::RecoveryStreams streams;
-    streams.modulePartial = &library_->modulePartial(prr, fn.id);
-    if (node_->manager().recoveryPolicy().ladder) {
-      streams.fullPrr = &library_->prrReload(prr, fn.id);
-      streams.fullDevice = &library_->full();
-    }
-    co_await node_->manager().loadModuleRecovering(prr, fn.id, streams);
-  } else {
-    co_await node_->manager().loadModule(prr, fn.id,
-                                         library_->modulePartial(prr, fn.id));
-  }
-  if (trace_.enabled()) {
-    trace_.record(trace_.config, trace_.label("partial(" + fn.name + ")"), 'P',
-                  start, sim.now());
-  }
-}
-
-sim::Process PrtrExecutor::prepareProcess(std::size_t callIndex,
-                                          ModuleId module) {
+sim::Process PrtrExecutor::prepareProcess(ModuleId module) {
   auto& sim = node_->sim();
   Prep* prep = prep_.get();
   const util::Time decisionStart = sim.now();
@@ -414,11 +406,11 @@ sim::Process PrtrExecutor::prepareProcess(std::size_t callIndex,
   prep->slot = slot;
   prep->configIssued = true;
   ++report_.prefetchIssued;
-  co_await partialLoad(*slot, registry_->byId(module));
+  co_await partialConfigure(*node_, *library_, options_.basis, *slot,
+                            registry_->byId(module), &trace_);
   cache_->install(*slot, module);
   prep->finished = true;
   prep->done->notifyAll();
-  (void)callIndex;
 }
 
 void PrtrExecutor::startPrepare(std::size_t nextCallIndex,
@@ -439,7 +431,7 @@ void PrtrExecutor::startPrepare(std::size_t nextCallIndex,
   prep_->callIndex = nextCallIndex;
   prep_->module = *predicted;
   prep_->done = std::make_unique<sim::Condition>(node_->sim());
-  node_->sim().spawn(prepareProcess(nextCallIndex, *predicted));
+  node_->sim().spawn(prepareProcess(*predicted));
 }
 
 sim::Process PrtrExecutor::ensureResident(std::size_t callIndex,
@@ -485,7 +477,8 @@ sim::Process PrtrExecutor::ensureResident(std::size_t callIndex,
       util::require(slot.has_value(),
                     "PrtrExecutor: no PRR available for on-demand load");
       const util::Time stallStart = sim.now();
-      co_await partialLoad(*slot, fn);
+      co_await partialConfigure(*node_, *library_, options_.basis, *slot, fn,
+                                &trace_);
       cache_->install(*slot, fn.id);
       report_.configStall += sim.now() - stallStart;
       configured = true;
@@ -500,8 +493,16 @@ sim::Process PrtrExecutor::ensureResident(std::size_t callIndex,
 }
 
 sim::Process PrtrExecutor::execute(const tasks::Workload& workload) {
+  // The one initial full configuration: the leading "1" of equation (5).
   auto& sim = node_->sim();
-  co_await fullLoad();  // the leading "1" of equation (5)
+  const util::Time start = sim.now();
+  co_await fullConfigure(*node_, *library_, options_.basis);
+  cache_->invalidateAll();
+  report_.initialConfig += sim.now() - start;
+  if (trace_.enabled()) {
+    trace_.record(trace_.config, trace_.initialFullConfig, 'F', start,
+                  sim.now());
+  }
 
   for (std::size_t i = 0; i < workload.calls.size(); ++i) {
     const tasks::TaskCall& call = workload.calls[i];
@@ -514,54 +515,26 @@ sim::Process PrtrExecutor::execute(const tasks::Workload& workload) {
     // also resolves the executing PRR under forceMiss.
     executingPrr_ = cache_->lookup(fn.id);
 
-    util::Time mark = sim.now();
-    co_await sim.delay(options_.tControl);
-    report_.controlTime += sim.now() - mark;
-
-    mark = sim.now();
-    co_await node_->linkIn().transfer(call.dataBytes);
-    report_.inputTime += sim.now() - mark;
-    if (trace_.enabled()) {
-      trace_.record(trace_.htIn, trace_.dataIn, '>', mark, sim.now());
+    // Once the input channel is free, overlap the next call's configuration
+    // with the remainder of this task (paper section 4.1).
+    std::function<void()> prepareNext;
+    if (i + 1 < workload.calls.size()) {
+      prepareNext = [this, i, &workload] { startPrepare(i + 1, workload); };
     }
-
-    // Input channel now free: overlap the next call's configuration with
-    // the remainder of this task (paper section 4.1).
-    if (i + 1 < workload.calls.size()) startPrepare(i + 1, workload);
-
-    mark = sim.now();
-    co_await sim.delay(fn.computeTime(call.dataBytes));
-    report_.computeTime += sim.now() - mark;
-    if (trace_.enabled()) {
-      trace_.record(trace_.prrLane(executingPrr_.value_or(0)),
-                    trace_.label(fn.name), '#', mark, sim.now());
-    }
-
-    mark = sim.now();
-    co_await node_->linkOut().transfer(fn.outputBytes(call.dataBytes));
-    report_.outputTime += sim.now() - mark;
-    if (trace_.enabled()) {
-      trace_.record(trace_.htOut, trace_.dataOut, '<', mark, sim.now());
-    }
-
+    CallRecord record;
+    co_await runCall(*node_, call, fn, options_.tControl, record, &trace_,
+                     executingPrr_.value_or(0), std::move(prepareNext));
     executingPrr_.reset();
-    ++report_.calls;
+    report_.add(record);
   }
 }
 
 ExecutionReport PrtrExecutor::run(const tasks::Workload& workload) {
-  report_ = ExecutionReport{};
-  report_.executor = "PRTR";
   node_->manager().setRecoveryTimeline(options_.timeline);
   roundRobinSlot_ = 0;
   executingPrr_.reset();
   prep_.reset();
-  auto& sim = node_->sim();
-  const util::Time start = sim.now();
-  sim.spawn(execute(workload));
-  sim.run();
-  report_.total = sim.now() - start;
-  scrapeExecutionMetrics(report_, *node_, "prtr", cache_);
+  runExecution(*node_, report_, "PRTR", "prtr", cache_, execute(workload));
   return report_;
 }
 

@@ -13,6 +13,7 @@
 /// with payload data, so a pending configuration may only start once the
 /// current call's input transfer has finished (paper section 4.1).
 
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -35,7 +36,8 @@ enum class PrepareSource : std::uint8_t {
   kPrefetcher,  ///< ask the Prefetcher (may guess wrong)
 };
 
-/// Options shared by both executors.
+/// Options of the FRTR and PRTR executors (HwSwOptions and DynamicOptions
+/// configure the other two).
 struct ExecutorOptions {
   model::ConfigTimeBasis basis = model::ConfigTimeBasis::kMeasured;
   util::Time tControl = util::Time::microseconds(10);
@@ -46,17 +48,47 @@ struct ExecutorOptions {
   sim::Timeline* timeline = nullptr;  ///< optional Gantt tracing
 };
 
-/// Freezes a finished run's observability counters into `report.metrics`:
-/// sim kernel, configuration machinery, cache (may be null), and the
-/// executor's own accounting, under the stable names documented in
-/// src/obs/README.md; and `node`'s loadCensus into `report.census`. Shared
-/// by every executor flavour.
-void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
-                            const std::string& executorName,
-                            const ConfigCache* cache);
-
 /// `node`'s contended link transfers and aborted ICAP loads so far.
 [[nodiscard]] LoadCensus loadCensus(const xd1::Node& node) noexcept;
+
+/// The one run driver: resets `report` to an empty `executor` report, runs
+/// `body` (an executor's not-yet-started execute coroutine) on `node`'s
+/// simulator to completion, stamps the simulated total, and freezes the
+/// run's observability counters into `report.metrics` (sim kernel,
+/// configuration machinery, `cache` if non-null, and the executor's own
+/// accounting under `executor.<metricsName>.*`, the stable names of
+/// src/obs/README.md) and `node`'s loadCensus into `report.census`.
+void runExecution(xd1::Node& node, ExecutionReport& report,
+                  std::string executor, const std::string& metricsName,
+                  const ConfigCache* cache, sim::Process body);
+
+/// Full-device configuration: the raw SelectMap estimate under the
+/// estimated basis, else the node's recovery ladder when its policy is on,
+/// else a plain vendor-API load. Callers keep their own accounting.
+sim::Process fullConfigure(xd1::Node& node, bitstream::Library& library,
+                           model::ConfigTimeBasis basis);
+
+/// Partial configuration of `fn` into PRR `prr`, chosen the same way as
+/// fullConfigure. Records a "partial(<fn>)" span on `trace`'s config lane
+/// when `trace` is non-null and enabled.
+sim::Process partialConfigure(xd1::Node& node, bitstream::Library& library,
+                              model::ConfigTimeBasis basis, std::size_t prr,
+                              const tasks::HwFunction& fn,
+                              TimelineRecorder* trace);
+
+/// The Figure-2 tail of one hardware call once its module is resident:
+/// transfer of control, data in, compute, data out. Writes the four phase
+/// times into `record`. With a non-null, enabled `trace` it records the
+/// HT-in, compute and HT-out spans; the compute span goes on PRR<`prr`>'s
+/// lane, or on the FPGA lane when `prr` is empty. `afterInput` runs the
+/// instant the input transfer ends, before compute: the host->FPGA channel
+/// is free again, so PRTR starts the next call's configuration there
+/// (paper section 4.1).
+sim::Process runCall(xd1::Node& node, const tasks::TaskCall& call,
+                     const tasks::HwFunction& fn, util::Time tControl,
+                     CallRecord& record, TimelineRecorder* trace = nullptr,
+                     std::optional<std::size_t> prr = std::nullopt,
+                     std::function<void()> afterInput = {});
 
 /// Full run-time reconfiguration baseline (Figure 3).
 class FrtrExecutor {
@@ -70,7 +102,6 @@ class FrtrExecutor {
 
  private:
   sim::Process execute(const tasks::Workload& workload);
-  sim::Process fullLoad();
 
   xd1::Node* node_;
   const tasks::FunctionRegistry* registry_;
@@ -101,9 +132,7 @@ class PrtrExecutor {
   };
 
   sim::Process execute(const tasks::Workload& workload);
-  sim::Process fullLoad();
-  sim::Process partialLoad(std::size_t prr, const tasks::HwFunction& fn);
-  sim::Process prepareProcess(std::size_t callIndex, ModuleId module);
+  sim::Process prepareProcess(ModuleId module);
   sim::Process ensureResident(std::size_t callIndex, const tasks::HwFunction& fn);
   void startPrepare(std::size_t nextCallIndex, const tasks::Workload& workload);
 

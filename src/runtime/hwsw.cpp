@@ -24,8 +24,7 @@ HwSwExecutor::HwSwExecutor(xd1::Node& node,
       registry_(&registry),
       library_(&library),
       cache_(&cache),
-      options_(options),
-      trace_(options.hooks.timeline) {
+      options_(options) {
   util::require(cache.slotCount() == node.floorplan().prrCount(),
                 "HwSwExecutor: cache slots must match the PRR count");
 }
@@ -64,20 +63,6 @@ bool HwSwExecutor::placeInHardware(const tasks::TaskCall& call) const {
   return true;
 }
 
-sim::Process HwSwExecutor::fullLoad() {
-  const util::Time start = node_->sim().now();
-  co_await node_->manager().fullConfigure(library_->full());
-  cache_->invalidateAll();
-  report_.base.initialConfig += node_->sim().now() - start;
-}
-
-sim::Process HwSwExecutor::configureInto(std::size_t slot,
-                                         const tasks::HwFunction& fn) {
-  co_await node_->manager().loadModule(slot, fn.id,
-                                       library_->modulePartial(slot, fn.id));
-  cache_->install(slot, fn.id);
-}
-
 sim::Process HwSwExecutor::execute(const tasks::Workload& workload) {
   auto& sim = node_->sim();
   // The accelerator powers up lazily: the initial full configuration is
@@ -90,79 +75,57 @@ sim::Process HwSwExecutor::execute(const tasks::Workload& workload) {
     cache_->onCallBoundary(i);
 
     if (!placeInHardware(call)) {
-      // Software path: data stays in host memory; the CPU crunches it.
+      // Software path: data stays in host memory; the CPU crunches it, so
+      // the call adds no control or link time.
       const util::Time start = sim.now();
       co_await sim.delay(softwareCost(call));
       report_.softwareTime += sim.now() - start;
-      if (trace_.enabled()) {
-        trace_.record(trace_.cpu, trace_.label(fn.name), 's', start, sim.now());
-      }
       ++report_.softwareCalls;
-      ++report_.base.calls;
+      report_.base.add(CallRecord{});
       continue;
     }
 
-    // Hardware path: configure on miss, then the Figure-2 sequence.
+    // Hardware path: configure on miss (measured basis), then the Figure-2
+    // sequence.
     if (!deviceReady) {
-      co_await fullLoad();
+      const util::Time start = sim.now();
+      co_await fullConfigure(*node_, *library_,
+                             model::ConfigTimeBasis::kMeasured);
+      cache_->invalidateAll();
+      report_.base.initialConfig += sim.now() - start;
       deviceReady = true;
     }
     if (!cache_->lookup(fn.id).has_value()) {
       const auto slot = cache_->chooseSlot(fn.id, std::nullopt);
       util::require(slot.has_value(), "HwSwExecutor: no PRR available");
       const util::Time stallStart = sim.now();
-      co_await configureInto(*slot, fn);
+      co_await partialConfigure(*node_, *library_,
+                                model::ConfigTimeBasis::kMeasured, *slot, fn,
+                                nullptr);
+      cache_->install(*slot, fn.id);
       report_.base.configStall += sim.now() - stallStart;
       ++report_.base.configurations;
     }
     (void)cache_->access(fn.id);
 
-    util::Time mark = sim.now();
-    co_await sim.delay(options_.tControl);
-    report_.base.controlTime += sim.now() - mark;
-
-    mark = sim.now();
-    co_await node_->linkIn().transfer(call.dataBytes);
-    report_.base.inputTime += sim.now() - mark;
-
-    mark = sim.now();
-    co_await sim.delay(fn.computeTime(call.dataBytes));
-    report_.base.computeTime += sim.now() - mark;
-    if (trace_.enabled()) {
-      trace_.record(trace_.fpga, trace_.label(fn.name), '#', mark, sim.now());
-    }
-
-    mark = sim.now();
-    co_await node_->linkOut().transfer(fn.outputBytes(call.dataBytes));
-    report_.base.outputTime += sim.now() - mark;
-
+    CallRecord record;
+    co_await runCall(*node_, call, fn, options_.tControl, record);
+    report_.base.add(record);
     ++report_.hardwareCalls;
-    ++report_.base.calls;
   }
 }
 
 HwSwReport HwSwExecutor::run(const tasks::Workload& workload) {
   report_ = HwSwReport{};
-  report_.base.executor = "HW/SW(" + std::string{toString(options_.policy)} + ")";
-  auto& sim = node_->sim();
-  const util::Time start = sim.now();
-  sim.spawn(execute(workload));
-  sim.run();
-  report_.base.total = sim.now() - start;
-  scrapeExecutionMetrics(report_.base, *node_, "hwsw", cache_);
+  runExecution(*node_, report_.base,
+               "HW/SW(" + std::string{toString(options_.policy)} + ")", "hwsw",
+               cache_, execute(workload));
   report_.base.metrics.counters["hwsw.hardware_calls"] = report_.hardwareCalls;
   report_.base.metrics.counters["hwsw.software_calls"] = report_.softwareCalls;
   report_.base.metrics.counters["hwsw.software_ps"] =
       report_.softwareTime > util::Time::zero()
           ? static_cast<std::uint64_t>(report_.softwareTime.ps())
           : 0;
-  if (options_.hooks.metrics) {
-    options_.hooks.metrics->absorb(report_.base.metrics);
-  }
-  if (options_.hooks.trace && options_.hooks.timeline &&
-      !options_.hooks.timeline->empty()) {
-    options_.hooks.trace->add("hwsw", *options_.hooks.timeline);
-  }
   return report_;
 }
 

@@ -16,9 +16,7 @@
 #include <string>
 
 #include "bitstream/library.hpp"
-#include "obs/hooks.hpp"
 #include "runtime/cache.hpp"
-#include "runtime/lanes.hpp"
 #include "runtime/report.hpp"
 #include "tasks/workload.hpp"
 #include "xd1/node.hpp"
@@ -54,10 +52,6 @@ struct HwSwOptions {
   Partitioning policy = Partitioning::kAdaptive;
   CpuModel cpu{};
   util::Time tControl = util::Time::microseconds(10);
-  bool lookahead = true;  ///< overlap next hardware config with execution
-  /// Observability: hooks.timeline records CPU/FPGA spans; hooks.metrics
-  /// receives the run's snapshot.
-  obs::Hooks hooks{};
 };
 
 /// Outcome of a HW/SW run: the base report plus the placement split.
@@ -94,15 +88,12 @@ class HwSwExecutor {
   [[nodiscard]] util::Time softwareCost(const tasks::TaskCall& call) const;
 
   sim::Process execute(const tasks::Workload& workload);
-  sim::Process fullLoad();
-  sim::Process configureInto(std::size_t slot, const tasks::HwFunction& fn);
 
   xd1::Node* node_;
   const tasks::FunctionRegistry* registry_;
   bitstream::Library* library_;
   ConfigCache* cache_;
   HwSwOptions options_;
-  TimelineRecorder trace_;
   HwSwReport report_;
 };
 

@@ -3,7 +3,7 @@
 /// Cached interned ids for the executor timeline conventions.
 ///
 /// Executors record spans on a fixed set of lanes ("config", "HT-in",
-/// "HT-out", "FPGA", "CPU", "PRR<n>") with mostly-fixed labels. This
+/// "HT-out", "FPGA", "PRR<n>") with mostly-fixed labels. This
 /// recorder interns those names once per timeline at construction and
 /// records by id, keeping the per-span cost free of string traffic. It is
 /// null-safe: with no timeline attached, enabled() is false and record()
@@ -28,7 +28,6 @@ class TimelineRecorder {
     htIn = tl_->lane("HT-in");
     htOut = tl_->lane("HT-out");
     fpga = tl_->lane("FPGA");
-    cpu = tl_->lane("CPU");
     dataIn = tl_->label("data-in");
     dataOut = tl_->label("data-out");
     fullConfig = tl_->label("full-config");
@@ -63,7 +62,6 @@ class TimelineRecorder {
   sim::LaneId htIn;
   sim::LaneId htOut;
   sim::LaneId fpga;
-  sim::LaneId cpu;
   sim::LabelId dataIn;
   sim::LabelId dataOut;
   sim::LabelId fullConfig;

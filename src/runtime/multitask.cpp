@@ -103,10 +103,9 @@ class Scheduler {
       ++report_.configurations;
     }
 
-    co_await sim.delay(options_.tControl);
-    co_await node_.linkIn().transfer(call.dataBytes);
-    co_await sim.delay(fn.computeTime(call.dataBytes));
-    co_await node_.linkOut().transfer(fn.outputBytes(call.dataBytes));
+    // The scheduler keeps per-PRR busy totals, not the phase breakdown.
+    CallRecord record;
+    co_await runCall(node_, call, fn, options_.tControl, record);
 
     slots_[slot].busy = false;
     if (trace_.enabled()) {

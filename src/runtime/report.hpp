@@ -1,6 +1,6 @@
 #pragma once
 /// \file report.hpp
-/// Execution reports produced by the FRTR/PRTR executors: total time, the
+/// Execution reports produced by the executors: total time, the
 /// per-category breakdown of Figure 2 (configuration, transfer of control,
 /// I/O, computation, pre-fetch decision), and cache statistics. These are
 /// the observables the model-vs-simulation validator consumes.
@@ -27,9 +27,19 @@ struct LoadCensus {
   friend bool operator==(const LoadCensus&, const LoadCensus&) = default;
 };
 
+/// One hardware call's Figure-2 phases after configuration, as runCall
+/// measured them on the critical path.
+struct CallRecord {
+  util::Time control;
+  util::Time input;
+  util::Time compute;
+  util::Time output;
+};
+
 /// Result of executing one workload on one executor.
 struct ExecutionReport {
-  std::string executor;        ///< "FRTR" or "PRTR"
+  /// "FRTR", "PRTR", "PRTR(dynamic)" or "HW/SW(<policy>)".
+  std::string executor;
   std::uint64_t calls = 0;
   std::uint64_t configurations = 0;  ///< n_config (partial or full reloads)
   std::uint64_t prefetchIssued = 0;  ///< speculative configurations started
@@ -48,6 +58,16 @@ struct ExecutionReport {
   /// vendor-API, cache, and the executor's own accounting (see obs/).
   obs::MetricsSnapshot metrics;
   LoadCensus census;  ///< scraped with `metrics`, never merged into it
+
+  /// Counts one call and folds its phases into the totals: the only place
+  /// `calls` and the control/input/compute/output times are summed.
+  void add(const CallRecord& call) noexcept {
+    ++calls;
+    controlTime += call.control;
+    inputTime += call.input;
+    computeTime += call.compute;
+    outputTime += call.output;
+  }
 
   /// Measured hit ratio: calls that found their module resident.
   [[nodiscard]] double hitRatio() const noexcept {

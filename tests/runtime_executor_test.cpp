@@ -5,7 +5,10 @@
 #include "bitstream/library.hpp"
 #include "model/calibration.hpp"
 #include "model/model.hpp"
+#include "runtime/dynamic_executor.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/hwsw.hpp"
+#include "runtime/multitask.hpp"
 #include "runtime/scenario.hpp"
 #include "tasks/hwfunction.hpp"
 #include "tasks/workload.hpp"
@@ -74,18 +77,164 @@ TEST(FrtrExecutorTest, EstimatedBasisUsesRawSelectMap) {
   EXPECT_NEAR(report.total.toMilliseconds(), 3 * 36.09, 1.0);
 }
 
-TEST(FrtrExecutorTest, BreakdownAddsUp) {
+/// The serial executors whose breakdown must tile the simulated total.
+enum class Serial : std::uint8_t { kFrtr, kPrtr, kHwSw, kDynamic };
+
+/// One run's report plus the terms only that executor accounts: every
+/// picosecond of `total` is in exactly one category.
+struct Tiling {
+  ExecutionReport report;
+  util::Time ownTerms;
+};
+
+Tiling runSerial(Serial which) {
   Harness h;
-  ExecutorOptions opts;
-  FrtrExecutor executor{h.node, h.registry, h.library, opts};
   const auto workload =
-      tasks::makeRoundRobinWorkload(h.registry, 5, util::Bytes{1'000'000});
-  const ExecutionReport r = executor.run(workload);
-  const double parts = (r.configStall + r.controlTime + r.inputTime +
-                        r.computeTime + r.outputTime)
-                           .toSeconds();
-  EXPECT_NEAR(parts, r.total.toSeconds(), r.total.toSeconds() * 1e-6);
-  EXPECT_GT(r.configOverheadFraction(), 0.9);  // FRTR overhead dominates here
+      tasks::makeRoundRobinWorkload(h.registry, 12, util::Bytes{1'000'000});
+  switch (which) {
+    case Serial::kFrtr: {
+      FrtrExecutor executor{h.node, h.registry, h.library, ExecutorOptions{}};
+      return {executor.run(workload), util::Time::zero()};
+    }
+    case Serial::kPrtr: {
+      ExecutorOptions opts;
+      opts.prepare = PrepareSource::kNone;
+      LruCache cache{2};
+      MarkovPrefetcher prefetcher{util::Time::microseconds(3)};
+      PrtrExecutor executor{h.node, h.registry, h.library,
+                            cache, prefetcher, opts};
+      const ExecutionReport r = executor.run(workload);
+      return {r, r.initialConfig + r.decisionTime};
+    }
+    case Serial::kHwSw: {
+      // Thumbnails stay on the CPU, full frames go to the fabric.
+      tasks::Workload mixed{"mixed", {}};
+      for (std::size_t i = 0; i < 12; ++i) {
+        mixed.calls.push_back(tasks::TaskCall{
+            i % 3, util::Bytes{i % 2 ? 40'000'000ull : 4'096ull}});
+      }
+      LruCache cache{2};
+      HwSwExecutor executor{h.node, h.registry, h.library, cache, {}};
+      const HwSwReport r = executor.run(mixed);
+      EXPECT_GT(r.hardwareCalls, 0u);
+      EXPECT_GT(r.softwareCalls, 0u);
+      return {r.base, r.base.initialConfig + r.softwareTime};
+    }
+    case Serial::kDynamic: {
+      // A 12-column range fragments under this mix, so relocation moves
+      // (defragTime) join the tiling.
+      const auto extended = tasks::makeExtendedFunctions();
+      DynamicOptions options;
+      options.columnCount = 12;
+      tasks::Workload frag{"frag", {}};
+      const std::size_t seq[] = {4, 1, 5, 0, 4, 2, 0, 7, 3, 1, 0, 6};
+      for (int round = 0; round < 4; ++round) {
+        for (const std::size_t f : seq) {
+          frag.calls.push_back(tasks::TaskCall{f, util::Bytes{300'000}});
+        }
+      }
+      DynamicPrtrExecutor executor{h.node, extended, options};
+      const DynamicReport r = executor.run(frag);
+      EXPECT_GT(r.defragMoves, 0u);
+      return {r.base, r.base.initialConfig + r.defragTime};
+    }
+  }
+  return {};
+}
+
+class BreakdownTiling : public ::testing::TestWithParam<Serial> {};
+
+TEST_P(BreakdownTiling, CategoriesSumToTotalToThePicosecond) {
+  const Tiling t = runSerial(GetParam());
+  const ExecutionReport& r = t.report;
+  ASSERT_GT(r.calls, 0u);
+  const util::Time parts = r.configStall + r.controlTime + r.inputTime +
+                           r.computeTime + r.outputTime + t.ownTerms;
+  EXPECT_EQ(parts.ps(), r.total.ps()) << r.toString();
+  if (GetParam() == Serial::kFrtr) {
+    EXPECT_GT(r.configOverheadFraction(), 0.9);  // FRTR overhead dominates
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SerialExecutors, BreakdownTiling,
+                         ::testing::Values(Serial::kFrtr, Serial::kPrtr,
+                                           Serial::kHwSw, Serial::kDynamic),
+                         [](const auto& paramInfo) {
+                           switch (paramInfo.param) {
+                             case Serial::kFrtr: return "frtr";
+                             case Serial::kPrtr: return "prtr";
+                             case Serial::kHwSw: return "hwsw";
+                             case Serial::kDynamic: return "dynamic";
+                           }
+                           return "unknown";
+                         });
+
+/// FNV-1a over a report's text: a byte-identity pin.
+std::uint64_t digest(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// No committed baseline covers the HW/SW, dynamic and multitask executors,
+// so these pin their full report text and metrics, recorded before their
+// call bodies were folded into runCall.
+
+TEST(ExecutorPinTest, HwSwPoliciesArePinned) {
+  // The `prtr-bench hwsw` 1 MB point.
+  const auto registry = tasks::makePaperFunctions();
+  const auto workload =
+      tasks::makeRoundRobinWorkload(registry, 30, util::Bytes{1'000'000});
+  const std::pair<Partitioning, std::uint64_t> pins[] = {
+      {Partitioning::kAlwaysHardware, 0xc1e303ed29ab37b1ULL},
+      {Partitioning::kAlwaysSoftware, 0x1529401feaa211c7ULL},
+      {Partitioning::kStaticThreshold, 0xb2f1a8123c349407ULL},
+      {Partitioning::kAdaptive, 0xdd334e2ffd1f5321ULL},
+  };
+  for (const auto& [policy, pin] : pins) {
+    sim::Simulator sim;
+    xd1::Node node{sim};
+    bitstream::Library library{
+        node.floorplan(),
+        registry.moduleSpecs(node.floorplan().prr(0).resources(node.device()))};
+    LruCache cache{2};
+    HwSwOptions options;
+    options.policy = policy;
+    HwSwExecutor executor{node, registry, library, cache, options};
+    const HwSwReport r = executor.run(workload);
+    const std::string text = r.base.toString() + r.base.metrics.toString();
+    EXPECT_EQ(digest(text), pin) << toString(policy) << "\n" << text;
+  }
+}
+
+TEST(ExecutorPinTest, DynamicRoundRobinIsPinned) {
+  sim::Simulator sim;
+  xd1::Node node{sim};
+  const auto registry = tasks::makeExtendedFunctions();
+  DynamicPrtrExecutor executor{node, registry};
+  const DynamicReport r = executor.run(
+      tasks::makeRoundRobinWorkload(registry, 40, util::Bytes{750'000}));
+  const std::string text = r.base.toString() + r.base.metrics.toString();
+  EXPECT_EQ(digest(text), 0xa0d767fea8d5c050ULL) << text;
+}
+
+TEST(ExecutorPinTest, MultitaskIsPinned) {
+  const auto registry = tasks::makePaperFunctions();
+  const auto app = [](const std::string& name, std::size_t functionIndex) {
+    AppSpec spec{name, {name, {}}, util::Time::milliseconds(2)};
+    spec.workload.calls.assign(
+        10, tasks::TaskCall{functionIndex, util::Bytes{3'000'000}});
+    return spec;
+  };
+  MultitaskOptions options;
+  options.seed = 99;
+  const MultitaskReport r =
+      runMultitask(registry, {app("a", 0), app("b", 1)}, options);
+  const std::string text = r.toString() + r.metrics.toString();
+  EXPECT_EQ(digest(text), 0x706c4e48379e52beULL) << text;
 }
 
 TEST(PrtrExecutorTest, ForceMissMatchesEquation5) {
