@@ -1,48 +1,17 @@
 #include "config/manager.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "config/scrubber.hpp"
 #include "sim/trace.hpp"
-#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace prtr::config {
-
-namespace {
-
-const bitstream::Bitstream* streamForRung(const RecoveryStreams& streams,
-                                          RecoveryRung rung) {
-  switch (rung) {
-    case RecoveryRung::kDifferencePartial: return streams.difference;
-    case RecoveryRung::kModulePartial: return streams.modulePartial;
-    case RecoveryRung::kFullPrrReload: return streams.fullPrr;
-    case RecoveryRung::kFullDevice: return streams.fullDevice;
-    case RecoveryRung::kNone: return nullptr;
-  }
-  return nullptr;
-}
-
-/// Frames of `parsed` whose memory content no longer matches the golden
-/// payload (CRC compare). `subset` (sorted) restricts the scan.
-std::vector<std::uint32_t> corruptedFrames(
-    ConfigMemory& memory, const bitstream::ParsedStream& parsed,
-    const std::vector<std::uint32_t>* subset) {
-  std::vector<std::uint32_t> bad;
-  parsed.forEachPayload(
-      [&](std::uint32_t frame, std::span<const std::uint8_t> payload) {
-        if (util::Crc32::of(memory.frameContent(frame)) !=
-            util::Crc32::of(payload)) {
-          bad.push_back(frame);
-        }
-      },
-      subset);
-  return bad;
-}
-
-}  // namespace
 
 Manager::Manager(sim::Simulator& sim, const fabric::Floorplan& floorplan,
                  VendorApi& api, IcapController& icap)
@@ -54,6 +23,18 @@ Manager::Manager(sim::Simulator& sim, const fabric::Floorplan& floorplan,
       busy_(floorplan.prrCount(), false) {}
 
 sim::Process Manager::fullConfigure(const bitstream::Bitstream& stream) {
+  return recovery_.enabled ? recoverFull(stream) : apiLoad(stream);
+}
+
+sim::Process Manager::loadModule(std::size_t prrIndex,
+                                 bitstream::ModuleId module,
+                                 const bitstream::Bitstream& stream,
+                                 RecoveryStreams fallbacks) {
+  return recovery_.enabled ? recoverModule(prrIndex, module, stream, fallbacks)
+                           : icapLoad(prrIndex, module, stream);
+}
+
+sim::Process Manager::apiLoad(const bitstream::Bitstream& stream) {
   ApiStatus status = ApiStatus::kOk;
   co_await api_->load(stream, status);
   if (status == ApiStatus::kTransientFault) {
@@ -67,9 +48,9 @@ sim::Process Manager::fullConfigure(const bitstream::Bitstream& stream) {
   ++nFull_;
 }
 
-sim::Process Manager::loadModule(std::size_t prrIndex,
-                                 bitstream::ModuleId module,
-                                 const bitstream::Bitstream& stream) {
+sim::Process Manager::icapLoad(std::size_t prrIndex,
+                               bitstream::ModuleId module,
+                               const bitstream::Bitstream& stream) {
   util::require(prrIndex < loaded_.size(), "Manager: PRR index out of range");
   const fabric::FrameRange prrFrames =
       floorplan_->prr(prrIndex).frames(floorplan_->device());
@@ -122,7 +103,7 @@ void Manager::recordRecoverySpan(const char* label, char glyph,
 }
 
 bool Manager::shouldVerify(std::uint64_t upsetsBefore) const {
-  if (!recovery_.enabled || !icap_->memory().readbackEnabled()) return false;
+  if (!icap_->memory().readbackEnabled()) return false;
   switch (recovery_.verify) {
     case VerifyMode::kOff: return false;
     case VerifyMode::kAlways: return true;
@@ -146,7 +127,7 @@ sim::Process Manager::verifyAndRepair(const bitstream::Bitstream& stream,
   recoveryStats_.verifyTime += sim_->now() - verifyStart;
   recordRecoverySpan("verify", 'v', verifyStart);
 
-  std::vector<std::uint32_t> bad = corruptedFrames(memory, *parsed, nullptr);
+  std::vector<std::uint32_t> bad = verifyRegion(memory, stream);
   if (bad.empty()) {
     ok = true;
     co_return;
@@ -171,122 +152,92 @@ sim::Process Manager::verifyAndRepair(const bitstream::Bitstream& stream,
     const util::Time recheckStart = sim_->now();
     co_await sim_->delay(icap_->drainTime(repairBytes));
     recoveryStats_.verifyTime += sim_->now() - recheckStart;
-    bad = corruptedFrames(memory, *parsed, &bad);
+    bad = verifyRegion(memory, stream, &bad);
   }
   ok = bad.empty();
 }
 
-sim::Process Manager::fullConfigureRecovering(
-    const bitstream::Bitstream& stream) {
-  if (!recovery_.enabled) {
-    co_await fullConfigure(stream);
-    co_return;
-  }
+sim::Process Manager::backoff(std::uint32_t attempt) {
+  ++recoveryStats_.retries;
+  const util::Time pause =
+      recovery_.backoffBase *
+      std::pow(recovery_.backoffFactor, static_cast<double>(attempt - 1));
+  const util::Time t0 = sim_->now();
+  co_await sim_->delay(pause);
+  recoveryStats_.backoffTime += sim_->now() - t0;
+  recordRecoverySpan("backoff", 'b', t0);
+}
+
+sim::Process Manager::recoverFull(const bitstream::Bitstream& stream) {
   ++recoveryStats_.requests;
   for (std::uint32_t attempt = 0; attempt <= recovery_.maxRetries; ++attempt) {
-    if (attempt > 0) {
-      ++recoveryStats_.retries;
-      const util::Time pause =
-          recovery_.backoffBase *
-          std::pow(recovery_.backoffFactor, static_cast<double>(attempt - 1));
-      const util::Time t0 = sim_->now();
-      co_await sim_->delay(pause);
-      recoveryStats_.backoffTime += sim_->now() - t0;
-      recordRecoverySpan("backoff", 'b', t0);
-    }
+    if (attempt > 0) co_await backoff(attempt);
     ++recoveryStats_.attempts;
-    bool ok = true;
     try {
-      co_await fullConfigure(stream);
+      co_await apiLoad(stream);
+      co_return;
     } catch (const util::FaultError&) {
-      ok = false;
       ++recoveryStats_.faultsAbsorbed;
     }
-    if (ok) co_return;
   }
   throw util::FaultError{"Manager: full configuration retries exhausted"};
 }
 
-sim::Process Manager::loadModuleRecovering(std::size_t prrIndex,
-                                           bitstream::ModuleId module,
-                                           const RecoveryStreams& streams) {
-  util::require(streams.modulePartial != nullptr,
-                "Manager: recovery needs at least the module-based stream");
-  if (!recovery_.enabled) {
-    co_await loadModule(prrIndex, module, *streams.modulePartial);
-    co_return;
-  }
+sim::Process Manager::recoverModule(std::size_t prrIndex,
+                                    bitstream::ModuleId module,
+                                    const bitstream::Bitstream& stream,
+                                    RecoveryStreams fallbacks) {
   ++recoveryStats_.requests;
-  const RecoveryRung entry = streams.difference != nullptr
-                                 ? RecoveryRung::kDifferencePartial
-                                 : RecoveryRung::kModulePartial;
-  RecoveryRung rung = entry;
-  for (;;) {
-    const bitstream::Bitstream* stream = streamForRung(streams, rung);
+  // The ladder, cheapest rung first; the module partial is the entry rung.
+  const std::array<std::pair<RecoveryRung, const bitstream::Bitstream*>, 3>
+      ladder{{{RecoveryRung::kModulePartial, &stream},
+              {RecoveryRung::kFullPrrReload, fallbacks.fullPrr},
+              {RecoveryRung::kFullDevice, fallbacks.fullDevice}}};
+  for (std::size_t step = 0; step < ladder.size(); ++step) {
+    const RecoveryRung rung = ladder[step].first;
+    const bitstream::Bitstream* rungStream = ladder[step].second;
+    if (rungStream == nullptr) continue;
+    if (step > 0) {
+      // The previous rung is exhausted: climb, if the policy allows it.
+      if (!recovery_.ladder) break;
+      ++recoveryStats_.escalations;
+    }
     bool landed = false;
-    if (stream != nullptr) {
-      for (std::uint32_t attempt = 0;
-           attempt <= recovery_.maxRetries && !landed; ++attempt) {
-        if (attempt > 0) {
-          ++recoveryStats_.retries;
-          const util::Time pause =
-              recovery_.backoffBase *
-              std::pow(recovery_.backoffFactor,
-                       static_cast<double>(attempt - 1));
-          const util::Time t0 = sim_->now();
-          co_await sim_->delay(pause);
-          recoveryStats_.backoffTime += sim_->now() - t0;
-          recordRecoverySpan("backoff", 'b', t0);
+    for (std::uint32_t attempt = 0;
+         attempt <= recovery_.maxRetries && !landed; ++attempt) {
+      if (attempt > 0) co_await backoff(attempt);
+      ++recoveryStats_.attempts;
+      const std::uint64_t upsetsBefore = icap_->memory().upsetsInjected();
+      bool ok = true;
+      try {
+        if (rung == RecoveryRung::kFullDevice) {
+          co_await apiLoad(*rungStream);
+          ++recoveryStats_.fullDeviceFallbacks;
+          // The fallback restores the baseline design; the requested
+          // module still has to land in its PRR.
+          co_await icapLoad(prrIndex, module, stream);
+        } else {
+          co_await icapLoad(prrIndex, module, *rungStream);
         }
-        ++recoveryStats_.attempts;
-        const std::uint64_t upsetsBefore = icap_->memory().upsetsInjected();
-        bool ok = true;
-        const bitstream::Bitstream* applied = stream;
-        try {
-          if (rung == RecoveryRung::kFullDevice) {
-            co_await fullConfigure(*stream);
-            ++recoveryStats_.fullDeviceFallbacks;
-            // The fallback restores the baseline design; the requested
-            // module still has to land in its PRR.
-            applied = streams.modulePartial;
-            co_await loadModule(prrIndex, module, *applied);
-          } else {
-            co_await loadModule(prrIndex, module, *stream);
-          }
-        } catch (const util::FaultError&) {
-          ok = false;
-          ++recoveryStats_.faultsAbsorbed;
-        }
-        if (ok && shouldVerify(upsetsBefore)) {
-          co_await verifyAndRepair(*applied, ok);
-        }
-        landed = ok;
+      } catch (const util::FaultError&) {
+        ok = false;
+        ++recoveryStats_.faultsAbsorbed;
       }
+      if (ok && shouldVerify(upsetsBefore)) {
+        co_await verifyAndRepair(
+            rung == RecoveryRung::kFullDevice ? stream : *rungStream, ok);
+      }
+      landed = ok;
     }
     if (landed) {
       ++recoveryStats_.landedOnRung[static_cast<std::size_t>(rung)];
       if (rung > recoveryStats_.degradedTo) recoveryStats_.degradedTo = rung;
       co_return;
     }
-    // Rung unavailable or exhausted: climb the ladder.
-    const bool rungTried = stream != nullptr;
-    bool advanced = false;
-    if (recovery_.ladder) {
-      while (rung != RecoveryRung::kFullDevice) {
-        rung = static_cast<RecoveryRung>(static_cast<std::uint8_t>(rung) + 1);
-        if (streamForRung(streams, rung) != nullptr) {
-          advanced = true;
-          break;
-        }
-      }
-    }
-    if (!advanced) {
-      throw util::FaultError{
-          "Manager: recovery ladder exhausted loading module " +
-          std::to_string(module) + " into PRR " + std::to_string(prrIndex)};
-    }
-    if (rungTried) ++recoveryStats_.escalations;
   }
+  throw util::FaultError{"Manager: recovery ladder exhausted loading module " +
+                         std::to_string(module) + " into PRR " +
+                         std::to_string(prrIndex)};
 }
 
 }  // namespace prtr::config

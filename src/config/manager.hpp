@@ -2,7 +2,8 @@
 /// \file manager.hpp
 /// Configuration manager: tracks which module is loaded in each PRR and
 /// routes load requests to the right mechanism — the vendor API for full
-/// streams, the ICAP controller for partial streams.
+/// streams, the ICAP controller for partial streams — under its recovery
+/// policy (recovery.hpp).
 
 #include <cstdint>
 #include <optional>
@@ -21,21 +22,34 @@ class Timeline;
 
 namespace prtr::config {
 
-/// Per-PRR loaded-module bookkeeping plus load routing.
+/// Per-PRR loaded-module bookkeeping plus load routing: one full load and
+/// one module load, each applying recoveryPolicy() itself.
 class Manager {
  public:
   Manager(sim::Simulator& sim, const fabric::Floorplan& floorplan,
           VendorApi& api, IcapController& icap);
 
-  /// Coroutine: full configuration through the vendor API. Resets PRR
-  /// bookkeeping (every region now holds the initial design). Throws
-  /// ConfigError when the API rejects the stream.
+  /// Full configuration through the vendor API. Resets PRR bookkeeping
+  /// (every region now holds the initial design). With the recovery policy
+  /// disabled this returns the plain load process itself: it throws
+  /// util::ConfigError when the API refuses the stream and util::FaultError
+  /// on a transient fault. With the policy enabled, transient faults are
+  /// retried with exponential backoff, and util::FaultError is thrown once
+  /// the retries are exhausted.
   [[nodiscard]] sim::Process fullConfigure(const bitstream::Bitstream& stream);
 
-  /// Coroutine: loads `module`'s stream into PRR `prrIndex` via ICAP.
+  /// Loads `module`'s `stream` (its module partial) into PRR `prrIndex` via
+  /// the ICAP. With the recovery policy disabled this returns the plain load
+  /// process itself. With it enabled the load retries with exponential
+  /// backoff per ladder rung, read-back-verifies with frame-granular repair,
+  /// and escalates from `stream` to `fallbacks.fullPrr`, then to
+  /// `fallbacks.fullDevice` (null rungs are skipped). It lands on some rung
+  /// (recorded in recoveryStats) or throws util::FaultError once the ladder
+  /// is exhausted.
   [[nodiscard]] sim::Process loadModule(std::size_t prrIndex,
                                         bitstream::ModuleId module,
-                                        const bitstream::Bitstream& stream);
+                                        const bitstream::Bitstream& stream,
+                                        RecoveryStreams fallbacks = {});
 
   /// Module currently loaded in PRR `prrIndex` (nullopt = baseline/initial).
   [[nodiscard]] std::optional<bitstream::ModuleId> loadedModule(
@@ -73,23 +87,18 @@ class Manager {
   /// repair intervals). Null disables tracing.
   void setRecoveryTimeline(sim::Timeline* timeline);
 
-  /// Coroutine: fullConfigure with bounded retry/backoff over injected
-  /// transient faults. With recovery disabled, identical to fullConfigure.
-  [[nodiscard]] sim::Process fullConfigureRecovering(
-      const bitstream::Bitstream& stream);
-
-  /// Coroutine: loads `module` into PRR `prrIndex` under the recovery
-  /// policy — retry with exponential backoff per ladder rung, post-load
-  /// readback-verify with frame-granular repair, and rung escalation
-  /// (difference partial -> module partial -> full-PRR reload -> full
-  /// device). Lands on some rung (recorded in recoveryStats) or throws
-  /// util::FaultError once the ladder is exhausted. With recovery disabled,
-  /// identical to loadModule on the module-based stream.
-  [[nodiscard]] sim::Process loadModuleRecovering(std::size_t prrIndex,
-                                                  bitstream::ModuleId module,
-                                                  const RecoveryStreams& streams);
-
  private:
+  [[nodiscard]] sim::Process apiLoad(const bitstream::Bitstream& stream);
+  [[nodiscard]] sim::Process icapLoad(std::size_t prrIndex,
+                                      bitstream::ModuleId module,
+                                      const bitstream::Bitstream& stream);
+  [[nodiscard]] sim::Process recoverFull(const bitstream::Bitstream& stream);
+  [[nodiscard]] sim::Process recoverModule(std::size_t prrIndex,
+                                           bitstream::ModuleId module,
+                                           const bitstream::Bitstream& stream,
+                                           RecoveryStreams fallbacks);
+  /// The pause before retry `attempt` (1-based) of one rung.
+  [[nodiscard]] sim::Process backoff(std::uint32_t attempt);
   [[nodiscard]] sim::Process verifyAndRepair(const bitstream::Bitstream& stream,
                                              bool& ok);
   [[nodiscard]] bool shouldVerify(std::uint64_t upsetsBefore) const;

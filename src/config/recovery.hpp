@@ -4,12 +4,12 @@
 ///
 /// The paper's model (Eqs. 6-7) assumes every load succeeds; the fault layer
 /// (src/fault) breaks that assumption deliberately. This header defines what
-/// config::Manager does about it: post-load readback-verify (CRC over the
-/// written frames), bounded retry with exponential backoff in *simulated*
-/// time, and a graceful-degradation ladder that trades configuration cost for
-/// certainty — difference-based partial, module-based partial, full-PRR
-/// reload, and finally an FRTR-style full-device fallback. A recovering load
-/// either lands on some rung or throws util::FaultError after the ladder is
+/// config::Manager does about it: post-load readback-verify (a byte compare
+/// of the written frames against the stream), bounded retry with exponential
+/// backoff in *simulated* time, and a graceful-degradation ladder that trades
+/// configuration cost for certainty — module-based partial, full-PRR reload,
+/// and finally an FRTR-style full-device fallback. A recovering load either
+/// lands on some rung or throws util::FaultError after the ladder is
 /// exhausted; it never deadlocks and always reports where it landed.
 
 #include <array>
@@ -34,10 +34,13 @@ enum class VerifyMode : std::uint8_t {
 [[nodiscard]] const char* toString(VerifyMode mode) noexcept;
 
 /// Rungs of the degradation ladder, cheapest first. `kNone` means no
-/// recovering load has completed yet.
+/// recovering load has completed yet. Loads enter at `kModulePartial`;
+/// `kDifferencePartial` is never landed on, but keeps its value because
+/// rung-indexed tables and the `recovery.degraded_to` metric use the
+/// numbering.
 enum class RecoveryRung : std::uint8_t {
   kNone = 0,
-  kDifferencePartial,  ///< difference-based partial (smallest stream)
+  kDifferencePartial,  ///< difference-based partial (no load enters here)
   kModulePartial,      ///< module-based partial (full PRR frame set)
   kFullPrrReload,      ///< occupancy-1.0 rewrite of every frame in the PRR
   kFullDevice,         ///< FRTR fallback: full configuration + module partial
@@ -50,7 +53,9 @@ inline constexpr std::size_t kRecoveryRungCount = 5;
 /// Suffix used for the recovery.landed.<suffix> obs metric of `rung`.
 [[nodiscard]] const char* metricSuffix(RecoveryRung rung) noexcept;
 
-/// Knobs consumed by config::Manager and the runtime executors.
+/// Knobs consumed by config::Manager's fullConfigure and loadModule; the
+/// runtime reads `enabled` and `ladder` only to decide whether to resolve
+/// the fallback streams.
 struct RecoveryPolicy {
   bool enabled = false;
   /// Retries per rung beyond the first attempt (so maxRetries = 3 means at
@@ -89,11 +94,9 @@ struct RecoveryStats {
   util::Time repairTime = util::Time::zero();
 };
 
-/// The streams a recovering module load may fall back to. `modulePartial`
-/// is mandatory; null entries are skipped when climbing the ladder.
+/// The streams a module load may fall back to once its module partial
+/// (the entry rung) is exhausted; null rungs are skipped when climbing.
 struct RecoveryStreams {
-  const bitstream::Bitstream* difference = nullptr;
-  const bitstream::Bitstream* modulePartial = nullptr;
   const bitstream::Bitstream* fullPrr = nullptr;
   const bitstream::Bitstream* fullDevice = nullptr;
 };

@@ -6,8 +6,9 @@
 
 namespace prtr::config {
 
-std::vector<std::uint32_t> verifyRegion(ConfigMemory& memory,
-                                        const bitstream::Bitstream& golden) {
+std::vector<std::uint32_t> verifyRegion(
+    ConfigMemory& memory, const bitstream::Bitstream& golden,
+    const std::vector<std::uint32_t>* subset) {
   util::require(memory.readbackEnabled(),
                 "verifyRegion: enable readback on the configuration memory");
   const bitstream::ParsedRef parsed = memory.parsedFor(golden);
@@ -18,7 +19,8 @@ std::vector<std::uint32_t> verifyRegion(ConfigMemory& memory,
         if (!std::equal(current.begin(), current.end(), payload.begin())) {
           corrupted.push_back(frame);
         }
-      });
+      },
+      subset);
   return corrupted;
 }
 

@@ -23,10 +23,13 @@
 
 namespace prtr::config {
 
-/// Frames of `region` whose current content differs from `golden`
-/// (the stream that configured it). Requires readback-enabled memory.
+/// Frames written by `golden` (the stream that configured them) whose
+/// current content differs from its payload byte for byte, or only those
+/// among `subset` (sorted) when it is given. Requires readback-enabled
+/// memory.
 [[nodiscard]] std::vector<std::uint32_t> verifyRegion(
-    ConfigMemory& memory, const bitstream::Bitstream& golden);
+    ConfigMemory& memory, const bitstream::Bitstream& golden,
+    const std::vector<std::uint32_t>* subset = nullptr);
 
 /// Scrubbing statistics.
 struct ScrubStats {

@@ -145,13 +145,7 @@ void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
                             const ConfigCache* cache) {
   const ScrapeIds& m = scrapeIds();
   obs::Registry reg;
-  reg.add(m.simEvents, node.sim().eventsProcessed());
-  reg.add(m.simTimePs, asCount(node.sim().now()));
-  reg.add(m.icapLoads, node.icap().loadsPerformed());
-  reg.add(m.icapBytes, node.icap().bytesWritten());
-  reg.add(m.icapContentionPs, asCount(node.icap().contentionTime()));
-  reg.add(m.apiLoads, node.vendorApi().loadsPerformed());
-  reg.add(m.apiBytes, node.vendorApi().bytesWritten());
+  scrapeNodeCounters(node, reg);
   reg.add(m.apiRejects, node.vendorApi().rejectedLoads());
   reg.add(m.fullConfigs, node.manager().fullConfigCount());
   reg.add(m.partialConfigs, node.manager().partialConfigCount());
@@ -220,6 +214,17 @@ void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
 
 }  // namespace
 
+void scrapeNodeCounters(xd1::Node& node, obs::Registry& reg) {
+  const ScrapeIds& m = scrapeIds();
+  reg.add(m.simEvents, node.sim().eventsProcessed());
+  reg.add(m.simTimePs, asCount(node.sim().now()));
+  reg.add(m.icapLoads, node.icap().loadsPerformed());
+  reg.add(m.icapBytes, node.icap().bytesWritten());
+  reg.add(m.icapContentionPs, asCount(node.icap().contentionTime()));
+  reg.add(m.apiLoads, node.vendorApi().loadsPerformed());
+  reg.add(m.apiBytes, node.vendorApi().bytesWritten());
+}
+
 LoadCensus loadCensus(const xd1::Node& node) noexcept {
   return LoadCensus{.contendedIn = node.linkIn().contendedTransfers(),
                     .contendedOut = node.linkOut().contendedTransfers(),
@@ -244,8 +249,6 @@ sim::Process fullConfigure(xd1::Node& node, bitstream::Library& library,
   if (basis == model::ConfigTimeBasis::kEstimated) {
     co_await node.sim().delay(config::makeSelectMap().transferTime(
         node.device().geometry().fullBitstreamBytes()));
-  } else if (node.manager().recoveryPolicy().enabled) {
-    co_await node.manager().fullConfigureRecovering(library.full());
   } else {
     co_await node.manager().fullConfigure(library.full());
   }
@@ -260,20 +263,18 @@ sim::Process partialConfigure(xd1::Node& node, bitstream::Library& library,
   if (basis == model::ConfigTimeBasis::kEstimated) {
     co_await sim.delay(config::makeSelectMap().transferTime(
         node.floorplan().prr(prr).partialBitstreamBytes(node.device())));
-  } else if (node.manager().recoveryPolicy().enabled) {
-    // Entry rung is the module partial (same stream a non-recovering load
-    // would transfer, so a fault-free run stays bit-identical); the ladder
-    // rungs are only materialized when escalation is allowed at all.
-    config::RecoveryStreams streams;
-    streams.modulePartial = &library.modulePartial(prr, fn.id);
-    if (node.manager().recoveryPolicy().ladder) {
-      streams.fullPrr = &library.prrReload(prr, fn.id);
-      streams.fullDevice = &library.full();
-    }
-    co_await node.manager().loadModuleRecovering(prr, fn.id, streams);
   } else {
-    co_await node.manager().loadModule(prr, fn.id,
-                                       library.modulePartial(prr, fn.id));
+    // The ladder's fallback streams are only resolved when the policy can
+    // climb, so a load that cannot escalate builds and looks up nothing
+    // beyond its module partial.
+    const bitstream::Bitstream& stream = library.modulePartial(prr, fn.id);
+    const config::RecoveryPolicy& policy = node.manager().recoveryPolicy();
+    config::RecoveryStreams fallbacks;
+    if (policy.enabled && policy.ladder) {
+      fallbacks.fullPrr = &library.prrReload(prr, fn.id);
+      fallbacks.fullDevice = &library.full();
+    }
+    co_await node.manager().loadModule(prr, fn.id, stream, fallbacks);
   }
   if (trace != nullptr && trace->enabled()) {
     trace->record(trace->config, trace->label("partial(" + fn.name + ")"), 'P',

@@ -51,6 +51,11 @@ struct ExecutorOptions {
 /// `node`'s contended link transfers and aborted ICAP loads so far.
 [[nodiscard]] LoadCensus loadCensus(const xd1::Node& node) noexcept;
 
+/// Adds the counters every run-end scrape shares to `reg`:
+/// sim.events_processed, sim.time_ps, config.icap.{loads,bytes_written,
+/// contention_ps} and config.vendor_api.{loads,bytes_written} of `node`.
+void scrapeNodeCounters(xd1::Node& node, obs::Registry& reg);
+
 /// The one run driver: resets `report` to an empty `executor` report, runs
 /// `body` (an executor's not-yet-started execute coroutine) on `node`'s
 /// simulator to completion, stamps the simulated total, and freezes the
@@ -63,14 +68,16 @@ void runExecution(xd1::Node& node, ExecutionReport& report,
                   const ConfigCache* cache, sim::Process body);
 
 /// Full-device configuration: the raw SelectMap estimate under the
-/// estimated basis, else the node's recovery ladder when its policy is on,
-/// else a plain vendor-API load. Callers keep their own accounting.
+/// estimated basis, else the node's Manager load (which applies the node's
+/// recovery policy). Callers keep their own accounting.
 sim::Process fullConfigure(xd1::Node& node, bitstream::Library& library,
                            model::ConfigTimeBasis basis);
 
 /// Partial configuration of `fn` into PRR `prr`, chosen the same way as
-/// fullConfigure. Records a "partial(<fn>)" span on `trace`'s config lane
-/// when `trace` is non-null and enabled.
+/// fullConfigure; the ladder's fallback streams (full-PRR reload, full
+/// device) are resolved only when the recovery policy can climb. Records a
+/// "partial(<fn>)" span on `trace`'s config lane when `trace` is non-null
+/// and enabled.
 sim::Process partialConfigure(xd1::Node& node, bitstream::Library& library,
                               model::ConfigTimeBasis basis, std::size_t prr,
                               const tasks::HwFunction& fn,

@@ -47,7 +47,7 @@ class Scheduler {
 
   /// Initial full configuration; apps hold their arrivals until it ends.
   sim::Process setup() {
-    co_await node_.manager().fullConfigure(library_.full());
+    co_await fullConfigure(node_, library_, model::ConfigTimeBasis::kMeasured);
     isReady_ = true;
     ready_.notifyAll();
   }
@@ -98,8 +98,9 @@ class Scheduler {
     if (hit) ++report_.hits;
 
     if (!hit) {
-      co_await node_.manager().loadModule(slot, fn.id,
-                                          library_.modulePartial(slot, fn.id));
+      co_await partialConfigure(node_, library_,
+                                model::ConfigTimeBasis::kMeasured, slot, fn,
+                                nullptr);
       ++report_.configurations;
     }
 
@@ -194,21 +195,12 @@ MultitaskReport runMultitask(const tasks::FunctionRegistry& registry,
   // Fixed scrape names interned once per process; the per-app names are
   // interned per distinct app name (idempotent, and the app set is tiny).
   struct Ids {
-    obs::CounterId simEvents, simTimePs, icapLoads, icapBytes,
-        icapContentionPs, apiLoads, apiBytes;
     obs::CounterId calls, hits, configurations, makespanPs, prrBusyPs;
     obs::GaugeId hitRatio;
   };
   static const Ids kIds = [] {
     obs::MetricTable& t = obs::MetricTable::global();
-    return Ids{t.counter("sim.events_processed"),
-               t.counter("sim.time_ps"),
-               t.counter("config.icap.loads"),
-               t.counter("config.icap.bytes_written"),
-               t.counter("config.icap.contention_ps"),
-               t.counter("config.vendor_api.loads"),
-               t.counter("config.vendor_api.bytes_written"),
-               t.counter("multitask.calls"),
+    return Ids{t.counter("multitask.calls"),
                t.counter("multitask.hits"),
                t.counter("multitask.configurations"),
                t.counter("multitask.makespan_ps"),
@@ -218,14 +210,7 @@ MultitaskReport runMultitask(const tasks::FunctionRegistry& registry,
 
   obs::MetricTable& table = obs::MetricTable::global();
   obs::Registry reg;
-  reg.add(kIds.simEvents, sim.eventsProcessed());
-  reg.add(kIds.simTimePs, static_cast<std::uint64_t>(sim.now().ps()));
-  reg.add(kIds.icapLoads, node.icap().loadsPerformed());
-  reg.add(kIds.icapBytes, node.icap().bytesWritten());
-  reg.add(kIds.icapContentionPs,
-          static_cast<std::uint64_t>(node.icap().contentionTime().ps()));
-  reg.add(kIds.apiLoads, node.vendorApi().loadsPerformed());
-  reg.add(kIds.apiBytes, node.vendorApi().bytesWritten());
+  scrapeNodeCounters(node, reg);
   reg.add(kIds.calls, report.calls);
   reg.add(kIds.hits, report.hits);
   reg.add(kIds.configurations, report.configurations);

@@ -15,6 +15,7 @@
 #include "config/scrubber.hpp"
 #include "fault/fault.hpp"
 #include "sim/simulator.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "xd1/node.hpp"
 
@@ -45,15 +46,18 @@ struct Blade {
     sim.run();
   }
 
-  RecoveryStreams streamsFor(std::size_t prr, bitstream::ModuleId module,
-                             bool withLadder) {
-    RecoveryStreams streams;
-    streams.modulePartial = &library.modulePartial(prr, module);
+  /// Loads `module` into PRR `prr` from its module partial, with the
+  /// full-PRR reload and full-device rungs as fallbacks when `withLadder`.
+  sim::Process load(std::size_t prr, bitstream::ModuleId module,
+                    bool withLadder) {
+    RecoveryStreams fallbacks;
     if (withLadder) {
-      streams.fullPrr = &library.prrReload(prr, module);
-      streams.fullDevice = &library.full();
+      fallbacks.fullPrr = &library.prrReload(prr, module);
+      fallbacks.fullDevice = &library.full();
     }
-    return streams;
+    return node.manager().loadModule(prr, module,
+                                     library.modulePartial(prr, module),
+                                     fallbacks);
   }
 
   sim::Simulator sim;
@@ -72,9 +76,8 @@ xd1::NodeConfig chaosConfig(const fault::Plan& plan,
 TEST(FaultRecoveryTest, DisabledPolicyIsAPlainLoadWithZeroAccounting) {
   Blade blade;
   auto script = [&]() -> sim::Process {
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
-    co_await blade.node.manager().loadModuleRecovering(
-        0, 7, blade.streamsFor(0, 7, /*withLadder=*/false));
+    co_await blade.node.manager().fullConfigure(blade.library.full());
+    co_await blade.load(0, 7, /*withLadder=*/false);
   };
   blade.run(script());
   EXPECT_EQ(blade.node.manager().loadedModule(0), 7u);
@@ -95,11 +98,9 @@ TEST(FaultRecoveryTest, HealthyRecoveringRunMatchesPlainSimTime) {
   Blade recovering{chaosConfig(fault::Plan{}, policy)};
 
   auto script = [](Blade& blade) -> sim::Process {
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
-    co_await blade.node.manager().loadModuleRecovering(
-        0, 7, blade.streamsFor(0, 7, /*withLadder=*/true));
-    co_await blade.node.manager().loadModuleRecovering(
-        1, 9, blade.streamsFor(1, 9, /*withLadder=*/true));
+    co_await blade.node.manager().fullConfigure(blade.library.full());
+    co_await blade.load(0, 7, /*withLadder=*/true);
+    co_await blade.load(1, 9, /*withLadder=*/true);
   };
   plain.run(script(plain));
   recovering.run(script(recovering));
@@ -127,11 +128,9 @@ TEST(FaultRecoveryTest, IcapAbortIsRetriedWithExponentialBackoff) {
   Blade blade{chaosConfig(plan, policy)};
 
   auto script = [&]() -> sim::Process {
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
-    co_await blade.node.manager().loadModuleRecovering(
-        0, 7, blade.streamsFor(0, 7, /*withLadder=*/false));  // ICAP #1: ok
-    co_await blade.node.manager().loadModuleRecovering(
-        1, 9, blade.streamsFor(1, 9, /*withLadder=*/false));  // #2 abort, #3 ok
+    co_await blade.node.manager().fullConfigure(blade.library.full());
+    co_await blade.load(0, 7, /*withLadder=*/false);  // ICAP #1: ok
+    co_await blade.load(1, 9, /*withLadder=*/false);  // #2 abort, #3 ok
   };
   blade.run(script());
 
@@ -161,9 +160,8 @@ TEST(FaultRecoveryTest, ExhaustedRetriesWithoutLadderThrowFaultError) {
   Blade blade{chaosConfig(plan, policy)};
 
   auto script = [&]() -> sim::Process {
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
-    co_await blade.node.manager().loadModuleRecovering(
-        0, 7, blade.streamsFor(0, 7, /*withLadder=*/false));
+    co_await blade.node.manager().fullConfigure(blade.library.full());
+    co_await blade.load(0, 7, /*withLadder=*/false);
   };
   blade.sim.spawn(script());
   EXPECT_THROW(blade.sim.run(), util::FaultError);
@@ -176,9 +174,10 @@ TEST(FaultRecoveryTest, ExhaustedRetriesWithoutLadderThrowFaultError) {
 }
 
 TEST(FaultRecoveryTest, LadderEscalatesPastAFailingRung) {
-  // Burn ICAP load #1 with a plain load so the recovering request's first
-  // attempt is ICAP #2 (aborts under fixed period 2); with zero retries the
-  // module rung fails and the ladder lands on the full-PRR reload (#3).
+  // Burn ICAP load #1 with a load that has no fallback rungs so the second
+  // request's first attempt is ICAP #2 (aborts under fixed period 2); with
+  // zero retries the module rung fails and the ladder lands on the full-PRR
+  // reload (#3).
   fault::Plan plan;
   plan.arrival = fault::Arrival::kFixedPeriod;
   plan.fixedPeriod = 2;
@@ -190,11 +189,10 @@ TEST(FaultRecoveryTest, LadderEscalatesPastAFailingRung) {
   Blade blade{chaosConfig(plan, policy)};
 
   auto script = [&]() -> sim::Process {
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
+    co_await blade.node.manager().fullConfigure(blade.library.full());
     co_await blade.node.manager().loadModule(
         0, 7, blade.library.modulePartial(0, 7));  // ICAP #1: ok
-    co_await blade.node.manager().loadModuleRecovering(
-        1, 9, blade.streamsFor(1, 9, /*withLadder=*/true));
+    co_await blade.load(1, 9, /*withLadder=*/true);
   };
   blade.run(script());
 
@@ -207,27 +205,54 @@ TEST(FaultRecoveryTest, LadderEscalatesPastAFailingRung) {
   EXPECT_EQ(stats.fullDeviceFallbacks, 0u);
 }
 
-TEST(FaultRecoveryTest, DifferenceRungIsPreferredWhenSupplied) {
+TEST(FaultRecoveryTest, VerifyComparesBytesNotCrcs) {
+  // XOR the reflected CRC-32 generator (x^32 + ... + 1, LSB first) into one
+  // frame while the verify readback runs: 15 bit flips that leave the
+  // frame's CRC-32 unchanged. Only a byte compare sees the corruption.
+  constexpr std::uint64_t kGenerator = 0x1DB710641;
+  constexpr std::uint32_t kBitOffset = 5;
+
+  // The load's end instant, from a recovery-free blade (a healthy policy
+  // load takes the same simulated time).
+  auto script = [](Blade& blade) -> sim::Process {
+    co_await blade.node.manager().fullConfigure(blade.library.full());
+    co_await blade.load(0, 7, /*withLadder=*/false);
+  };
+  Blade reference;
+  reference.run(script(reference));
+  const util::Time loaded = reference.sim.now();
+
   config::RecoveryPolicy policy;
   policy.enabled = true;
-  policy.verify = VerifyMode::kOff;
+  policy.verify = VerifyMode::kAlways;
   Blade blade{chaosConfig(fault::Plan{}, policy)};
-  blade.library.buildDifferenceFlow();
-
-  auto script = [&]() -> sim::Process {
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
-    co_await blade.node.manager().loadModuleRecovering(
-        0, 7, blade.streamsFor(0, 7, /*withLadder=*/true));
-    RecoveryStreams streams = blade.streamsFor(0, 9, /*withLadder=*/true);
-    streams.difference = &blade.library.differencePartial(0, 7, 9);
-    co_await blade.node.manager().loadModuleRecovering(0, 9, streams);
+  const bitstream::Bitstream& golden = blade.library.modulePartial(0, 7);
+  const std::uint32_t frame = golden.header().firstFrame;
+  config::ConfigMemory& memory = blade.node.configMemory();
+  std::uint32_t crcBefore = 0;
+  std::uint32_t crcAfter = 0;
+  auto strike = [&]() -> sim::Process {
+    co_await blade.sim.delay(loaded + util::Time::picoseconds(1));
+    crcBefore = util::Crc32::of(memory.frameContent(frame));
+    for (std::uint32_t bit = 0; bit < 33; ++bit) {
+      if (((kGenerator >> bit) & 1u) == 0) continue;
+      const std::uint32_t at = kBitOffset + bit;
+      memory.injectUpset(frame, at / 8,
+                         static_cast<std::uint8_t>(1u << (at % 8)));
+    }
+    crcAfter = util::Crc32::of(memory.frameContent(frame));
   };
-  blade.run(script());
+  blade.sim.spawn(strike());
+  blade.run(script(blade));
 
-  EXPECT_EQ(blade.node.manager().loadedModule(0), 9u);
+  EXPECT_EQ(memory.upsetsInjected(), 15u);
+  EXPECT_EQ(crcAfter, crcBefore);
   const config::RecoveryStats& stats = blade.node.manager().recoveryStats();
-  EXPECT_EQ(stats.landedOnRung[rungIdx(RecoveryRung::kDifferencePartial)], 1u);
-  EXPECT_EQ(stats.landedOnRung[rungIdx(RecoveryRung::kModulePartial)], 1u);
+  EXPECT_EQ(stats.verifications, 1u);
+  EXPECT_EQ(stats.verifyFailures, 1u);
+  EXPECT_EQ(stats.frameRepairs, 1u);
+  EXPECT_EQ(blade.node.manager().loadedModule(0), 7u);
+  EXPECT_TRUE(config::verifyRegion(memory, golden).empty());
 }
 
 TEST(FaultRecoveryTest, WordFlipsAreVerifiedAndRepairedFrameGranular) {
@@ -243,9 +268,8 @@ TEST(FaultRecoveryTest, WordFlipsAreVerifiedAndRepairedFrameGranular) {
   Blade blade{chaosConfig(plan, policy)};
 
   auto script = [&]() -> sim::Process {
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
-    co_await blade.node.manager().loadModuleRecovering(
-        0, 7, blade.streamsFor(0, 7, /*withLadder=*/true));
+    co_await blade.node.manager().fullConfigure(blade.library.full());
+    co_await blade.load(0, 7, /*withLadder=*/true);
   };
   blade.run(script());
 
@@ -277,8 +301,8 @@ TEST(FaultRecoveryTest, TransientApiRejectIsAbsorbedByFullConfigure) {
   Blade blade{chaosConfig(plan, policy)};
 
   auto script = [&]() -> sim::Process {
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
-    co_await blade.node.manager().fullConfigureRecovering(blade.library.full());
+    co_await blade.node.manager().fullConfigure(blade.library.full());
+    co_await blade.node.manager().fullConfigure(blade.library.full());
   };
   blade.run(script());
 
@@ -302,12 +326,9 @@ TEST(FaultRecoveryTest, DeterministicChaosRunsAreByteIdenticalPerSeed) {
     policy.enabled = true;
     Blade blade{chaosConfig(plan, policy)};
     auto script = [&]() -> sim::Process {
-      co_await blade.node.manager().fullConfigureRecovering(
-          blade.library.full());
-      co_await blade.node.manager().loadModuleRecovering(
-          0, 7, blade.streamsFor(0, 7, /*withLadder=*/true));
-      co_await blade.node.manager().loadModuleRecovering(
-          1, 9, blade.streamsFor(1, 9, /*withLadder=*/true));
+      co_await blade.node.manager().fullConfigure(blade.library.full());
+      co_await blade.load(0, 7, /*withLadder=*/true);
+      co_await blade.load(1, 9, /*withLadder=*/true);
     };
     blade.run(script());
     const config::RecoveryStats& stats = blade.node.manager().recoveryStats();
