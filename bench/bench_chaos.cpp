@@ -178,16 +178,18 @@ int prtr::bench::cases::chaos(obs::BenchReport& report) {
     landedSum += landedTotals[r];
   }
   for (std::size_t r = 0; r < config::kRecoveryRungCount; ++r) {
+    const auto rung = static_cast<config::RecoveryRung>(r);
+    // No load lands on the difference rung; it keeps only its index.
+    if (rung == config::RecoveryRung::kDifferencePartial) continue;
     const double share =
         landedSum == 0 ? 0.0
                        : static_cast<double>(landedTotals[r]) /
                              static_cast<double>(landedSum);
     depthTable.row()
-        .cell(config::metricSuffix(static_cast<config::RecoveryRung>(r)))
+        .cell(config::metricSuffix(rung))
         .cell(landedTotals[r])
         .cell(util::formatDouble(share, 4));
-    report.scalar(std::string("ladder_landed_") +
-                      config::metricSuffix(static_cast<config::RecoveryRung>(r)),
+    report.scalar(std::string("ladder_landed_") + config::metricSuffix(rung),
                   landedTotals[r]);
   }
   std::cout << "\nrecovery-ladder depth distribution (all rates pooled):\n";

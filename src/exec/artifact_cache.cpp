@@ -220,25 +220,15 @@ ArtifactCache::Stats ArtifactCache::stats() const {
 }
 
 obs::MetricsSnapshot ArtifactCache::metricsSnapshot() const {
-  struct Ids {
-    obs::CounterId hits, misses, evictions, bytes, entries;
-    obs::GaugeId hitRate;
-  };
-  static const Ids kIds = [] {
-    obs::MetricTable& t = obs::MetricTable::global();
-    return Ids{t.counter("exec.cache.hits"),    t.counter("exec.cache.misses"),
-               t.counter("exec.cache.evictions"), t.counter("exec.cache.bytes"),
-               t.counter("exec.cache.entries"),  t.gauge("exec.cache.hit_rate")};
-  }();
   const Stats stats = this->stats();
-  obs::Registry reg;
-  reg.add(kIds.hits, stats.hits);
-  reg.add(kIds.misses, stats.misses);
-  reg.add(kIds.evictions, stats.evictions);
-  reg.add(kIds.bytes, stats.bytes);
-  reg.add(kIds.entries, stats.entries);
-  reg.set(kIds.hitRate, stats.hitRate());
-  return reg.takeSnapshot();
+  obs::MetricsSnapshot out;
+  out.counters["exec.cache.hits"] = stats.hits;
+  out.counters["exec.cache.misses"] = stats.misses;
+  out.counters["exec.cache.evictions"] = stats.evictions;
+  out.counters["exec.cache.bytes"] = stats.bytes;
+  out.counters["exec.cache.entries"] = stats.entries;
+  out.gauges["exec.cache.hit_rate"] = stats.hitRate();
+  return out;
 }
 
 ArtifactCache& ArtifactCache::global() {

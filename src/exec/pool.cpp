@@ -294,24 +294,15 @@ void Pool::parallelFor(std::size_t count,
 }
 
 obs::MetricsSnapshot Pool::metricsSnapshot() const {
-  struct Ids {
-    obs::CounterId threads, submitted, executed, steals, parallelFors;
-  };
-  static const Ids kIds = [] {
-    obs::MetricTable& t = obs::MetricTable::global();
-    return Ids{t.counter("exec.pool.threads"),
-               t.counter("exec.pool.submitted"),
-               t.counter("exec.pool.executed"),
-               t.counter("exec.pool.steals"),
-               t.counter("exec.pool.parallel_fors")};
-  }();
-  obs::Registry reg;
-  reg.add(kIds.threads, threadCount());
-  reg.add(kIds.submitted, submitted_.load(std::memory_order_relaxed));
-  reg.add(kIds.executed, executed_.load(std::memory_order_relaxed));
-  reg.add(kIds.steals, steals_.load(std::memory_order_relaxed));
-  reg.add(kIds.parallelFors, parallelFors_.load(std::memory_order_relaxed));
-  return reg.takeSnapshot();
+  obs::MetricsSnapshot out;
+  out.counters["exec.pool.threads"] = threadCount();
+  out.counters["exec.pool.submitted"] =
+      submitted_.load(std::memory_order_relaxed);
+  out.counters["exec.pool.executed"] = executed_.load(std::memory_order_relaxed);
+  out.counters["exec.pool.steals"] = steals_.load(std::memory_order_relaxed);
+  out.counters["exec.pool.parallel_fors"] =
+      parallelFors_.load(std::memory_order_relaxed);
+  return out;
 }
 
 Pool& Pool::global() {

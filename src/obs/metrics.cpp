@@ -144,21 +144,6 @@ HistogramId MetricTable::histogram(std::string_view name) {
   return HistogramId{histograms_->intern(name)};
 }
 
-CounterId MetricTable::findCounter(std::string_view name) const {
-  std::shared_lock lock{mutex_};
-  return CounterId{counters_->find(name)};
-}
-
-GaugeId MetricTable::findGauge(std::string_view name) const {
-  std::shared_lock lock{mutex_};
-  return GaugeId{gauges_->find(name)};
-}
-
-HistogramId MetricTable::findHistogram(std::string_view name) const {
-  std::shared_lock lock{mutex_};
-  return HistogramId{histograms_->find(name)};
-}
-
 const std::string& MetricTable::counterName(CounterId id) const {
   std::shared_lock lock{mutex_};
   return counters_->names[id.index()];
@@ -172,21 +157,6 @@ const std::string& MetricTable::gaugeName(GaugeId id) const {
 const std::string& MetricTable::histogramName(HistogramId id) const {
   std::shared_lock lock{mutex_};
   return histograms_->names[id.index()];
-}
-
-std::size_t MetricTable::counterCount() const {
-  std::shared_lock lock{mutex_};
-  return counters_->names.size();
-}
-
-std::size_t MetricTable::gaugeCount() const {
-  std::shared_lock lock{mutex_};
-  return gauges_->names.size();
-}
-
-std::size_t MetricTable::histogramCount() const {
-  std::shared_lock lock{mutex_};
-  return histograms_->names.size();
 }
 
 // ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@
 /// provider the exec layer registers, and merged at the barrier by a
 /// deterministic ordered tree reduction — byte-equal output at any width.
 ///
-/// There are no by-name record calls: code interns once at init and
-/// records by id. Host wall-clock timings use the same ids under `host.`
-/// (obs/host.hpp).
+/// A Registry has no by-name record calls: code that records a series
+/// repeatedly (fleet events, sweep counters, host timings under `host.`,
+/// obs/host.hpp) interns once at init and records by id. A run-end scrape
+/// writes each name once, so it fills a MetricsSnapshot's maps directly.
 
 #include <algorithm>
 #include <array>
@@ -129,10 +130,10 @@ struct HistogramId {
 /// Process-wide intern table mapping dotted metric names to dense ids,
 /// one id space per metric kind. Interning is thread-safe (shared_mutex;
 /// lookups of already-interned names take the reader lock) and ids are
-/// stable for the life of the process, so subsystems intern once at init —
-/// typically into a function-local static id bundle — and record by id
-/// forever after. Names live in deques, so the references `counterName`
-/// et al. return stay valid across later interning.
+/// stable for the life of the process, so a subsystem that records a
+/// series repeatedly interns once at init and records by id forever after.
+/// Names live in deques, so the references `counterName` et al. return stay
+/// valid across later interning.
 class MetricTable {
  public:
   /// The table every Registry in the process records against.
@@ -145,19 +146,10 @@ class MetricTable {
   /// Interns `name` as a histogram.
   [[nodiscard]] HistogramId histogram(std::string_view name);
 
-  /// Id of an already-interned name, or an invalid id when never interned.
-  [[nodiscard]] CounterId findCounter(std::string_view name) const;
-  [[nodiscard]] GaugeId findGauge(std::string_view name) const;
-  [[nodiscard]] HistogramId findHistogram(std::string_view name) const;
-
   /// Dotted name of an interned id. The id must be valid for this table.
   [[nodiscard]] const std::string& counterName(CounterId id) const;
   [[nodiscard]] const std::string& gaugeName(GaugeId id) const;
   [[nodiscard]] const std::string& histogramName(HistogramId id) const;
-
-  [[nodiscard]] std::size_t counterCount() const;
-  [[nodiscard]] std::size_t gaugeCount() const;
-  [[nodiscard]] std::size_t histogramCount() const;
 
  private:
   struct Pool;

@@ -149,13 +149,12 @@ DynamicReport DynamicPrtrExecutor::run(const tasks::Workload& workload) {
   report_ = DynamicReport{};
   runExecution(*node_, report_.base, "PRTR(dynamic)", "dynamic", nullptr,
                execute(workload));
-  report_.base.metrics.counters["dynamic.evictions"] = report_.evictions;
-  report_.base.metrics.counters["dynamic.defrag_runs"] = report_.defragRuns;
-  report_.base.metrics.counters["dynamic.defrag_moves"] = report_.defragMoves;
-  report_.base.metrics.counters["dynamic.defrag_ps"] =
-      static_cast<std::uint64_t>(report_.defragTime.ps());
-  report_.base.metrics.gauges["dynamic.mean_occupied_columns"] =
-      report_.meanOccupiedColumns;
+  obs::MetricsSnapshot& m = report_.base.metrics;
+  m.counters["dynamic.evictions"] = report_.evictions;
+  m.counters["dynamic.defrag_runs"] = report_.defragRuns;
+  m.counters["dynamic.defrag_moves"] = report_.defragMoves;
+  m.counters["dynamic.defrag_ps"] = asCount(report_.defragTime);
+  m.gauges["dynamic.mean_occupied_columns"] = report_.meanOccupiedColumns;
   return report_;
 }
 

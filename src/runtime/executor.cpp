@@ -1,229 +1,112 @@
 #include "runtime/executor.hpp"
 
-#include <array>
 #include <cctype>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "config/port.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace prtr::runtime {
-namespace {
 
 std::uint64_t asCount(util::Time t) noexcept {
   return t.ps() > 0 ? static_cast<std::uint64_t>(t.ps()) : 0;
 }
 
-/// Fixed scrape names, interned once per process (the scrape runs once per
-/// executor per scenario — on a pool worker during chassis/sweep fan-out —
-/// so the bundle is shared, not re-looked-up per run).
-struct ScrapeIds {
-  obs::CounterId simEvents, simTimePs;
-  obs::CounterId icapLoads, icapBytes, icapContentionPs;
-  obs::CounterId apiLoads, apiBytes, apiRejects;
-  obs::CounterId fullConfigs, partialConfigs;
-  std::array<obs::CounterId, fault::kFaultKindCount> faultInjected;
-  obs::CounterId faultTotal;
-  obs::CounterId recRequests, recAttempts, recRetries, recFaultsAbsorbed,
-      recVerifications, recVerifyFailures, recFrameRepairs, recEscalations,
-      recFullDeviceFallbacks, recDegradedTo, recBackoffPs, recVerifyPs,
-      recRepairPs;
-  std::array<obs::CounterId, config::kRecoveryRungCount> recLanded;
-  obs::HistogramId recLadderDepth;
-};
-
-const ScrapeIds& scrapeIds() {
-  static const ScrapeIds ids = [] {
-    obs::MetricTable& t = obs::MetricTable::global();
-    ScrapeIds out;
-    out.simEvents = t.counter("sim.events_processed");
-    out.simTimePs = t.counter("sim.time_ps");
-    out.icapLoads = t.counter("config.icap.loads");
-    out.icapBytes = t.counter("config.icap.bytes_written");
-    out.icapContentionPs = t.counter("config.icap.contention_ps");
-    out.apiLoads = t.counter("config.vendor_api.loads");
-    out.apiBytes = t.counter("config.vendor_api.bytes_written");
-    out.apiRejects = t.counter("config.vendor_api.rejects");
-    out.fullConfigs = t.counter("config.full_configs");
-    out.partialConfigs = t.counter("config.partial_configs");
-    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
-      const auto kind = static_cast<fault::FaultKind>(k);
-      out.faultInjected[k] = t.counter(std::string("fault.injected.") +
-                                       fault::metricSuffix(kind));
-    }
-    out.faultTotal = t.counter("fault.injected.total");
-    out.recRequests = t.counter("recovery.requests");
-    out.recAttempts = t.counter("recovery.attempts");
-    out.recRetries = t.counter("recovery.retries");
-    out.recFaultsAbsorbed = t.counter("recovery.faults_absorbed");
-    out.recVerifications = t.counter("recovery.verifications");
-    out.recVerifyFailures = t.counter("recovery.verify_failures");
-    out.recFrameRepairs = t.counter("recovery.frame_repairs");
-    out.recEscalations = t.counter("recovery.escalations");
-    out.recFullDeviceFallbacks = t.counter("recovery.full_device_fallbacks");
-    out.recDegradedTo = t.counter("recovery.degraded_to");
-    out.recBackoffPs = t.counter("recovery.backoff_ps");
-    out.recVerifyPs = t.counter("recovery.verify_ps");
-    out.recRepairPs = t.counter("recovery.repair_ps");
-    for (std::size_t r = 0; r < config::kRecoveryRungCount; ++r) {
-      const auto rung = static_cast<config::RecoveryRung>(r);
-      out.recLanded[r] = t.counter(std::string("recovery.landed.") +
-                                   config::metricSuffix(rung));
-    }
-    out.recLadderDepth = t.histogram("recovery.ladder_depth");
-    return out;
-  }();
-  return ids;
+void scrapeNodeCounters(xd1::Node& node, obs::MetricsSnapshot& out) {
+  auto& c = out.counters;
+  c["sim.events_processed"] = node.sim().eventsProcessed();
+  c["sim.time_ps"] = asCount(node.sim().now());
+  c["config.icap.loads"] = node.icap().loadsPerformed();
+  c["config.icap.bytes_written"] = node.icap().bytesWritten();
+  c["config.icap.contention_ps"] = asCount(node.icap().contentionTime());
+  c["config.vendor_api.loads"] = node.vendorApi().loadsPerformed();
+  c["config.vendor_api.bytes_written"] = node.vendorApi().bytesWritten();
 }
 
-/// Per-cache-policy counter bundle ("cache.lru.hits", ...), interned once
-/// per distinct policy name.
-struct CacheIds {
-  obs::CounterId hits, misses, evictions;
-};
-
-const CacheIds& cacheIds(const std::string& policyName) {
-  static std::mutex mutex;
-  static std::unordered_map<std::string, CacheIds> byPolicy;
-  std::scoped_lock lock{mutex};
-  if (const auto it = byPolicy.find(policyName); it != byPolicy.end()) {
-    return it->second;
-  }
-  std::string policy = policyName;
-  for (char& c : policy) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  obs::MetricTable& t = obs::MetricTable::global();
-  const std::string base = "cache." + policy + ".";
-  return byPolicy
-      .emplace(policyName, CacheIds{t.counter(base + "hits"),
-                                    t.counter(base + "misses"),
-                                    t.counter(base + "evictions")})
-      .first->second;
-}
-
-/// Per-executor counter bundle ("executor.prtr.calls", ...), interned once
-/// per distinct executor name ("frtr", "prtr", "hwsw", "dynamic").
-struct ExecutorIds {
-  obs::CounterId calls, configurations, prefetchIssued, prefetchWrong;
-  obs::CounterId totalPs, initialConfigPs, stallPs, decisionPs, controlPs,
-      inputPs, computePs, outputPs;
-};
-
-const ExecutorIds& executorIds(const std::string& executorName) {
-  static std::mutex mutex;
-  static std::unordered_map<std::string, ExecutorIds> byExecutor;
-  std::scoped_lock lock{mutex};
-  if (const auto it = byExecutor.find(executorName); it != byExecutor.end()) {
-    return it->second;
-  }
-  obs::MetricTable& t = obs::MetricTable::global();
-  const std::string ex = "executor." + executorName + ".";
-  ExecutorIds ids;
-  ids.calls = t.counter(ex + "calls");
-  ids.configurations = t.counter(ex + "configurations");
-  ids.prefetchIssued = t.counter(ex + "prefetch_issued");
-  ids.prefetchWrong = t.counter(ex + "prefetch_wrong");
-  ids.totalPs = t.counter(ex + "total_ps");
-  ids.initialConfigPs = t.counter(ex + "initial_config_ps");
-  ids.stallPs = t.counter(ex + "stall_ps");
-  ids.decisionPs = t.counter(ex + "decision_ps");
-  ids.controlPs = t.counter(ex + "control_ps");
-  ids.inputPs = t.counter(ex + "input_ps");
-  ids.computePs = t.counter(ex + "compute_ps");
-  ids.outputPs = t.counter(ex + "output_ps");
-  return byExecutor.emplace(executorName, ids).first->second;
-}
+namespace {
 
 /// Freezes a finished run's counters into `report.metrics` and `node`'s
 /// loadCensus into `report.census` (see runExecution).
 void scrapeExecutionMetrics(ExecutionReport& report, xd1::Node& node,
                             const std::string& executorName,
                             const ConfigCache* cache) {
-  const ScrapeIds& m = scrapeIds();
-  obs::Registry reg;
-  scrapeNodeCounters(node, reg);
-  reg.add(m.apiRejects, node.vendorApi().rejectedLoads());
-  reg.add(m.fullConfigs, node.manager().fullConfigCount());
-  reg.add(m.partialConfigs, node.manager().partialConfigCount());
+  obs::MetricsSnapshot& out = report.metrics;
+  auto& c = out.counters;
+  scrapeNodeCounters(node, out);
+  c["config.vendor_api.rejects"] = node.vendorApi().rejectedLoads();
+  c["config.full_configs"] = node.manager().fullConfigCount();
+  c["config.partial_configs"] = node.manager().partialConfigCount();
 
   // Fault/recovery counters only appear when the fault layer is in play, so
   // healthy baselines keep their pre-existing snapshot byte-for-byte.
   if (node.injector() != nullptr) {
     const fault::Injector& injector = *node.injector();
     for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
-      reg.add(m.faultInjected[k],
-              injector.injected(static_cast<fault::FaultKind>(k)));
+      const auto kind = static_cast<fault::FaultKind>(k);
+      c[std::string("fault.injected.") + fault::metricSuffix(kind)] =
+          injector.injected(kind);
     }
-    reg.add(m.faultTotal, injector.totalInjected());
+    c["fault.injected.total"] = injector.totalInjected();
   }
   if (node.manager().recoveryPolicy().enabled) {
     const config::RecoveryStats& rs = node.manager().recoveryStats();
-    reg.add(m.recRequests, rs.requests);
-    reg.add(m.recAttempts, rs.attempts);
-    reg.add(m.recRetries, rs.retries);
-    reg.add(m.recFaultsAbsorbed, rs.faultsAbsorbed);
-    reg.add(m.recVerifications, rs.verifications);
-    reg.add(m.recVerifyFailures, rs.verifyFailures);
-    reg.add(m.recFrameRepairs, rs.frameRepairs);
-    reg.add(m.recEscalations, rs.escalations);
-    reg.add(m.recFullDeviceFallbacks, rs.fullDeviceFallbacks);
-    reg.add(m.recDegradedTo, static_cast<std::uint64_t>(rs.degradedTo));
-    reg.add(m.recBackoffPs, asCount(rs.backoffTime));
-    reg.add(m.recVerifyPs, asCount(rs.verifyTime));
-    reg.add(m.recRepairPs, asCount(rs.repairTime));
+    c["recovery.requests"] = rs.requests;
+    c["recovery.attempts"] = rs.attempts;
+    c["recovery.retries"] = rs.retries;
+    c["recovery.faults_absorbed"] = rs.faultsAbsorbed;
+    c["recovery.verifications"] = rs.verifications;
+    c["recovery.verify_failures"] = rs.verifyFailures;
+    c["recovery.frame_repairs"] = rs.frameRepairs;
+    c["recovery.escalations"] = rs.escalations;
+    c["recovery.full_device_fallbacks"] = rs.fullDeviceFallbacks;
+    c["recovery.degraded_to"] = static_cast<std::uint64_t>(rs.degradedTo);
+    c["recovery.backoff_ps"] = asCount(rs.backoffTime);
+    c["recovery.verify_ps"] = asCount(rs.verifyTime);
+    c["recovery.repair_ps"] = asCount(rs.repairTime);
     // Full ladder-depth distribution: one counter per rung, plus a histogram
     // whose observations are the rung indices every recovering load landed
     // on — so merged snapshots expose p50/p95 degradation depth, not just
     // the worst-rung scalar above.
     for (std::size_t r = 0; r < config::kRecoveryRungCount; ++r) {
       if (rs.landedOnRung[r] == 0) continue;
-      reg.add(m.recLanded[r], rs.landedOnRung[r]);
+      const auto rung = static_cast<config::RecoveryRung>(r);
+      c[std::string("recovery.landed.") + config::metricSuffix(rung)] =
+          rs.landedOnRung[r];
+      obs::HistogramSummary& depth = out.histograms["recovery.ladder_depth"];
       for (std::uint64_t n = 0; n < rs.landedOnRung[r]; ++n) {
-        reg.observe(m.recLadderDepth, static_cast<std::int64_t>(r));
+        depth.observe(static_cast<std::int64_t>(r));
       }
     }
   }
 
   if (cache != nullptr) {
-    const CacheIds& c = cacheIds(cache->policyName());
-    reg.add(c.hits, cache->stats().hits);
-    reg.add(c.misses, cache->stats().misses);
-    reg.add(c.evictions, cache->stats().evictions);
+    std::string base = "cache." + cache->policyName() + ".";
+    for (char& ch : base) {
+      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+    }
+    c[base + "hits"] = cache->stats().hits;
+    c[base + "misses"] = cache->stats().misses;
+    c[base + "evictions"] = cache->stats().evictions;
   }
 
-  const ExecutorIds& e = executorIds(executorName);
-  reg.add(e.calls, report.calls);
-  reg.add(e.configurations, report.configurations);
-  reg.add(e.prefetchIssued, report.prefetchIssued);
-  reg.add(e.prefetchWrong, report.prefetchWrong);
-  reg.add(e.totalPs, asCount(report.total));
-  reg.add(e.initialConfigPs, asCount(report.initialConfig));
-  reg.add(e.stallPs, asCount(report.configStall));
-  reg.add(e.decisionPs, asCount(report.decisionTime));
-  reg.add(e.controlPs, asCount(report.controlTime));
-  reg.add(e.inputPs, asCount(report.inputTime));
-  reg.add(e.computePs, asCount(report.computeTime));
-  reg.add(e.outputPs, asCount(report.outputTime));
-  report.metrics = reg.takeSnapshot();
+  const std::string ex = "executor." + executorName + ".";
+  c[ex + "calls"] = report.calls;
+  c[ex + "configurations"] = report.configurations;
+  c[ex + "prefetch_issued"] = report.prefetchIssued;
+  c[ex + "prefetch_wrong"] = report.prefetchWrong;
+  c[ex + "total_ps"] = asCount(report.total);
+  c[ex + "initial_config_ps"] = asCount(report.initialConfig);
+  c[ex + "stall_ps"] = asCount(report.configStall);
+  c[ex + "decision_ps"] = asCount(report.decisionTime);
+  c[ex + "control_ps"] = asCount(report.controlTime);
+  c[ex + "input_ps"] = asCount(report.inputTime);
+  c[ex + "compute_ps"] = asCount(report.computeTime);
+  c[ex + "output_ps"] = asCount(report.outputTime);
   report.census = loadCensus(node);
 }
 
 }  // namespace
-
-void scrapeNodeCounters(xd1::Node& node, obs::Registry& reg) {
-  const ScrapeIds& m = scrapeIds();
-  reg.add(m.simEvents, node.sim().eventsProcessed());
-  reg.add(m.simTimePs, asCount(node.sim().now()));
-  reg.add(m.icapLoads, node.icap().loadsPerformed());
-  reg.add(m.icapBytes, node.icap().bytesWritten());
-  reg.add(m.icapContentionPs, asCount(node.icap().contentionTime()));
-  reg.add(m.apiLoads, node.vendorApi().loadsPerformed());
-  reg.add(m.apiBytes, node.vendorApi().bytesWritten());
-}
 
 LoadCensus loadCensus(const xd1::Node& node) noexcept {
   return LoadCensus{.contendedIn = node.linkIn().contendedTransfers(),

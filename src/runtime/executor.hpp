@@ -51,10 +51,16 @@ struct ExecutorOptions {
 /// `node`'s contended link transfers and aborted ICAP loads so far.
 [[nodiscard]] LoadCensus loadCensus(const xd1::Node& node) noexcept;
 
-/// Adds the counters every run-end scrape shares to `reg`:
+/// `t` in picoseconds as a counter value (negative clamps to 0): the one
+/// conversion behind every runtime `*_ps` counter.
+[[nodiscard]] std::uint64_t asCount(util::Time t) noexcept;
+
+/// Writes the counters every run-end scrape shares into `out`:
 /// sim.events_processed, sim.time_ps, config.icap.{loads,bytes_written,
 /// contention_ps} and config.vendor_api.{loads,bytes_written} of `node`.
-void scrapeNodeCounters(xd1::Node& node, obs::Registry& reg);
+/// A scrape writes each name once, so it fills the snapshot's maps
+/// directly; interned ids pay off only for series recorded repeatedly.
+void scrapeNodeCounters(xd1::Node& node, obs::MetricsSnapshot& out);
 
 /// The one run driver: resets `report` to an empty `executor` report, runs
 /// `body` (an executor's not-yet-started execute coroutine) on `node`'s

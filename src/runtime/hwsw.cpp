@@ -120,12 +120,10 @@ HwSwReport HwSwExecutor::run(const tasks::Workload& workload) {
   runExecution(*node_, report_.base,
                "HW/SW(" + std::string{toString(options_.policy)} + ")", "hwsw",
                cache_, execute(workload));
-  report_.base.metrics.counters["hwsw.hardware_calls"] = report_.hardwareCalls;
-  report_.base.metrics.counters["hwsw.software_calls"] = report_.softwareCalls;
-  report_.base.metrics.counters["hwsw.software_ps"] =
-      report_.softwareTime > util::Time::zero()
-          ? static_cast<std::uint64_t>(report_.softwareTime.ps())
-          : 0;
+  obs::MetricsSnapshot& m = report_.base.metrics;
+  m.counters["hwsw.hardware_calls"] = report_.hardwareCalls;
+  m.counters["hwsw.software_calls"] = report_.softwareCalls;
+  m.counters["hwsw.software_ps"] = asCount(report_.softwareTime);
   return report_;
 }
 

@@ -192,39 +192,20 @@ MultitaskReport runMultitask(const tasks::FunctionRegistry& registry,
   report.makespan = sim.now();
   report.census = loadCensus(node);
 
-  // Fixed scrape names interned once per process; the per-app names are
-  // interned per distinct app name (idempotent, and the app set is tiny).
-  struct Ids {
-    obs::CounterId calls, hits, configurations, makespanPs, prrBusyPs;
-    obs::GaugeId hitRatio;
-  };
-  static const Ids kIds = [] {
-    obs::MetricTable& t = obs::MetricTable::global();
-    return Ids{t.counter("multitask.calls"),
-               t.counter("multitask.hits"),
-               t.counter("multitask.configurations"),
-               t.counter("multitask.makespan_ps"),
-               t.counter("multitask.prr_busy_ps"),
-               t.gauge("multitask.hit_ratio")};
-  }();
-
-  obs::MetricTable& table = obs::MetricTable::global();
-  obs::Registry reg;
-  scrapeNodeCounters(node, reg);
-  reg.add(kIds.calls, report.calls);
-  reg.add(kIds.hits, report.hits);
-  reg.add(kIds.configurations, report.configurations);
-  reg.add(kIds.makespanPs, static_cast<std::uint64_t>(report.makespan.ps()));
-  reg.add(kIds.prrBusyPs,
-          static_cast<std::uint64_t>(report.prrBusyTotal.ps()));
-  reg.set(kIds.hitRatio, report.hitRatio());
+  obs::MetricsSnapshot& m = report.metrics;
+  scrapeNodeCounters(node, m);
+  m.counters["multitask.calls"] = report.calls;
+  m.counters["multitask.hits"] = report.hits;
+  m.counters["multitask.configurations"] = report.configurations;
+  m.counters["multitask.makespan_ps"] = asCount(report.makespan);
+  m.counters["multitask.prr_busy_ps"] = asCount(report.prrBusyTotal);
+  m.gauges["multitask.hit_ratio"] = report.hitRatio();
+  // Apps sharing a name share their series: counts add, the last mean wins.
   for (const AppStats& app : report.apps) {
     const std::string base = "multitask.app." + app.name;
-    reg.add(table.counter(base + ".completed"), app.completed);
-    reg.set(table.gauge(base + ".latency_mean_s"),
-            app.latencySeconds.mean());
+    m.counters[base + ".completed"] += app.completed;
+    m.gauges[base + ".latency_mean_s"] = app.latencySeconds.mean();
   }
-  report.metrics = reg.takeSnapshot();
   if (options.hooks.metrics) options.hooks.metrics->absorb(report.metrics);
   if (options.hooks.trace && options.hooks.timeline &&
       !options.hooks.timeline->empty()) {

@@ -42,11 +42,6 @@ TEST(MetricTable, InternLookupRoundTrip) {
   EXPECT_EQ(table().counterName(c), "test.table.roundtrip.counter");
   EXPECT_EQ(table().gaugeName(g), "test.table.roundtrip.gauge");
   EXPECT_EQ(table().histogramName(h), "test.table.roundtrip.hist");
-  // find* locates interned names without interning new ones.
-  EXPECT_EQ(table().findCounter("test.table.roundtrip.counter"), c);
-  EXPECT_FALSE(table().findCounter("test.table.never-interned").valid());
-  EXPECT_FALSE(table().findGauge("test.table.never-interned").valid());
-  EXPECT_FALSE(table().findHistogram("test.table.never-interned").valid());
 }
 
 TEST(MetricTable, KindsHaveIndependentIdSpaces) {

@@ -237,6 +237,32 @@ TEST(ExecutorPinTest, MultitaskIsPinned) {
   EXPECT_EQ(digest(text), 0x706c4e48379e52beULL) << text;
 }
 
+// A faulted, recovering scenario (pins recorded before the run-end scrapes
+// wrote their snapshots directly): pins the exact fault.injected.*,
+// recovery.* (skip-zero recovery.landed.*, recovery.ladder_depth) and
+// cache.<policy>.* key set of the run-end scrape, which no healthy run emits.
+TEST(ExecutorPinTest, FaultedScenarioScrapeIsPinned) {
+  const auto registry = tasks::makePaperFunctions();
+  const auto workload =
+      tasks::makeRoundRobinWorkload(registry, 24, util::Bytes{1'000'000});
+  const std::pair<bool, std::uint64_t> pins[] = {
+      {true, 0x0e17b724f5668233ULL},
+      {false, 0xe5c9d0f88a48168fULL},
+  };
+  for (const auto& [forceMiss, pin] : pins) {
+    ScenarioOptions so;
+    so.forceMiss = forceMiss;
+    so.faults.seed = 24091;
+    so.faults.wordFlipRate = 1e-4;
+    so.faults.icapAbortRate = 0.01;
+    so.faults.apiRejectRate = 0.005;
+    so.recovery.enabled = true;
+    const ScenarioResult r = runScenario(registry, workload, so);
+    const std::string text = r.toString() + r.metrics.toString();
+    EXPECT_EQ(digest(text), pin) << "forceMiss=" << forceMiss << "\n" << text;
+  }
+}
+
 TEST(PrtrExecutorTest, ForceMissMatchesEquation5) {
   // The paper's experimental setting: dual PRR, H = 0, queue look-ahead.
   Harness h;
