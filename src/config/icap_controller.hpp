@@ -19,13 +19,25 @@
 /// the producer runs ~70x faster than the drain, so the drain never waits
 /// after the first chunk (tests/config_icap_oracle_test.cpp checks this to
 /// the ps). The drain computes drainTime(chunk) and drainTime(wire mod
-/// chunk) once per load, so its per-chunk loop does no division or rounding.
+/// chunk) once per load, so its per-chunk step does no division or
+/// rounding.
 ///
-/// The buffer is a private counter pipe (ChunkPipe), not a sim::Channel:
-/// both sides derive each chunk's size from their own remaining bytes, so
-/// it carries no values. Its wakes follow Channel's order exactly: a put
-/// hands off to a blocked drain, a get admits a blocked producer, and the
-/// last side to finish wakes the load, each with a zero delay.
+/// The producer and the drain are one state machine per load (Pipeline),
+/// not two coroutines: the buffer is a count of chunks, and each side keeps
+/// at most one kernel event of its own (sim::KeptEvent), plus the join.
+/// Every event is the one a producer coroutine, a drain coroutine, a
+/// sim::Channel and a sim::WaitGroup would schedule, at the same point and
+/// under the same seq: a chunk's transfer completion, a hand-off wake at a
+/// put or a get, a drain completion, and the join that wakes the load
+/// (tests/config_icap_contended_test.cpp runs that reference beside it).
+/// Whichever side runs dispatches every next kept event in place, so an
+/// uncontended chunk costs a few compares instead of heap operations and
+/// coroutine switches. An event that is not next is parked under one of
+/// two lane handles: the load's for drain and join events, a producer lane
+/// coroutine's for producer events. When the host link is busy or has a
+/// fault hook, the producer lane awaits link.transfer() itself, exactly as
+/// a producer coroutine would; a transfer that aborts ends the producer,
+/// the drain empties the buffer, and load() rethrows the abort.
 
 #include <cstdint>
 #include <exception>
@@ -144,10 +156,7 @@ class IcapController {
   [[nodiscard]] ConfigMemory& memory() noexcept { return *memory_; }
 
  private:
-  class ChunkPipe;
-
-  [[nodiscard]] sim::Process produce(util::Bytes total, ChunkPipe& pipe);
-  [[nodiscard]] sim::Process drain(util::Bytes total, ChunkPipe& pipe);
+  class Pipeline;
 
   sim::Simulator* sim_;
   ConfigMemory* memory_;

@@ -167,6 +167,9 @@ struct Blade {
   std::uint32_t probesInFlight = 0;
   std::uint32_t probeOk = 0;
   fault::Plan plan{};
+  /// plan.active(), set once per run: a fault-free blade (every steady
+  /// fleet's) skips both fault draws and the load-rate sum per service.
+  bool faulty = false;
   util::Rng rng{0};
   std::uint64_t loadTick = 0;   ///< kFixedPeriod schedule over persona loads
   std::uint64_t stallTick = 0;  ///< kFixedPeriod schedule over transfers
@@ -367,7 +370,8 @@ struct Cell {
     std::int64_t configPs = 0;
     std::int64_t execPs = 0;
     bool willFail = false;
-    if (drawFault(blade, blade.plan.linkStallRate, blade.stallTick)) {
+    if (blade.faulty &&
+        drawFault(blade, blade.plan.linkStallRate, blade.stallTick)) {
       stallPs = blade.plan.stallDuration.ps();
       reg.add(ids.linkStalls);
     }
@@ -382,9 +386,11 @@ struct Cell {
       configPs = static_cast<std::int64_t>(
           static_cast<double>(t.configPs) * kRungConfigFactor[blade.rung]);
       const double loadRate =
-          blade.plan.transferTimeoutRate + blade.plan.icapAbortRate +
-          blade.plan.apiRejectRate +
-          blade.plan.wordFlipRate * static_cast<double>(t.configWords);
+          blade.faulty
+              ? blade.plan.transferTimeoutRate + blade.plan.icapAbortRate +
+                    blade.plan.apiRejectRate +
+                    blade.plan.wordFlipRate * static_cast<double>(t.configWords)
+              : 0.0;
       if (drawFault(blade, loadRate, blade.loadTick)) {
         // The load aborts: the config attempt is wasted and the request
         // never reaches the fabric.
@@ -803,6 +809,7 @@ struct Cell {
           (g * degradedCount) / totalBlades;
       blades[b].plan =
           (degraded ? options.degradedFaults : options.faults).forNode(g);
+      blades[b].faulty = blades[b].plan.active();
       blades[b].rng = util::Rng{blades[b].plan.seed};
     }
 

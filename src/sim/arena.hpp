@@ -3,7 +3,7 @@
 /// Thread-local free-list arena for coroutine frames.
 ///
 /// Every process allocates a coroutine frame: executor and prepare loops,
-/// each ICAP load with its producer and drain, and each contended or
+/// each ICAP load and its producer lane, and each contended or
 /// fault-hooked link transfer (an uncontended one needs no frame; see
 /// SimplexLink::Transfer). These are short-lived and recycled at a high
 /// rate, and the general allocator once dominated kernel time. Frames
@@ -15,7 +15,8 @@
 /// allocated it. The simulator is already single-thread-confined (one
 /// Simulator per sweep worker owns every process it runs), so this holds by
 /// construction. Chunks live until thread exit; peak usage is a few dozen
-/// live frames, so retention is bounded and small.
+/// live frames, so retention is bounded and small. A chunk is not zeroed:
+/// only the pages frames are carved from become resident.
 
 #include <cstddef>
 #include <cstdint>
@@ -80,7 +81,7 @@ class FrameArena {
 
   std::byte* carve(std::size_t bytes) {
     if (remaining_ < bytes) {
-      chunks_.push_back(std::make_unique<std::byte[]>(kChunkBytes));
+      chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(kChunkBytes));
       cursor_ = chunks_.back().get();
       remaining_ = kChunkBytes;
     }

@@ -8,7 +8,8 @@
 /// This FIFO keeps elements in one vector with a head cursor: a single
 /// allocation that is reused for the lifetime of its owner, compacted
 /// opportunistically when it drains. The Simulator's same-instant queue is
-/// one too.
+/// one too: its entries carry their seq, and a parked kept event inserts
+/// in seq order.
 
 #include <cstddef>
 #include <utility>
@@ -24,8 +25,19 @@ class SmallFifo {
     return items_.size() - head_;
   }
   [[nodiscard]] T& front() noexcept { return items_[head_]; }
+  [[nodiscard]] const T& front() const noexcept { return items_[head_]; }
 
   void push(T value) { items_.push_back(std::move(value)); }
+
+  /// Inserts `value` behind every queued element that does not come after
+  /// it under `before`; the queue must already be ordered by `before`.
+  template <typename Before>
+  void insertOrdered(T value, Before before) {
+    auto at = items_.end();
+    const auto first = items_.begin() + static_cast<std::ptrdiff_t>(head_);
+    while (at != first && before(value, *(at - 1))) --at;
+    items_.insert(at, std::move(value));
+  }
 
   T pop() {
     T value = std::move(items_[head_]);

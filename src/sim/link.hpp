@@ -58,18 +58,19 @@ class SimplexLink {
 
   /// Awaitable returned by transfer(). An uncontended transfer on a link
   /// without a fault hook runs without a child coroutine: it takes the
-  /// permit, suspends the caller for the occupancy (not at all when that is
-  /// zero, as with delay(0)), then counts the bytes and releases the permit
-  /// on resume — the same kernel calls, in the same order, as
-  /// transferBody(). Every other transfer awaits transferBody() as a child.
+  /// permit (tryStartTransfer), keeps its completion event for the
+  /// occupancy (no event at all when that is zero, as with delay(0)) and
+  /// runs through it in place when it is next, then counts the bytes and
+  /// releases the permit (finishTransfer) — the same kernel calls, in the
+  /// same order, as transferBody(). Every other transfer awaits
+  /// transferBody() as a child.
   class [[nodiscard]] Transfer {
    public:
     Transfer(SimplexLink& link, util::Bytes size) noexcept
         : link_(&link), size_(size) {}
 
     bool await_ready() {
-      if (!link_->faultHook_ && link_->busy_.tryAcquire()) {
-        occupancy_ = link_->memoOccupancy(size_);
+      if (link_->tryStartTransfer(size_, occupancy_)) {
         return occupancy_ == util::Time::zero();
       }
       body_ = link_->transferBody(size_);
@@ -77,17 +78,17 @@ class SimplexLink {
     }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
       if (body_.valid()) return body_.await_suspend(parent);
-      link_->sim_->scheduleAfter(occupancy_, parent);
-      return std::noop_coroutine();
+      Simulator& sim = *link_->sim_;
+      return sim.runThroughAt(sim.now() + occupancy_, parent)
+                 ? parent
+                 : std::noop_coroutine();
     }
     void await_resume() {
       if (body_.valid()) {
         body_.await_resume();
         return;
       }
-      link_->totalBytes_ += size_;
-      ++link_->totalTransfers_;
-      link_->busy_.release();
+      link_->finishTransfer(size_);
     }
 
    private:
@@ -96,6 +97,32 @@ class SimplexLink {
     util::Time occupancy_;
     Process body_{};  ///< set when the transfer takes the coroutine path
   };
+
+  /// Starts an uncontended transfer without a coroutine: when the link has
+  /// no fault hook and is free, takes it, sets `occupancy` and returns
+  /// true. The caller then owns the completion, `occupancy` later, and
+  /// calls finishTransfer(size) at it. Otherwise takes nothing and returns
+  /// false; the caller must co_await transfer(size). (A bool and an out
+  /// parameter, not an optional: GCC builds an optional<Time> on the stack
+  /// and reloads it with one 16-byte load, a store-forwarding stall on
+  /// every chunk.)
+  [[nodiscard]] bool tryStartTransfer(util::Bytes size,
+                                      util::Time& occupancy) noexcept {
+    if (faultHook_ || !busy_.tryAcquire()) return false;
+    occupancy = memoOccupancy(size);
+    return true;
+  }
+
+  /// Completes a transfer tryStartTransfer() started: counts its bytes and
+  /// releases the link. Returns true when a queued transfer took it over,
+  /// its wake now pending at now().
+  bool finishTransfer(util::Bytes size) {
+    totalBytes_ += size;
+    ++totalTransfers_;
+    const bool handedOver = busy_.waiterCount() > 0;
+    busy_.release();
+    return handedOver;
+  }
 
   /// Waits for the link, holds it for `occupancy(size)`; co_await it.
   [[nodiscard]] Transfer transfer(util::Bytes size) noexcept {

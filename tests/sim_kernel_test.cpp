@@ -3,6 +3,7 @@
 // ports built on them), and the timeline tracer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -144,6 +145,32 @@ TEST(SimulatorTest, ManyShortProcessesAreReaped) {
   // Finished roots must have been reclaimed along the way.
   EXPECT_LT(sim.rootCount(), 10001u);
   EXPECT_GT(sim.eventsProcessed(), 10000u);
+}
+
+TEST(SimulatorTest, RootsAreReapedWhileDelaysRunInPlace) {
+  // Each round spawns a root that finishes on its first event, then parks
+  // one delay behind that spawn and runs two more in place (nothing else is
+  // pending). Four events per round, two of them dispatched by the loop at
+  // counts 4k+2 and 4k+3: a sweep keyed to the event count could never
+  // fire, so finished roots must be reclaimed by a count of spawns.
+  Simulator sim;
+  std::size_t peakRoots = 0;
+  auto quick = [](Simulator&) -> Process { co_return; };
+  auto spawner = [&](Simulator& s) -> Process {
+    for (int i = 0; i < 10000; ++i) {
+      s.spawn(quick(s));
+      peakRoots = std::max(peakRoots, s.rootCount());
+      co_await s.delay(Time::nanoseconds(1));
+      co_await s.delay(Time::nanoseconds(1));
+      co_await s.delay(Time::nanoseconds(1));
+    }
+  };
+  sim.spawn(spawner(sim));
+  sim.run();
+  EXPECT_EQ(sim.eventsProcessed(), 40001u);
+  EXPECT_EQ(sim.now(), Time::nanoseconds(30000));
+  EXPECT_LE(peakRoots, 130u);
+  EXPECT_EQ(sim.rootCount(), 0u);
 }
 
 TEST(ConditionTest, NotifyAllWakesEveryWaiter) {

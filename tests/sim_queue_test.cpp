@@ -111,21 +111,36 @@ TEST(RunUntil, PastDeadlineRunsNoPendingSameInstantWake) {
 // ---- Kernel order property: seeded random programs run on the Simulator
 // must resume in exactly the order of an independent reference that keeps
 // one pending set sorted by (time, seq). The programs mix same-instant
-// schedules, delay(0) (no event), future delays, spawns mid-instant and
-// between runUntil calls, semaphore hand-offs, condition broadcasts, and
-// runUntil deadlines before, at and after now().
+// schedules, delay(0) (no event), future delays (which run through in
+// place when their wake is next), spawns mid-instant and between runUntil
+// calls, semaphore hand-offs, condition broadcasts, pairs of kept events
+// held across a suspension, and runUntil deadlines before, at and after
+// now(). No step may run past the deadline of the runUntil that runs it.
 
-enum class OpKind { kYield, kDelay, kSpawn, kAcquire, kRelease, kWait, kNotify };
+enum class OpKind {
+  kYield,
+  kDelay,
+  kSpawn,
+  kAcquire,
+  kRelease,
+  kWait,
+  kNotify,
+  kKeepTwo
+};
 
 struct Op {
   OpKind kind;
   std::int64_t arg;  ///< delay ps, spawn program, semaphore or condition
+  std::int64_t arg2 = 0;  ///< kKeepTwo: the second kept event's delay
 };
 
 using Program = std::vector<Op>;
 
 /// What one process did at one step: (time, process id, program counter).
 using LogEntry = std::tuple<std::int64_t, int, std::size_t>;
+
+/// The program counter logged when a kept event of kKeepTwo is dispatched.
+constexpr std::size_t kKeptMark = ~std::size_t{0};
 
 struct RandomWorld {
   std::vector<Program> roots;          ///< spawned before the first run
@@ -140,7 +155,7 @@ struct RandomWorld {
 Op randomOp(util::Rng& rng, const RandomWorld& world, bool allowSpawn) {
   static constexpr std::int64_t kDelays[] = {0, 0, 1'000, 1'000, 2'000, 7'000};
   for (;;) {
-    switch (rng() % 7) {
+    switch (rng() % 8) {
       case 0: return {OpKind::kYield, 0};
       case 1: return {OpKind::kDelay, kDelays[rng() % 6]};
       case 2:
@@ -155,6 +170,8 @@ Op randomOp(util::Rng& rng, const RandomWorld& world, bool allowSpawn) {
                 static_cast<std::int64_t>(rng() % world.semCounts.size())};
       case 5:
         return {OpKind::kWait, static_cast<std::int64_t>(rng() % world.conditions)};
+      case 6:
+        return {OpKind::kKeepTwo, kDelays[rng() % 6], kDelays[rng() % 6]};
       default:
         return {OpKind::kNotify,
                 static_cast<std::int64_t>(rng() % world.conditions)};
@@ -194,6 +211,15 @@ struct YieldNow {
   void await_resume() const noexcept {}
 };
 
+/// Awaitable that parks the caller on a kept event.
+struct Park {
+  Simulator* sim;
+  KeptEvent event;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { sim->park(event, h); }
+  void await_resume() const noexcept {}
+};
+
 /// The Simulator side: the world's programs as coroutines.
 struct KernelRun {
   Simulator sim;
@@ -202,6 +228,13 @@ struct KernelRun {
   std::vector<std::unique_ptr<Condition>> conds;
   std::vector<LogEntry> log;
   int nextPid = 0;
+  /// The deadline of the running runUntil (run(): the maximum).
+  std::int64_t deadline = std::numeric_limits<std::int64_t>::max();
+
+  void record(int pid, std::size_t pc) {
+    EXPECT_LE(sim.now().ps(), deadline) << "ran past the deadline";
+    log.emplace_back(sim.now().ps(), pid, pc);
+  }
 
   explicit KernelRun(const RandomWorld& w) : world(&w) {
     for (const std::int64_t count : w.semCounts) {
@@ -216,7 +249,7 @@ struct KernelRun {
 
   Process body(int pid, const Program& program) {
     for (std::size_t pc = 0; pc < program.size(); ++pc) {
-      log.emplace_back(sim.now().ps(), pid, pc);
+      record(pid, pc);
       const Op& op = program[pc];
       const auto index = static_cast<std::size_t>(op.arg);
       switch (op.kind) {
@@ -227,6 +260,22 @@ struct KernelRun {
         case OpKind::kRelease: sems[index]->release(); break;
         case OpKind::kWait: co_await conds[index]->wait(); break;
         case OpKind::kNotify: conds[index]->notifyAll(); break;
+        case OpKind::kKeepTwo: {
+          // Keep two events with condition 0's wakes between their seqs,
+          // then dispatch them in (time, seq) order: each in place when it
+          // is next, else parked while the other stays kept.
+          const KeptEvent first = sim.keep(sim.now() + Time::picoseconds(op.arg));
+          conds[0]->notifyAll();
+          const KeptEvent second =
+              sim.keep(sim.now() + Time::picoseconds(op.arg2));
+          const bool inOrder = first.timePs <= second.timePs;
+          for (const KeptEvent& event :
+               {inOrder ? first : second, inOrder ? second : first}) {
+            if (!sim.dispatchIfNext(event)) co_await Park{&sim, event};
+            record(pid, kKeptMark);
+          }
+          break;
+        }
       }
     }
   }
@@ -239,6 +288,7 @@ struct ReferenceRun {
   struct Proc {
     const Program* program;
     std::size_t pc = 0;
+    int keptLeft = 0;  ///< kKeepTwo wakes still to come
   };
   using Pending = std::tuple<std::int64_t, std::uint64_t, int>;  // time, seq, pid
 
@@ -269,6 +319,10 @@ struct ReferenceRun {
   /// Runs `pid` from its program counter until it suspends or ends.
   void resume(int pid) {
     ++resumes;
+    if (Proc& proc = procs[static_cast<std::size_t>(pid)]; proc.keptLeft > 0) {
+      log.emplace_back(now, pid, kKeptMark);
+      if (--proc.keptLeft > 0) return;
+    }
     for (;;) {
       Proc& proc = procs[static_cast<std::size_t>(pid)];
       if (proc.pc == proc.program->size()) return;
@@ -299,12 +353,20 @@ struct ReferenceRun {
           }
           break;
         case OpKind::kWait: condWaiters[index].push_back(pid); return;
-        case OpKind::kNotify:
-          for (const int waiter : condWaiters[index]) schedule(now, waiter);
-          condWaiters[index].clear();
-          break;
+        case OpKind::kNotify: notify(index); break;
+        case OpKind::kKeepTwo:
+          schedule(now + op.arg, pid);
+          notify(0);
+          schedule(now + op.arg2, pid);
+          proc.keptLeft = 2;
+          return;
       }
     }
+  }
+
+  void notify(std::size_t index) {
+    for (const int waiter : condWaiters[index]) schedule(now, waiter);
+    condWaiters[index].clear();
   }
 
   void runUntil(std::int64_t deadline) {
@@ -334,10 +396,14 @@ TEST(KernelOrder, RandomProgramsResumeInReferenceTimeSeqOrder) {
         reference.spawn(world.children[0]);
       }
       const std::int64_t deadline = kernel.sim.now().ps() + offset;
+      kernel.deadline = deadline;
       EXPECT_EQ(kernel.sim.runUntil(Time::picoseconds(deadline)).ps(),
                 (reference.runUntil(deadline), reference.now))
           << "seed " << seed;
+      // Nothing ran ahead of the deadline in place, nor fell behind it.
+      EXPECT_EQ(kernel.log.size(), reference.log.size()) << "seed " << seed;
     }
+    kernel.deadline = std::numeric_limits<std::int64_t>::max();
     kernel.sim.run();
     reference.runUntil(std::numeric_limits<std::int64_t>::max());
     ASSERT_EQ(kernel.log, reference.log) << "seed " << seed;
