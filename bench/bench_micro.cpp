@@ -218,9 +218,9 @@ void BM_SobelFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_SobelFilter);
 
-// ---- Metrics registry hot path: interned ids vs the deprecated string
-// shims. The id path is the contract the sweeps rely on (a bounds check
-// plus one increment); CI asserts the by-name/by-id time ratio is >= 5x.
+// ---- Metrics registry hot path: interned ids vs re-interning by name. The
+// id path is the contract the fleet loop relies on (a bounds check plus one
+// increment); CI asserts the by-name/by-id time ratio is >= 5x.
 
 void BM_MetricsAddById(benchmark::State& state) {
   obs::MetricTable& t = obs::MetricTable::global();
@@ -240,8 +240,7 @@ BENCHMARK(BM_MetricsAddById);
 
 /// The by-name baseline the interned-id gate compares against: re-intern
 /// on every record, paying the MetricTable lock + hash probe the id path
-/// skips. (The string Registry::add shim that used to package this pattern
-/// is gone; this spells it out.)
+/// skips.
 void BM_MetricsAddByName(benchmark::State& state) {
   static constexpr std::array<std::string_view, 4> kNames{
       "micro.metrics.a", "micro.metrics.b", "micro.metrics.c",
@@ -283,38 +282,6 @@ void BM_MetricsObserveByName(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricsObserveByName);
-
-/// One synthetic sweep-point snapshot (~40 counters + 2 histograms), the
-/// shape runScenario absorbs per Fig-9 point.
-obs::MetricsSnapshot microPointSnapshot() {
-  obs::MetricTable& t = obs::MetricTable::global();
-  obs::Registry reg;
-  for (int c = 0; c < 40; ++c) {
-    reg.add(t.counter("micro.sweep.counter_" + std::to_string(c)),
-            static_cast<std::uint64_t>(c) * 17 + 1);
-  }
-  reg.observe(t.histogram("micro.sweep.lat_ps"), 1'234);
-  reg.observe(t.histogram("micro.sweep.stall_ps"), 56'789);
-  return reg.takeSnapshot();
-}
-
-/// Sharded vs single-registry sweep merge: Arg(0) is the shard width.
-/// Width 1 is the old single-sink shape (every absorb hits one registry);
-/// width 8 spreads the same 64 point-absorbs over 8 shards and pays one
-/// ordered tree reduction at the end.
-void BM_MetricsSweepMerge(benchmark::State& state) {
-  const obs::MetricsSnapshot point = microPointSnapshot();
-  const auto width = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    obs::ShardedRegistry sharded{width};
-    for (std::size_t p = 0; p < 64; ++p) {
-      sharded.shard(p % width).absorbAdditive(point);
-    }
-    benchmark::DoNotOptimize(sharded.takeMerged().counters.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_MetricsSweepMerge)->Arg(1)->Arg(8);
 
 /// One steady fleet batch per iteration: examples/fleet/steady.fleet (the
 /// FleetOptions defaults under its seed) at 50 k requests on one thread,

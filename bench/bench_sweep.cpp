@@ -5,11 +5,11 @@
 // prtr::exec subsystem: CI runs it with --json and validates that the
 // pooled sweeps are no slower than serial and produce identical bytes.
 //
-// The Fig-9 runs record through a sharded metrics sink (one obs::Registry
-// shard per pool worker), so the byte-identity check covers the merged
-// metrics snapshot too, and the four-participant run feeds the
-// parallel-efficiency scalars. CI gates those only when the measured
-// host_concurrency scalar shows four threads really run at once.
+// The Fig-9 runs also return their merged metrics snapshot (every point's
+// snapshot folded in point order), so the byte-identity check covers it
+// too, and the four-participant run feeds the parallel-efficiency scalars.
+// CI gates those only when the measured host_concurrency scalar shows four
+// threads really run at once.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -40,7 +40,7 @@ double timedMs(Fn&& fn) {
 /// The Figure-9 sweep this case times (smaller than the fig9b case's grid so
 /// the CI smoke run stays fast, but large enough to amortize pool startup).
 std::string runFig9(std::size_t threads, exec::ArtifactCache* artifacts,
-                    obs::ShardedRegistry* metrics = nullptr,
+                    obs::MetricsSnapshot* metrics = nullptr,
                     obs::ChromeTrace* trace = nullptr) {
   analysis::Fig9Options opts;
   opts.basis = model::ConfigTimeBasis::kMeasured;
@@ -102,14 +102,14 @@ int prtr::bench::cases::sweep(obs::BenchReport& report) {
 
   // --- Figure 9, serial reference, then the ladder. Every run must render
   // byte-identical tables: parallelism only reorders the work, not results.
-  // The serial run also records through a sharded sink; its merged snapshot
-  // is the reference the pooled runs must reproduce byte for byte.
+  // The serial run also returns its merged metrics; that snapshot is the
+  // reference the pooled runs must reproduce byte for byte.
   bool identical = true;
   std::string fig9Ref;
-  obs::ShardedRegistry fig9SerialMetrics;
+  obs::MetricsSnapshot fig9SerialMetrics;
   const double fig9SerialMs =
       timedMs([&] { fig9Ref = runFig9(1, nullptr, &fig9SerialMetrics); });
-  const std::string fig9MetricsRef = fig9SerialMetrics.takeMerged().toJson();
+  const std::string fig9MetricsRef = fig9SerialMetrics.toJson();
   double fig9ParallelMs = fig9SerialMs;
   util::Table fig9Times{{"threads", "fig9 (ms)", "speedup"}};
   fig9Times.row().cell(std::uint64_t{1}).cell(util::formatDouble(fig9SerialMs, 2))
@@ -129,8 +129,8 @@ int prtr::bench::cases::sweep(obs::BenchReport& report) {
   report.table("fig9_times", fig9Times);
 
   // --- Four-participant Fig-9 run, always measured: feeds the
-  // parallel-efficiency scalars, and checks that the sharded metrics merge
-  // is byte-identical to the serial reference. The pool caps participants
+  // parallel-efficiency scalars, and checks that its merged metrics are
+  // byte-identical to the serial reference. The pool caps participants
   // at its worker count, and a host may time-slice them, so CI gates the
   // efficiency only when host_concurrency shows four threads really ran at
   // once; otherwise it is informational (the "_wall" suffix keeps
@@ -138,13 +138,12 @@ int prtr::bench::cases::sweep(obs::BenchReport& report) {
   // both sides of the timed run and keeps the lower reading, so the gate
   // only judges a run the host gave the cores to throughout.
   const double concurrencyBefore = bench::hostConcurrency(4);
-  obs::ShardedRegistry fig9T4Metrics;
+  obs::MetricsSnapshot fig9T4Metrics;
   std::string fig9T4Out;
   const double fig9T4Ms =
       timedMs([&] { fig9T4Out = runFig9(4, nullptr, &fig9T4Metrics); });
   identical = identical && fig9T4Out == fig9Ref;
-  obs::MetricsSnapshot fig9T4Merged = fig9T4Metrics.takeMerged();
-  identical = identical && fig9T4Merged.toJson() == fig9MetricsRef;
+  identical = identical && fig9T4Metrics.toJson() == fig9MetricsRef;
   const double speedupT4 = fig9SerialMs / fig9T4Ms;
   std::cout << "\nfig9 sweep at 4 participants: "
             << util::formatDouble(fig9T4Ms, 2) << " ms ("
@@ -219,7 +218,7 @@ int prtr::bench::cases::sweep(obs::BenchReport& report) {
   report.scalar("time_cached_ms", cachedMs);
   report.scalar("cache_hit_rate", stats.hitRate());
   report.scalar("outputs_identical", std::uint64_t{identical ? 1u : 0u});
-  report.metrics(std::move(fig9T4Merged));
+  report.metrics(std::move(fig9T4Metrics));
   report.metrics(exec::Pool::global().metricsSnapshot());
   report.metrics(cache.metricsSnapshot());
   return identical ? 0 : 1;

@@ -139,10 +139,12 @@ std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
   const auto grid = logGrid(options.xTaskLo, options.xTaskHi, options.points);
   const auto registry = tasks::makePaperFunctions();
 
-  // Per-point PRTR timelines, collected only when a trace is requested.
-  // parallelMap stores by index, so the vector fills deterministically.
+  // Per-point PRTR timelines and metrics, collected only when a trace or
+  // metrics are requested. Stored by index, so both fill deterministically.
   std::vector<sim::Timeline> pointTimelines(
       options.trace != nullptr ? grid.size() : 0);
+  std::vector<obs::MetricsSnapshot> pointMetrics(
+      options.metrics != nullptr ? grid.size() : 0);
 
   // Reference node for calibration queries (no simulation happens on it).
   sim::Simulator refSim;
@@ -158,7 +160,7 @@ std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
       [&](const double& xTask) {
         const obs::HostTimer pointTimer{kPointNs};
         // parallelMap passes a reference into `grid`, so the element address
-        // recovers this point's index for the by-index timeline slot.
+        // recovers this point's index for the by-index slots.
         const std::size_t index =
             static_cast<std::size_t>(&xTask - grid.data());
         Fig9Point point;
@@ -175,18 +177,16 @@ std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
         so.forceMiss = true;
         so.prepare = runtime::PrepareSource::kQueue;
         so.artifacts = options.artifacts;
-        so.hooks.shardedMetrics = options.metrics;
         if (options.trace != nullptr) {
           so.hooks.timeline = &pointTimelines[index];
         }
         const auto workload = tasks::makeRoundRobinWorkload(
             registry, options.nCalls, point.dataBytes);
-        const runtime::ScenarioResult result =
+        runtime::ScenarioResult result =
             runtime::runScenario(registry, workload, so);
         if (options.metrics != nullptr) {
-          static const obs::CounterId kPoints =
-              obs::MetricTable::global().counter("fig9.points_computed");
-          options.metrics->local().add(kPoints);
+          result.metrics.gauges.clear();
+          pointMetrics[index] = std::move(result.metrics);
         }
 
         point.simSpeedup = result.speedup;
@@ -207,6 +207,12 @@ std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
       options.trace->addCounters(
           process, obs::sampleTimelineCounters(pointTimelines[i]));
     }
+  }
+  if (options.metrics != nullptr) {
+    for (obs::MetricsSnapshot& m : pointMetrics) {
+      options.metrics->merge(std::move(m));
+    }
+    options.metrics->counters["fig9.points_computed"] += grid.size();
   }
   return points;
 }
@@ -250,8 +256,7 @@ std::string fig9Plot(const std::vector<Fig9Point>& points,
 std::vector<util::Series> makeFig5Series(double xPrtr,
                                          const std::vector<double>& hitRatios,
                                          std::size_t points, double xTaskLo,
-                                         double xTaskHi, std::size_t threads,
-                                         obs::ShardedRegistry* metrics) {
+                                         double xTaskHi, std::size_t threads) {
   const auto grid = logGrid(xTaskLo, xTaskHi, points);
   return exec::parallelMap(
       hitRatios,
@@ -260,15 +265,6 @@ std::vector<util::Series> makeFig5Series(double xPrtr,
         for (const double xTask : grid) {
           s.x.push_back(xTask);
           s.y.push_back(model::idealAsymptote(xTask, xPrtr, h));
-        }
-        if (metrics != nullptr) {
-          static const struct {
-            obs::CounterId series, points;
-          } kIds{obs::MetricTable::global().counter("fig5.series_computed"),
-                 obs::MetricTable::global().counter("fig5.points_computed")};
-          obs::Registry& shard = metrics->local();
-          shard.add(kIds.series);
-          shard.add(kIds.points, s.y.size());
         }
         return s;
       },

@@ -56,12 +56,11 @@ struct Fig9Options {
   /// process ("fig9[i] x=...") with sampled counter tracks (link occupancy,
   /// ICAP busy, PRR residency) attached. Null = no trace capture.
   obs::ChromeTrace* trace = nullptr;
-  /// Per-worker metric shards: every sweep point records its scenario's
-  /// additive metrics (and a fig9.points_computed counter) into the
-  /// recording thread's shard, contention-free; the caller tree-merges at
-  /// the barrier (ShardedRegistry::takeMerged) — byte-identical at any
-  /// --threads width. Null = off.
-  obs::ShardedRegistry* metrics = nullptr;
+  /// Receives the sweep's metrics: every point's scenario counters and
+  /// histograms (its gauges describe that point alone and are dropped),
+  /// folded in point order after the barrier, then fig9.points_computed —
+  /// byte-identical at any --threads width. Null = off.
+  obs::MetricsSnapshot* metrics = nullptr;
 };
 /// Host timings go to obs::hostMetrics(): the whole sweep under
 /// host.fig9.sweep_ns, every point under host.fig9.point_ns.
@@ -78,8 +77,7 @@ struct Fig9Options {
 /// deterministic regardless).
 [[nodiscard]] std::vector<util::Series> makeFig5Series(
     double xPrtr, const std::vector<double>& hitRatios, std::size_t points = 121,
-    double xTaskLo = 1e-3, double xTaskHi = 100.0, std::size_t threads = 0,
-    obs::ShardedRegistry* metrics = nullptr);
+    double xTaskLo = 1e-3, double xTaskHi = 100.0, std::size_t threads = 0);
 
 /// Logarithmically spaced grid in [lo, hi].
 [[nodiscard]] std::vector<double> logGrid(double lo, double hi,

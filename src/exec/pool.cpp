@@ -15,19 +15,6 @@ namespace {
 thread_local Pool* tlsPool = nullptr;
 thread_local std::size_t tlsWorker = 0;
 
-/// obs thread-slot provider: pool workers map to workerIndex + 1, every
-/// other thread (the caller participating in a parallelFor included) to
-/// slot 0 — so ShardedRegistry::local() never shares a shard between two
-/// recording threads.
-std::size_t poolThreadSlot() noexcept {
-  return tlsPool != nullptr ? tlsWorker + 1 : 0;
-}
-
-const bool threadSlotRegistered = [] {  // NOLINT(cert-err58-cpp)
-  obs::setThreadSlotProvider(&poolThreadSlot);
-  return true;
-}();
-
 /// Distinguishes a task's completion sync object from its submission one,
 /// so "submitted happens-before run" and "ran happens-before joined" are
 /// separate edges.

@@ -996,19 +996,15 @@ FleetReport runFleet(const tasks::FunctionRegistry& registry,
       },
       exec::ForOptions{.threads = options.threads});
 
-  // Per-cell snapshots are additive (counters and histograms only), so the
-  // ordered tree reduction folds them without prefixes — byte-identical to
-  // a left-to-right merge at any thread count.
+  // Cell snapshots (counters and histograms only) move-merge in cell order
+  // after the barrier, so the fold is the same at any thread count.
   FleetReport report;
-  std::vector<obs::MetricsSnapshot> leaves;
-  leaves.reserve(cells.size());
   for (CellResult& cell : cells) {
     report.makespan =
         std::max(report.makespan, util::Time::picoseconds(cell.endPs));
     report.requestSlots = std::max(report.requestSlots, cell.requestSlots);
-    leaves.push_back(std::move(cell.metrics));
+    report.metrics.merge(std::move(cell.metrics));
   }
-  report.metrics = obs::reduceSnapshots(std::move(leaves));
 
   const obs::MetricsSnapshot& m = report.metrics;
   report.offered = m.counterOr("fleet.offered");
@@ -1094,11 +1090,6 @@ FleetReport runFleet(const tasks::FunctionRegistry& registry,
     trace::exportFleetTrace(report.traces, *options.hooks.trace);
     options.hooks.trace->addCounters("fleet/series",
                                      report.series.counterTracks("fleet"));
-  }
-
-  if (options.hooks.metrics) options.hooks.metrics->absorb(report.metrics);
-  if (options.hooks.shardedMetrics) {
-    options.hooks.shardedMetrics->local().absorbAdditive(report.metrics);
   }
   return report;
 }

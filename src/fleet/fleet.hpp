@@ -38,8 +38,8 @@
 /// own pending set, its own arrival/routing RNG, and one RNG per blade
 /// (fault::Plan::forNode of the global blade index). Cells run through
 /// exec::parallelMap and their per-cell Registry snapshots fold in cell
-/// order via obs::reduceSnapshots, so output is byte-identical at any
-/// --threads, same contract as hprc::runChassis and the sweep harness.
+/// order after the barrier, so output is byte-identical at any --threads,
+/// same contract as hprc::runChassis and the sweep harness.
 
 #include <cstddef>
 #include <cstdint>
@@ -199,7 +199,7 @@ struct FleetOptions {
   runtime::ScenarioOptions calibration{};
 
   std::size_t threads = 0;  ///< host threads across cells (0 = auto)
-  obs::Hooks hooks{};       ///< metrics/shardedMetrics sinks (timelines n/a)
+  obs::Hooks hooks{};       ///< trace receives request traces (timelines n/a)
 };
 
 /// Aggregate result of a fleet run.
@@ -237,7 +237,7 @@ struct FleetReport {
   double utilizationMean = 0.0;
   double utilizationMax = 0.0;
 
-  /// fleet.* counters/histograms merged across cells (reduceSnapshots).
+  /// fleet.* counters/histograms merged across cells in cell order.
   obs::MetricsSnapshot metrics;
 
   /// Windowed time-series folded across cells in cell order. Populated

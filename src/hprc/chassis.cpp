@@ -97,22 +97,15 @@ ChassisReport runChassis(const tasks::FunctionRegistry& registry,
       },
       exec::ForOptions{.threads = options.threads});
 
-  // Per-blade leaves fold in an ordered tree reduction. Every blade's names
-  // are unique under its "bladeN." prefix, so the reduction is byte-equal to
-  // the old left-to-right merge while moving (never re-keying) every node
-  // past the leaf level.
-  std::vector<obs::MetricsSnapshot> leaves;
-  leaves.reserve(report.blades.size());
+  // Blade snapshots fold in blade order after the barrier, each under its
+  // own "bladeN." prefix.
   for (std::size_t b = 0; b < report.blades.size(); ++b) {
     const auto& blade = report.blades[b];
     report.makespan = std::max(report.makespan, blade.total);
     report.totalBladeTime += blade.total;
     report.configurations += blade.configurations;
-    obs::MetricsSnapshot leaf;
-    leaf.merge(blade.metrics, "blade" + std::to_string(b) + ".");
-    leaves.push_back(std::move(leaf));
+    report.metrics.merge(blade.metrics, "blade" + std::to_string(b) + ".");
   }
-  report.metrics = obs::reduceSnapshots(std::move(leaves));
   report.metrics.counters["chassis.blades"] = report.blades.size();
   report.metrics.counters["chassis.configurations"] = report.configurations;
   report.metrics.counters["chassis.makespan_ps"] =
@@ -120,13 +113,6 @@ ChassisReport runChassis(const tasks::FunctionRegistry& registry,
   report.metrics.counters["chassis.total_blade_ps"] =
       static_cast<std::uint64_t>(report.totalBladeTime.ps());
   report.metrics.gauges["chassis.balance"] = report.balance();
-  if (options.scenario.hooks.metrics) {
-    options.scenario.hooks.metrics->absorb(report.metrics);
-  }
-  if (options.scenario.hooks.shardedMetrics) {
-    options.scenario.hooks.shardedMetrics->local().absorbAdditive(
-        report.metrics);
-  }
   return report;
 }
 

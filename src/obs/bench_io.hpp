@@ -69,8 +69,8 @@ class BenchReport {
 
   /// Registers the run's metrics snapshot (merged into any prior one).
   void metrics(const MetricsSnapshot& snapshot);
-  /// Move overload for temporaries (Pool::metricsSnapshot(), takeMerged()):
-  /// splices the maps instead of copying every key.
+  /// Move overload for temporaries (Pool::metricsSnapshot(), a sweep's
+  /// merged snapshot): splices the maps instead of copying every key.
   void metrics(MetricsSnapshot&& snapshot);
 
   /// Writes the trace, the host profile and the JSON document, each when

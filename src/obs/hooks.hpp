@@ -2,14 +2,13 @@
 /// \file hooks.hpp
 /// Uniform observability attachment point. Every run entry point that used
 /// to take ad-hoc `sim::Timeline*` parameters (scenario, hw/sw, multitask,
-/// chassis) now takes one Hooks struct: optional Gantt timelines, an
-/// optional metrics sink that receives the run's MetricsSnapshot, and an
+/// chassis) now takes one Hooks struct: optional Gantt timelines and an
 /// optional Chrome-trace collector that receives the recorded timelines.
 /// All pointers are non-owning and may be null (null = feature off).
-/// Host wall-clock timings are not a hook: they always record into
-/// obs::hostMetrics() (obs/host.hpp).
+/// Metrics are not a hook: every run returns its MetricsSnapshot in its
+/// report. Host wall-clock timings are not a hook either: they always
+/// record into obs::hostMetrics() (obs/host.hpp).
 
-#include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/trace.hpp"
 
@@ -21,14 +20,6 @@ struct Hooks {
   sim::Timeline* timeline = nullptr;
   /// Baseline (FRTR) timeline; recorded only by two-sided scenario runs.
   sim::Timeline* frtrTimeline = nullptr;
-  /// Receives the run's merged MetricsSnapshot via Registry::absorb.
-  Registry* metrics = nullptr;
-  /// Per-worker metric shards: runs absorb their additive series (counters,
-  /// histograms) into the calling thread's shard contention-free, and the
-  /// sweep merges every shard at the barrier with a deterministic tree
-  /// reduction (ShardedRegistry::takeMerged). Unlike `metrics`, safe to
-  /// share across parallel sweep points at any --threads width.
-  ShardedRegistry* shardedMetrics = nullptr;
   /// Receives the run's timelines as trace processes. When set while the
   /// timeline pointers above are null, the run records into internal
   /// timelines so the trace is still populated.

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <deque>
 #include <mutex>
@@ -10,17 +9,6 @@
 #include <utility>
 
 namespace prtr::obs {
-namespace {
-
-void foldHistogram(HistogramSummary& into, const HistogramSummary& from) {
-  into.fold(from);
-}
-
-std::size_t defaultThreadSlot() noexcept { return 0; }
-
-std::atomic<ThreadSlotFn> gThreadSlot{&defaultThreadSlot};
-
-}  // namespace
 
 void HistogramSummary::fold(const HistogramSummary& from) noexcept {
   if (from.count == 0) return;
@@ -99,7 +87,6 @@ struct MetricTable::Pool {
 
 MetricTable::MetricTable()
     : counters_(std::make_unique<Pool>()),
-      gauges_(std::make_unique<Pool>()),
       histograms_(std::make_unique<Pool>()) {}
 
 MetricTable::~MetricTable() = default;
@@ -122,17 +109,6 @@ CounterId MetricTable::counter(std::string_view name) {
   return CounterId{counters_->intern(name)};
 }
 
-GaugeId MetricTable::gauge(std::string_view name) {
-  {
-    std::shared_lock lock{mutex_};
-    if (const std::uint32_t id = gauges_->find(name); id != 0xFFFF'FFFF) {
-      return GaugeId{id};
-    }
-  }
-  std::unique_lock lock{mutex_};
-  return GaugeId{gauges_->intern(name)};
-}
-
 HistogramId MetricTable::histogram(std::string_view name) {
   {
     std::shared_lock lock{mutex_};
@@ -147,11 +123,6 @@ HistogramId MetricTable::histogram(std::string_view name) {
 const std::string& MetricTable::counterName(CounterId id) const {
   std::shared_lock lock{mutex_};
   return counters_->names[id.index()];
-}
-
-const std::string& MetricTable::gaugeName(GaugeId id) const {
-  std::shared_lock lock{mutex_};
-  return gauges_->names[id.index()];
 }
 
 const std::string& MetricTable::histogramName(HistogramId id) const {
@@ -216,7 +187,7 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other,
   for (const auto& [name, value] : other.histograms) {
     const std::string_view k = key(name);
     if (const auto it = histograms.find(k); it != histograms.end()) {
-      foldHistogram(it->second, value);
+      it->second.fold(value);
     } else {
       histograms.emplace(k, value);
     }
@@ -226,32 +197,7 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other,
 void MetricsSnapshot::merge(MetricsSnapshot&& other,
                             const std::string& prefix) {
   if (!prefix.empty()) {
-    // Prefixing rewrites every key anyway; histogram payloads still move.
-    PrefixedKey key{prefix};
-    for (const auto& [name, value] : other.counters) {
-      const std::string_view k = key(name);
-      if (const auto it = counters.find(k); it != counters.end()) {
-        it->second += value;
-      } else {
-        counters.emplace(k, value);
-      }
-    }
-    for (const auto& [name, value] : other.gauges) {
-      const std::string_view k = key(name);
-      if (const auto it = gauges.find(k); it != gauges.end()) {
-        it->second = value;
-      } else {
-        gauges.emplace(k, value);
-      }
-    }
-    for (auto& [name, value] : other.histograms) {
-      const std::string_view k = key(name);
-      if (const auto it = histograms.find(k); it != histograms.end()) {
-        foldHistogram(it->second, value);
-      } else {
-        histograms.emplace(k, std::move(value));
-      }
-    }
+    merge(other, prefix);
     other = MetricsSnapshot{};
     return;
   }
@@ -280,7 +226,7 @@ void MetricsSnapshot::merge(MetricsSnapshot&& other,
   while (!other.histograms.empty()) {
     auto node = other.histograms.extract(other.histograms.begin());
     if (const auto it = histograms.find(node.key()); it != histograms.end()) {
-      foldHistogram(it->second, node.mapped());
+      it->second.fold(node.mapped());
     } else {
       histograms.insert(std::move(node));
     }
@@ -362,47 +308,8 @@ void Registry::growCounters(CounterId id) {
   counters_.resize(id.index() + 1);
 }
 
-void Registry::growGauges(GaugeId id) { gauges_.resize(id.index() + 1); }
-
 void Registry::growHistograms(HistogramId id) {
   histograms_.resize(id.index() + 1);
-}
-
-void Registry::absorb(const MetricsSnapshot& snapshot,
-                      const std::string& prefix) {
-  MetricTable& table = MetricTable::global();
-  PrefixedKey key{prefix};
-  for (const auto& [name, value] : snapshot.counters) {
-    add(table.counter(key(name)), value);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    set(table.gauge(key(name)), value);
-  }
-  for (const auto& [name, value] : snapshot.histograms) {
-    const HistogramId id = table.histogram(key(name));
-    if (id.index() >= histograms_.size()) growHistograms(id);
-    HistogramSlot& slot = histograms_[id.index()];
-    touchedHistograms_ += !slot.touched;
-    slot.touched = true;
-    foldHistogram(slot.summary, value);
-  }
-}
-
-void Registry::absorbAdditive(const MetricsSnapshot& snapshot,
-                              const std::string& prefix) {
-  MetricTable& table = MetricTable::global();
-  PrefixedKey key{prefix};
-  for (const auto& [name, value] : snapshot.counters) {
-    add(table.counter(key(name)), value);
-  }
-  for (const auto& [name, value] : snapshot.histograms) {
-    const HistogramId id = table.histogram(key(name));
-    if (id.index() >= histograms_.size()) growHistograms(id);
-    HistogramSlot& slot = histograms_[id.index()];
-    touchedHistograms_ += !slot.touched;
-    slot.touched = true;
-    foldHistogram(slot.summary, value);
-  }
 }
 
 MetricsSnapshot Registry::snapshot() const {
@@ -412,114 +319,12 @@ MetricsSnapshot Registry::snapshot() const {
     if (!counters_[i].touched) continue;
     out.counters.emplace(table.counterName(CounterId{i}), counters_[i].value);
   }
-  for (std::uint32_t i = 0; i < gauges_.size(); ++i) {
-    if (!gauges_[i].touched) continue;
-    out.gauges.emplace(table.gaugeName(GaugeId{i}), gauges_[i].value);
-  }
   for (std::uint32_t i = 0; i < histograms_.size(); ++i) {
     if (!histograms_[i].touched) continue;
     out.histograms.emplace(table.histogramName(HistogramId{i}),
                            histograms_[i].summary);
   }
   return out;
-}
-
-MetricsSnapshot Registry::takeSnapshot() {
-  MetricsSnapshot out = snapshot();
-  clear();
-  return out;
-}
-
-void Registry::clear() {
-  for (CounterSlot& slot : counters_) slot = CounterSlot{};
-  for (GaugeSlot& slot : gauges_) slot = GaugeSlot{};
-  for (HistogramSlot& slot : histograms_) slot = HistogramSlot{};
-  touchedCounters_ = 0;
-  touchedGauges_ = 0;
-  touchedHistograms_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedRegistry
-
-void setThreadSlotProvider(ThreadSlotFn fn) noexcept {
-  gThreadSlot.store(fn != nullptr ? fn : &defaultThreadSlot,
-                    std::memory_order_release);
-}
-
-std::size_t currentThreadSlot() noexcept {
-  return gThreadSlot.load(std::memory_order_acquire)();
-}
-
-ShardedRegistry::ShardedRegistry(std::size_t shards) {
-  shards_.reserve(std::max<std::size_t>(shards, 1));
-  for (std::size_t i = 0; i < std::max<std::size_t>(shards, 1); ++i) {
-    shards_.push_back(std::make_unique<Registry>());
-  }
-}
-
-Registry& ShardedRegistry::local() { return shard(currentThreadSlot()); }
-
-Registry& ShardedRegistry::shard(std::size_t index) {
-  {
-    std::shared_lock lock{mutex_};
-    if (index < shards_.size()) return *shards_[index];
-  }
-  std::unique_lock lock{mutex_};
-  while (shards_.size() <= index) {
-    shards_.push_back(std::make_unique<Registry>());
-  }
-  return *shards_[index];
-}
-
-std::size_t ShardedRegistry::shardCount() const {
-  std::shared_lock lock{mutex_};
-  return shards_.size();
-}
-
-bool ShardedRegistry::empty() const {
-  std::shared_lock lock{mutex_};
-  for (const auto& shard : shards_) {
-    if (!shard->empty()) return false;
-  }
-  return true;
-}
-
-void ShardedRegistry::clear() {
-  std::unique_lock lock{mutex_};
-  for (const auto& shard : shards_) shard->clear();
-}
-
-MetricsSnapshot ShardedRegistry::mergedSnapshot() const {
-  std::vector<MetricsSnapshot> leaves;
-  {
-    std::shared_lock lock{mutex_};
-    leaves.reserve(shards_.size());
-    for (const auto& shard : shards_) leaves.push_back(shard->snapshot());
-  }
-  return reduceSnapshots(std::move(leaves));
-}
-
-MetricsSnapshot ShardedRegistry::takeMerged() {
-  std::vector<MetricsSnapshot> leaves;
-  {
-    std::unique_lock lock{mutex_};
-    leaves.reserve(shards_.size());
-    for (const auto& shard : shards_) leaves.push_back(shard->takeSnapshot());
-  }
-  return reduceSnapshots(std::move(leaves));
-}
-
-MetricsSnapshot reduceSnapshots(std::vector<MetricsSnapshot> leaves) {
-  if (leaves.empty()) return MetricsSnapshot{};
-  // Pairwise rounds: (0,1) (2,3) ... then (0,2) (4,6) ... — the shape is a
-  // pure function of leaves.size(), and every merge moves its right operand.
-  for (std::size_t step = 1; step < leaves.size(); step *= 2) {
-    for (std::size_t i = 0; i + step < leaves.size(); i += 2 * step) {
-      leaves[i].merge(std::move(leaves[i + step]));
-    }
-  }
-  return std::move(leaves.front());
 }
 
 }  // namespace prtr::obs

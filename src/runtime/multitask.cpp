@@ -206,7 +206,6 @@ MultitaskReport runMultitask(const tasks::FunctionRegistry& registry,
     m.counters[base + ".completed"] += app.completed;
     m.gauges[base + ".latency_mean_s"] = app.latencySeconds.mean();
   }
-  if (options.hooks.metrics) options.hooks.metrics->absorb(report.metrics);
   if (options.hooks.trace && options.hooks.timeline &&
       !options.hooks.timeline->empty()) {
     options.hooks.trace->add("multitask", *options.hooks.timeline);

@@ -64,7 +64,7 @@ struct MultitaskOptions {
   util::Time tControl = util::Time::microseconds(10);
   std::uint64_t seed = 1;  ///< arrival-process seed
   /// Observability: hooks.timeline records per-PRR occupancy spans;
-  /// hooks.metrics receives the run's snapshot; hooks.trace exports it.
+  /// hooks.trace exports it.
   obs::Hooks hooks{};
 };
 

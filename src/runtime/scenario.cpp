@@ -240,13 +240,6 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   result.metrics.gauges["scenario.model_speedup"] = result.modelSpeedup;
   result.metrics.gauges["scenario.model_error"] = result.modelError;
 
-  if (hooks.metrics != nullptr) hooks.metrics->absorb(result.metrics);
-  if (hooks.shardedMetrics != nullptr) {
-    // Only the additive series: which shard a sweep point lands on depends
-    // on scheduling, and gauges overwrite, so absorbing them would make the
-    // merged snapshot schedule-dependent.
-    hooks.shardedMetrics->local().absorbAdditive(result.metrics);
-  }
   if (hooks.trace != nullptr) {
     if (frtrTl != nullptr && !frtrTl->empty()) {
       hooks.trace->add("frtr", *frtrTl);

@@ -8,7 +8,8 @@
 /// One options-driven entry point: `ScenarioOptions.sides` selects whether
 /// the FRTR baseline runs at all, `assumedHitRatio` feeds model-only
 /// derivations (deriveModelParams), and `hooks` attaches observability
-/// (timelines, metrics sink, trace exporter) uniformly.
+/// (timelines, trace exporter) uniformly. Metrics come back in
+/// ScenarioResult::metrics.
 
 #include <optional>
 #include <string>
@@ -64,7 +65,7 @@ struct ScenarioOptions {
   /// handed to each node's config::Manager and honoured by the executors'
   /// measured-basis loads. Disabled by default.
   RecoveryPolicy recovery{};
-  /// Observability: timelines, metrics sink, trace exporter.
+  /// Observability: timelines, trace exporter.
   obs::Hooks hooks{};
   /// Inline timeline verification: after the run, both sides' timelines
   /// are checked against the verify::checkTimeline invariants (TL0xx —

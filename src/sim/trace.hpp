@@ -58,9 +58,6 @@ class Timeline {
   void record(LaneId lane, LabelId label, char glyph, util::Time start,
               util::Time end);
 
-  // The PR 7 string-name record() shim is gone: intern via lane()/label()
-  // and record by id. sim_kernel_test.cpp pins the removal.
-
   [[nodiscard]] const std::vector<Span>& spans() const noexcept {
     return spans_;
   }

@@ -1,8 +1,8 @@
 // Tests for the obs metrics layer and its integration with the scenario
 // runner: MetricTable interning, id-indexed registry operations, slot
-// layout, merge/diff semantics, JSON emission, the deprecated string shims,
-// hook delivery, and the determinism guarantee that two bit-identical runs
-// produce equal snapshots.
+// layout, merge/diff semantics, JSON emission, the absent string record
+// calls, and the determinism guarantee that two bit-identical runs produce
+// equal snapshots.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -18,43 +18,36 @@ using namespace prtr;
 obs::MetricTable& table() { return obs::MetricTable::global(); }
 
 // The hot slots are cache-line-aligned and cache-line-granular, so two
-// adjacent slots never share a line (the property that makes per-worker
-// shards contention-free).
+// adjacent slots never share a line.
 static_assert(alignof(obs::CounterSlot) == 64);
 static_assert(sizeof(obs::CounterSlot) == 64);
-static_assert(alignof(obs::GaugeSlot) == 64);
-static_assert(sizeof(obs::GaugeSlot) == 64);
 static_assert(alignof(obs::HistogramSlot) == 64);
 static_assert(sizeof(obs::HistogramSlot) % 64 == 0);
 
 TEST(MetricTable, InternLookupRoundTrip) {
   const obs::CounterId c = table().counter("test.table.roundtrip.counter");
-  const obs::GaugeId g = table().gauge("test.table.roundtrip.gauge");
   const obs::HistogramId h = table().histogram("test.table.roundtrip.hist");
   ASSERT_TRUE(c.valid());
-  ASSERT_TRUE(g.valid());
   ASSERT_TRUE(h.valid());
   // Idempotent: the same name always interns to the same id.
   EXPECT_EQ(table().counter("test.table.roundtrip.counter"), c);
-  EXPECT_EQ(table().gauge("test.table.roundtrip.gauge"), g);
   EXPECT_EQ(table().histogram("test.table.roundtrip.hist"), h);
   // Names round-trip through the id.
   EXPECT_EQ(table().counterName(c), "test.table.roundtrip.counter");
-  EXPECT_EQ(table().gaugeName(g), "test.table.roundtrip.gauge");
   EXPECT_EQ(table().histogramName(h), "test.table.roundtrip.hist");
 }
 
 TEST(MetricTable, KindsHaveIndependentIdSpaces) {
-  // A counter and a gauge may share a dotted name; their ids are unrelated
-  // and the registries keep the series separate.
+  // A counter and a histogram may share a dotted name; their ids are
+  // unrelated and the registries keep the series separate.
   const obs::CounterId c = table().counter("test.table.shared_name");
-  const obs::GaugeId g = table().gauge("test.table.shared_name");
+  const obs::HistogramId h = table().histogram("test.table.shared_name");
   obs::Registry reg;
   reg.add(c, 2);
-  reg.set(g, 0.5);
+  reg.observe(h, 5);
   const obs::MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counterOr("test.table.shared_name"), 2u);
-  EXPECT_DOUBLE_EQ(*snap.gauge("test.table.shared_name"), 0.5);
+  EXPECT_EQ(snap.histograms.at("test.table.shared_name").sum, 5);
 }
 
 TEST(MetricsRegistry, CountersAccumulateAndDefaultToZero) {
@@ -72,11 +65,12 @@ TEST(MetricsRegistry, CountersAccumulateAndDefaultToZero) {
 }
 
 TEST(MetricsRegistry, GaugesOverwrite) {
-  const obs::GaugeId ratio = table().gauge("cache.hit_ratio");
-  obs::Registry reg;
-  reg.set(ratio, 0.25);
-  reg.set(ratio, 0.75);
-  const obs::MetricsSnapshot snap = reg.snapshot();
+  // Gauges are written by name into snapshots; a merged gauge overwrites.
+  obs::MetricsSnapshot snap;
+  snap.gauges["cache.hit_ratio"] = 0.25;
+  obs::MetricsSnapshot later;
+  later.gauges["cache.hit_ratio"] = 0.75;
+  snap.merge(later);
   ASSERT_TRUE(snap.gauge("cache.hit_ratio").has_value());
   EXPECT_DOUBLE_EQ(*snap.gauge("cache.hit_ratio"), 0.75);
   EXPECT_FALSE(snap.gauge("absent").has_value());
@@ -105,29 +99,11 @@ TEST(MetricsRegistry, OnlyTouchedSlotsMaterialize) {
   [[maybe_unused]] const obs::CounterId untouched =
       table().counter("test.touched.no");
   obs::Registry reg;
-  EXPECT_TRUE(reg.empty());
+  EXPECT_TRUE(reg.snapshot().empty());
   reg.add(touched, 0);  // a zero-delta add still marks the slot recorded
-  EXPECT_FALSE(reg.empty());
   const obs::MetricsSnapshot snap = reg.snapshot();
   EXPECT_TRUE(snap.counters.contains("test.touched.yes"));
   EXPECT_FALSE(snap.counters.contains("test.touched.no"));
-}
-
-TEST(MetricsRegistry, TakeSnapshotMovesOutAndResets) {
-  const obs::CounterId calls = table().counter("test.take.calls");
-  const obs::GaugeId ratio = table().gauge("test.take.ratio");
-  const obs::HistogramId lat = table().histogram("test.take.lat");
-  obs::Registry reg;
-  reg.add(calls, 3);
-  reg.set(ratio, 0.5);
-  reg.observe(lat, 7);
-  const obs::MetricsSnapshot first = reg.takeSnapshot();
-  EXPECT_EQ(first.counterOr("test.take.calls"), 3u);
-  EXPECT_TRUE(reg.empty());
-  EXPECT_TRUE(reg.snapshot().empty());
-  // The registry is reusable after the move-out, from clean state.
-  reg.add(calls, 2);
-  EXPECT_EQ(reg.takeSnapshot().counterOr("test.take.calls"), 2u);
 }
 
 TEST(MetricsHistogram, QuantilesAreDeterministicAndClampedToTheRange) {
@@ -158,21 +134,27 @@ TEST(MetricsHistogram, QuantilesAreDeterministicAndClampedToTheRange) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
+/// A registry's snapshot with one gauge written by name beside it.
+obs::MetricsSnapshot withGauge(const obs::Registry& reg, const char* name,
+                               double value) {
+  obs::MetricsSnapshot snap = reg.snapshot();
+  snap.gauges[name] = value;
+  return snap;
+}
+
 TEST(MetricsSnapshot, MergePrefixesAndCombines) {
   const obs::CounterId loads = table().counter("icap.loads");
-  const obs::GaugeId ratio = table().gauge("hit_ratio");
   const obs::HistogramId latency = table().histogram("latency_ps");
   obs::Registry a;
   a.add(loads, 3);
-  a.set(ratio, 0.5);
   a.observe(latency, 100);
   obs::Registry b;
   b.add(loads, 2);
-  b.set(ratio, 0.9);
   b.observe(latency, 300);
 
-  obs::MetricsSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());  // same names: counters add, gauges overwrite
+  obs::MetricsSnapshot merged = withGauge(a, "hit_ratio", 0.5);
+  // Same names: counters add, gauges overwrite.
+  merged.merge(withGauge(b, "hit_ratio", 0.9));
   EXPECT_EQ(merged.counterOr("icap.loads"), 5u);
   EXPECT_DOUBLE_EQ(*merged.gauge("hit_ratio"), 0.9);
   EXPECT_EQ(merged.histograms.at("latency_ps").count, 2u);
@@ -180,7 +162,7 @@ TEST(MetricsSnapshot, MergePrefixesAndCombines) {
   EXPECT_EQ(merged.histograms.at("latency_ps").max, 300);
 
   obs::MetricsSnapshot prefixed;
-  prefixed.merge(a.snapshot(), "blade0.");
+  prefixed.merge(withGauge(a, "hit_ratio", 0.5), "blade0.");
   EXPECT_EQ(prefixed.counterOr("blade0.icap.loads"), 3u);
   EXPECT_EQ(prefixed.counterOr("icap.loads"), 0u);
   EXPECT_TRUE(prefixed.gauge("blade0.hit_ratio").has_value());
@@ -188,47 +170,37 @@ TEST(MetricsSnapshot, MergePrefixesAndCombines) {
 
 TEST(MetricsSnapshot, MoveMergeMatchesCopyMerge) {
   const obs::CounterId loads = table().counter("icap.loads");
-  const obs::GaugeId ratio = table().gauge("hit_ratio");
   const obs::HistogramId latency = table().histogram("latency_ps");
   obs::Registry a;
   a.add(loads, 3);
-  a.set(ratio, 0.5);
   a.observe(latency, 100);
   obs::Registry b;
   b.add(loads, 2);
-  b.set(ratio, 0.9);
   b.observe(latency, 300);
 
   for (const std::string& prefix : {std::string{}, std::string{"blade1."}}) {
-    obs::MetricsSnapshot viaCopy = a.snapshot();
-    viaCopy.merge(b.snapshot(), prefix);
-    obs::MetricsSnapshot viaMove = a.snapshot();
-    viaMove.merge(b.takeSnapshot(), prefix);
+    obs::MetricsSnapshot viaCopy = withGauge(a, "hit_ratio", 0.5);
+    viaCopy.merge(withGauge(b, "hit_ratio", 0.9), prefix);
+    obs::MetricsSnapshot viaMove = withGauge(a, "hit_ratio", 0.5);
+    viaMove.merge(withGauge(b, "hit_ratio", 0.9), prefix);
     EXPECT_EQ(viaCopy, viaMove) << "prefix=" << prefix;
     EXPECT_EQ(viaCopy.toJson(), viaMove.toJson());
-    // Restock b for the next prefix.
-    b.add(loads, 2);
-    b.set(ratio, 0.9);
-    b.observe(latency, 300);
   }
   // Moving into an empty snapshot is the wholesale-move fast path.
   obs::MetricsSnapshot empty;
-  empty.merge(a.takeSnapshot());
+  empty.merge(a.snapshot());
   EXPECT_EQ(empty.counterOr("icap.loads"), 3u);
 }
 
 TEST(MetricsSnapshot, DiffSubtractsCountersAndKeepsGauges) {
   const obs::CounterId calls = table().counter("calls");
   const obs::CounterId fresh = table().counter("new_counter");
-  const obs::GaugeId speedup = table().gauge("speedup");
   obs::Registry reg;
   reg.add(calls, 10);
-  reg.set(speedup, 2.0);
-  const obs::MetricsSnapshot earlier = reg.snapshot();
+  const obs::MetricsSnapshot earlier = withGauge(reg, "speedup", 2.0);
   reg.add(calls, 5);
   reg.add(fresh, 1);
-  reg.set(speedup, 3.0);
-  const obs::MetricsSnapshot later = reg.snapshot();
+  const obs::MetricsSnapshot later = withGauge(reg, "speedup", 3.0);
 
   const obs::MetricsSnapshot delta = later.diff(earlier);
   EXPECT_EQ(delta.counterOr("calls"), 5u);
@@ -236,43 +208,19 @@ TEST(MetricsSnapshot, DiffSubtractsCountersAndKeepsGauges) {
   EXPECT_DOUBLE_EQ(*delta.gauge("speedup"), 3.0);
 }
 
-TEST(MetricsSnapshot, AbsorbFoldsIntoRegistry) {
-  obs::Registry source;
-  source.add(table().counter("icap.loads"), 2);
-  obs::Registry sink;
-  sink.add(table().counter("prtr.icap.loads"), 1);
-  sink.absorb(source.snapshot(), "prtr.");
-  EXPECT_EQ(sink.snapshot().counterOr("prtr.icap.loads"), 3u);
-}
-
-TEST(MetricsSnapshot, AbsorbAdditiveSkipsGauges) {
-  obs::Registry source;
-  source.add(table().counter("test.additive.calls"), 2);
-  source.set(table().gauge("test.additive.ratio"), 0.5);
-  source.observe(table().histogram("test.additive.lat"), 10);
-  obs::Registry sink;
-  sink.absorbAdditive(source.snapshot(), "pfx.");
-  const obs::MetricsSnapshot snap = sink.snapshot();
-  EXPECT_EQ(snap.counterOr("pfx.test.additive.calls"), 2u);
-  EXPECT_EQ(snap.histograms.at("pfx.test.additive.lat").count, 1u);
-  EXPECT_FALSE(snap.gauge("pfx.test.additive.ratio").has_value());
-}
-
 TEST(MetricsSnapshot, JsonHasTheThreeSections) {
   obs::Registry reg;
   reg.add(table().counter("calls"), 1);
-  reg.set(table().gauge("ratio"), 0.5);
   reg.observe(table().histogram("lat"), 10);
-  const std::string json = reg.snapshot().toJson();
+  const std::string json = withGauge(reg, "ratio", 0.5).toJson();
   EXPECT_NE(json.find("\"counters\":{\"calls\":1}"), std::string::npos) << json;
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
-// The PR 4 string shims (add/set/observe by name, deprecated since PR 7)
-// are removed: recording now requires an interned id. These static_asserts
-// pin the removal — if a string overload reappears, this test fails to
-// document it before any caller can depend on it again.
+// A Registry records by interned id only: there is no add/set/observe by
+// name. These static_asserts pin that — if a string overload appears, this
+// test fails before any caller can depend on it.
 // Dependent forms so the negative checks SFINAE instead of hard-erroring.
 template <typename R>
 concept AddsByStringName =
@@ -351,33 +299,6 @@ TEST(ScenarioMetrics, PrtrOnlyLeavesTheFrtrSideEmpty) {
   const auto result = runtime::runScenario(registry, workload, so);
   EXPECT_GT(result.metrics.counterOr("prtr.executor.prtr.calls"), 0u);
   EXPECT_EQ(result.metrics.counterOr("frtr.executor.frtr.calls"), 0u);
-}
-
-TEST(ScenarioMetrics, HooksSinkReceivesTheRunSnapshot) {
-  const auto registry = tasks::makePaperFunctions();
-  const auto workload =
-      tasks::makeRoundRobinWorkload(registry, 4, util::Bytes{1'000'000});
-  obs::Registry sink;
-  runtime::ScenarioOptions so = smallScenario();
-  so.hooks.metrics = &sink;
-  const auto result = runtime::runScenario(registry, workload, so);
-  EXPECT_EQ(sink.snapshot(), result.metrics);
-}
-
-TEST(ScenarioMetrics, ShardedSinkReceivesTheAdditiveSeries) {
-  const auto registry = tasks::makePaperFunctions();
-  const auto workload =
-      tasks::makeRoundRobinWorkload(registry, 4, util::Bytes{1'000'000});
-  obs::ShardedRegistry sharded;
-  runtime::ScenarioOptions so = smallScenario();
-  so.hooks.shardedMetrics = &sharded;
-  const auto result = runtime::runScenario(registry, workload, so);
-  const obs::MetricsSnapshot merged = sharded.mergedSnapshot();
-  // Counters and histograms land; gauges (schedule-dependent under
-  // sharding) are deliberately dropped.
-  EXPECT_EQ(merged.counters, result.metrics.counters);
-  EXPECT_EQ(merged.histograms, result.metrics.histograms);
-  EXPECT_TRUE(merged.gauges.empty());
 }
 
 TEST(ScenarioMetrics, TwoIdenticalRunsProduceEqualSnapshots) {
