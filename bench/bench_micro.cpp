@@ -14,7 +14,6 @@
 #include "bitstream/parser.hpp"
 #include "fabric/floorplan.hpp"
 #include "fleet/fleet.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "tasks/kernels.hpp"
@@ -217,71 +216,6 @@ void BM_SobelFilter(benchmark::State& state) {
                           static_cast<std::int64_t>(img.pixelCount()));
 }
 BENCHMARK(BM_SobelFilter);
-
-// ---- Metrics registry hot path: interned ids vs re-interning by name. The
-// id path is the contract the fleet loop relies on (a bounds check plus one
-// increment); CI asserts the by-name/by-id time ratio is >= 5x.
-
-void BM_MetricsAddById(benchmark::State& state) {
-  obs::MetricTable& t = obs::MetricTable::global();
-  const std::array<obs::CounterId, 4> ids{
-      t.counter("micro.metrics.a"), t.counter("micro.metrics.b"),
-      t.counter("micro.metrics.c"), t.counter("micro.metrics.d")};
-  obs::Registry reg;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    reg.add(ids[i & 3]);
-    ++i;
-  }
-  benchmark::DoNotOptimize(reg.snapshot().counterOr("micro.metrics.a"));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsAddById);
-
-/// The by-name baseline the interned-id gate compares against: re-intern
-/// on every record, paying the MetricTable lock + hash probe the id path
-/// skips.
-void BM_MetricsAddByName(benchmark::State& state) {
-  static constexpr std::array<std::string_view, 4> kNames{
-      "micro.metrics.a", "micro.metrics.b", "micro.metrics.c",
-      "micro.metrics.d"};
-  obs::Registry reg;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    reg.add(obs::MetricTable::global().counter(kNames[i & 3]));
-    ++i;
-  }
-  benchmark::DoNotOptimize(reg.snapshot().counterOr("micro.metrics.a"));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsAddByName);
-
-void BM_MetricsObserveById(benchmark::State& state) {
-  const obs::HistogramId id =
-      obs::MetricTable::global().histogram("micro.metrics.lat_ps");
-  obs::Registry reg;
-  std::int64_t v = 1;
-  for (auto _ : state) {
-    reg.observe(id, v);
-    v = (v * 33) % 100'000 + 1;
-  }
-  benchmark::DoNotOptimize(reg.snapshot().histograms.size());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsObserveById);
-
-void BM_MetricsObserveByName(benchmark::State& state) {
-  obs::Registry reg;
-  std::int64_t v = 1;
-  for (auto _ : state) {
-    reg.observe(obs::MetricTable::global().histogram("micro.metrics.lat_ps"),
-                v);
-    v = (v * 33) % 100'000 + 1;
-  }
-  benchmark::DoNotOptimize(reg.snapshot().histograms.size());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsObserveByName);
 
 /// One steady fleet batch per iteration: examples/fleet/steady.fleet (the
 /// FleetOptions defaults under its seed) at 50 k requests on one thread,

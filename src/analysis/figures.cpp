@@ -131,11 +131,7 @@ util::Table makeTable2() {
 
 std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
   // Host timings (obs/host.hpp): the whole sweep and every point.
-  static const obs::HistogramId kSweepNs =
-      obs::MetricTable::global().histogram("host.fig9.sweep_ns");
-  static const obs::HistogramId kPointNs =
-      obs::MetricTable::global().histogram("host.fig9.point_ns");
-  const obs::HostTimer sweepTimer{kSweepNs};
+  const obs::HostTimer sweepTimer{"host.fig9.sweep_ns"};
   const auto grid = logGrid(options.xTaskLo, options.xTaskHi, options.points);
   const auto registry = tasks::makePaperFunctions();
 
@@ -158,7 +154,7 @@ std::vector<Fig9Point> makeFig9(const Fig9Options& options) {
   auto points = exec::parallelMap(
       grid,
       [&](const double& xTask) {
-        const obs::HostTimer pointTimer{kPointNs};
+        const obs::HostTimer pointTimer{"host.fig9.point_ns"};
         // parallelMap passes a reference into `grid`, so the element address
         // recovers this point's index for the by-index slots.
         const std::size_t index =

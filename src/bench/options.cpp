@@ -44,6 +44,11 @@ Options Options::parse(std::string bench, int argc,
       if (parsed == 0) {
         throw util::DomainError{"--threads requires a positive integer"};
       }
+      if (parsed > kMaxThreads) {
+        throw util::DomainError{"--threads takes at most " +
+                                std::to_string(kMaxThreads) + ", got " +
+                                std::to_string(parsed)};
+      }
       options.threads_ = static_cast<std::size_t>(parsed);
     } else if (arg == "--seed") {
       if (i + 1 >= argc) throw util::DomainError{"--seed requires a value"};
@@ -63,8 +68,9 @@ std::string Options::usage(const std::string& bench,
       "  --json <path>      write the machine-readable report JSON\n"
       "  --trace <path>     export a Chrome trace of the simulated run\n"
       "  --profile <path>   write the host timing histograms JSON\n"
-      "  --threads <n>      worker threads for parallel sweeps (default: "
-      "hardware)\n"
+      "  --threads <n>      worker threads for parallel sweeps, 1.." +
+      std::to_string(kMaxThreads) +
+      " (default: hardware)\n"
       "  --seed <n>         override the deterministic RNG seed\n"
       "  --help             print this message and exit\n";
   if (!extra.empty()) {

@@ -10,7 +10,7 @@
 ///   --json <path>      write the machine-readable report/result JSON
 ///   --trace <path>     export a Chrome trace of the simulated run
 ///   --profile <path>   write the host.* timing histograms (obs/host.hpp)
-///   --threads <n>      worker threads for parallel sweeps (default: hw)
+///   --threads <n>      worker threads for parallel sweeps (1..256; default hw)
 ///   --seed <n>         override the deterministic RNG seed
 ///   --help             print the usage block and exit 0
 
@@ -28,11 +28,15 @@ namespace prtr::bench {
 
 class Options {
  public:
+  /// The largest `--threads` count parse() accepts: the pool starts one OS
+  /// thread per worker, so a typo must not ask for millions.
+  static constexpr std::uint64_t kMaxThreads = 256;
+
   /// Parses the shared flags out of argv (argv[0] is skipped). `bench`
   /// names the program in the usage block. Unrecognised arguments are
   /// kept, in order, in rest(). Throws util::DomainError when a flag is
-  /// missing its value, `--threads` is not a positive integer, or `--seed`
-  /// is not an unsigned integer.
+  /// missing its value, `--threads` is not an integer in 1..kMaxThreads,
+  /// or `--seed` is not an unsigned integer.
   static Options parse(std::string bench, int argc, const char* const* argv);
 
   /// The uniform usage block: "usage:" line, the shared flags, then

@@ -62,10 +62,9 @@ std::vector<std::uint8_t> headerBlock(const Header& header,
 
 /// Records `frames` synthesized frames (see detail::synthesizeFrames).
 void countSynthesized(std::uint64_t frames) {
-  static const obs::HistogramId kFrames =
-      obs::MetricTable::global().histogram("host.bitstream.frames_synthesized");
   if (frames != 0) {
-    obs::hostMetrics().observe(kFrames, static_cast<std::int64_t>(frames));
+    obs::hostMetrics().observe("host.bitstream.frames_synthesized",
+                               static_cast<std::int64_t>(frames));
   }
 }
 

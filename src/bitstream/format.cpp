@@ -8,16 +8,6 @@
 #include "util/error.hpp"
 
 namespace prtr::bitstream {
-namespace {
-
-/// Times one synthesis pass of a recipe stream: the lazy CRC, or the bytes.
-obs::HostTimer materializeTimer() {
-  static const obs::HistogramId kMaterializeNs =
-      obs::MetricTable::global().histogram("host.bitstream.materialize_ns");
-  return obs::HostTimer{kMaterializeNs};
-}
-
-}  // namespace
 
 const char* toString(StreamType type) noexcept {
   switch (type) {
@@ -31,7 +21,7 @@ const std::vector<std::uint8_t>& Bitstream::bytes() const {
   if (!recipe_) return bytes_;
   if (const std::vector<std::uint8_t>* done = materialized_.get()) return *done;
   const std::uint32_t expected = crc();
-  const obs::HostTimer timer = materializeTimer();
+  const obs::HostTimer timer{"host.bitstream.materialize_ns"};
   return materialized_.publish(
       std::make_unique<const std::vector<std::uint8_t>>(
           detail::materialize(header_, *recipe_, expected)));
@@ -48,7 +38,7 @@ std::uint32_t Bitstream::crc() const {
   }
   if (recipe_->crc) return *recipe_->crc;
   if (const std::uint32_t* done = crc_.get()) return *done;
-  const obs::HostTimer timer = materializeTimer();
+  const obs::HostTimer timer{"host.bitstream.materialize_ns"};
   return crc_.publish(std::make_unique<const std::uint32_t>(
       detail::synthesizeCrc(header_, *recipe_)));
 }

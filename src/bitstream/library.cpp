@@ -81,10 +81,8 @@ std::shared_ptr<const Bitstream> Library::resolve(
     const StreamKey& key, const std::function<Bitstream()>& build) {
   // Time actual builds only: a memoizing source that hits its cache never
   // invokes the builder, so no timer opens for it.
-  static const obs::HistogramId kBuildNs =
-      obs::MetricTable::global().histogram("host.bitstream.build_ns");
   const std::function<Bitstream()> timed = [&build] {
-    const obs::HostTimer timer{kBuildNs};
+    const obs::HostTimer timer{"host.bitstream.build_ns"};
     return build();
   };
   if (source_) return source_(key, timed);

@@ -109,9 +109,7 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(const Key& slot,
   std::uint64_t artifactBytes = 0;
   std::exception_ptr failure;
   try {
-    static const obs::HistogramId kBuildNs =
-        obs::MetricTable::global().histogram("host.exec.cache.build_ns");
-    const obs::HostTimer timer{kBuildNs};
+    const obs::HostTimer timer{"host.exec.cache.build_ns"};
     std::tie(artifact, artifactBytes) = build();
   } catch (...) {
     failure = std::current_exception();
@@ -135,9 +133,8 @@ std::shared_ptr<const void> ArtifactCache::getOrBuild(const Key& slot,
     if (observer != nullptr) observer->release(mutexSync);
   }
   if (!failure) {
-    static const obs::HistogramId kBytes =
-        obs::MetricTable::global().histogram("host.exec.cache.bytes");
-    obs::hostMetrics().observe(kBytes, static_cast<std::int64_t>(residentBytes));
+    obs::hostMetrics().observe("host.exec.cache.bytes",
+                               static_cast<std::int64_t>(residentBytes));
   }
   {
     const std::scoped_lock lock{flight->mutex};

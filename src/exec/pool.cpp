@@ -78,9 +78,8 @@ void Pool::push(std::unique_ptr<Task> task) {
   }
   wake_.notify_one();
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  static const obs::HistogramId kQueueDepth =
-      obs::MetricTable::global().histogram("host.exec.pool.queue_depth");
-  obs::hostMetrics().observe(kQueueDepth, static_cast<std::int64_t>(depth));
+  obs::hostMetrics().observe("host.exec.pool.queue_depth",
+                             static_cast<std::int64_t>(depth));
 }
 
 // Both seq_cst round-trips pair with setScheduleOracle's store-then-drain:
@@ -147,9 +146,7 @@ void Pool::runObtainedTask(Task& task) {
   RaceObserver* observer = raceObserver_.load(std::memory_order_acquire);
   if (observer != nullptr) observer->acquire(task.syncId);
   {
-    static const obs::HistogramId kTaskNs =
-        obs::MetricTable::global().histogram("host.exec.pool.task_ns");
-    const obs::HostTimer timer{kTaskNs};
+    const obs::HostTimer timer{"host.exec.pool.task_ns"};
     task.run();
   }
   // Completion edge: a joiner that later acquires syncId ^ kTaskDoneSalt

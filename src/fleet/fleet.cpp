@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "exec/pool.hpp"
 #include "obs/host.hpp"
@@ -36,61 +37,6 @@ const char* toString(RoutingPolicy routing) noexcept {
 }
 
 namespace {
-
-/// Interned ids for every fleet.* series. One bundle per run, shared
-/// read-only by all cells (ids are just indices).
-struct Ids {
-  obs::CounterId offered, admitted, shedBreaker, shedDeadline, shedQueue;
-  obs::CounterId shedRateLimit;
-  obs::CounterId completedOk, completedFailed, retries, retriesDenied;
-  obs::CounterId hedges, hedgeWins, hedgeCancelled;
-  obs::CounterId breakerOpens, breakerCloses, breakerHalfOpens;
-  obs::CounterId configLoads, configFaults, linkStalls;
-  obs::CounterId escalations, deescalations, bladeBusyPs;
-  obs::CounterId traceRecorded, traceTailEligible, traceKeptTail;
-  obs::CounterId traceKeptSampled, traceDroppedCap;
-  obs::CounterId sloGood, sloBad;
-  obs::HistogramId latencyPs, queueWaitPs, servicePs, attempts;
-};
-
-Ids internIds() {
-  auto& t = obs::MetricTable::global();
-  Ids ids;
-  ids.offered = t.counter("fleet.offered");
-  ids.admitted = t.counter("fleet.admitted");
-  ids.shedBreaker = t.counter("fleet.shed.breaker");
-  ids.shedDeadline = t.counter("fleet.shed.deadline");
-  ids.shedQueue = t.counter("fleet.shed.queue");
-  ids.shedRateLimit = t.counter("fleet.shed.ratelimit");
-  ids.completedOk = t.counter("fleet.completed.ok");
-  ids.completedFailed = t.counter("fleet.completed.failed");
-  ids.retries = t.counter("fleet.retries");
-  ids.retriesDenied = t.counter("fleet.retries_denied");
-  ids.hedges = t.counter("fleet.hedges");
-  ids.hedgeWins = t.counter("fleet.hedge_wins");
-  ids.hedgeCancelled = t.counter("fleet.hedge_cancelled");
-  ids.breakerOpens = t.counter("fleet.breaker.opens");
-  ids.breakerCloses = t.counter("fleet.breaker.closes");
-  ids.breakerHalfOpens = t.counter("fleet.breaker.half_opens");
-  ids.configLoads = t.counter("fleet.config.loads");
-  ids.configFaults = t.counter("fleet.config.faults");
-  ids.linkStalls = t.counter("fleet.link.stalls");
-  ids.escalations = t.counter("fleet.blade.escalations");
-  ids.deescalations = t.counter("fleet.blade.deescalations");
-  ids.bladeBusyPs = t.counter("fleet.blade.busy_ps");
-  ids.traceRecorded = t.counter("fleet.trace.recorded");
-  ids.traceTailEligible = t.counter("fleet.trace.tail_eligible");
-  ids.traceKeptTail = t.counter("fleet.trace.kept_tail");
-  ids.traceKeptSampled = t.counter("fleet.trace.kept_sampled");
-  ids.traceDroppedCap = t.counter("fleet.trace.dropped_cap");
-  ids.sloGood = t.counter("fleet.slo.good");
-  ids.sloBad = t.counter("fleet.slo.bad");
-  ids.latencyPs = t.histogram("fleet.latency_ps");
-  ids.queueWaitPs = t.histogram("fleet.queue_wait_ps");
-  ids.servicePs = t.histogram("fleet.service_ps");
-  ids.attempts = t.histogram("fleet.attempts");
-  return ids;
-}
 
 /// The time of an empty pending-set source.
 constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
@@ -200,8 +146,6 @@ bool drawFault(Blade& blade, double rate, std::uint64_t& tick) {
 struct Cell {
   const FleetOptions& options;
   const BladeProfile& profile;
-  const Ids& ids;
-  obs::Registry reg;
   std::vector<Blade> blades;
   // Request slots. A slot returns to the free list once its request is
   // terminal, no copy of it is queued or in service, and no retry or hedge
@@ -238,6 +182,36 @@ struct Cell {
   std::uint32_t unclosedBreakers = 0;
   std::vector<std::uint32_t> eligible;  ///< routing scratch
 
+  // Per-event fleet.* series. Each event adds one to a counter, so a
+  // counter is non-zero exactly when its event happened; run() names each
+  // series once, writing a counter iff it is non-zero and a histogram iff
+  // it holds a sample.
+  std::uint64_t offered = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t shedBreaker = 0;
+  std::uint64_t shedDeadline = 0;
+  std::uint64_t shedQueue = 0;
+  std::uint64_t shedRateLimit = 0;
+  std::uint64_t completedOk = 0;
+  std::uint64_t completedFailed = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t retriesDenied = 0;
+  std::uint64_t hedges = 0;
+  std::uint64_t hedgeWins = 0;
+  std::uint64_t hedgeCancelled = 0;
+  std::uint64_t breakerOpens = 0;
+  std::uint64_t breakerCloses = 0;
+  std::uint64_t breakerHalfOpens = 0;
+  std::uint64_t configLoads = 0;
+  std::uint64_t configFaults = 0;
+  std::uint64_t linkStalls = 0;
+  std::uint64_t escalations = 0;
+  std::uint64_t deescalations = 0;
+  obs::HistogramSummary latencyHist;
+  obs::HistogramSummary queueWaitHist;
+  obs::HistogramSummary serviceHist;
+  obs::HistogramSummary attemptsHist;
+
   // Observers. The recorder and series are driven from the same event
   // callbacks the counters come from; neither consumes an RNG draw, so
   // the simulated bytes are identical with them on or off.
@@ -250,11 +224,9 @@ struct Cell {
   std::vector<double> rlTokens;
   std::vector<std::int64_t> rlLastPs;
 
-  Cell(const FleetOptions& opt, const BladeProfile& prof, const Ids& i,
-       std::size_t cellIdx)
+  Cell(const FleetOptions& opt, const BladeProfile& prof, std::size_t cellIdx)
       : options(opt),
         profile(prof),
-        ids(i),
         rng(opt.seed ^ (0x9e3779b97f4a7c15ULL * (cellIdx + 1))) {}
 
   void scheduleTimer(std::int64_t atPs, bool hedge, std::uint32_t req) {
@@ -292,7 +264,7 @@ struct Cell {
       blade.state = BreakerState::kHalfOpen;
       blade.probesInFlight = 0;
       blade.probeOk = 0;
-      reg.add(ids.breakerHalfOpens);
+      ++breakerHalfOpens;
       if (rec) {
         rec->bladeMark(bladeIdx, trace::BladeMarkKind::kBreakerHalfOpen,
                        nowPs);
@@ -364,7 +336,7 @@ struct Cell {
     Blade& blade = blades[bladeIdx];
     Request& r = slots[job.req];
     const TaskProfile& t = profile.tasks[r.task];
-    reg.observe(ids.queueWaitPs, nowPs - job.enqueuePs);
+    queueWaitHist.observe(nowPs - job.enqueuePs);
 
     std::int64_t stallPs = 0;
     std::int64_t configPs = 0;
@@ -373,7 +345,7 @@ struct Cell {
     if (blade.faulty &&
         drawFault(blade, blade.plan.linkStallRate, blade.stallTick)) {
       stallPs = blade.plan.stallDuration.ps();
-      reg.add(ids.linkStalls);
+      ++linkStalls;
     }
     // A blade degraded to the full-PRR rung or beyond has lost confidence
     // in its resident persona: it reloads on every dispatch.
@@ -382,7 +354,7 @@ struct Cell {
         blade.rung >= static_cast<std::size_t>(
                           config::RecoveryRung::kFullPrrReload);
     if (needsConfig) {
-      reg.add(ids.configLoads);
+      ++configLoads;
       configPs = static_cast<std::int64_t>(
           static_cast<double>(t.configPs) * kRungConfigFactor[blade.rung]);
       const double loadRate =
@@ -395,7 +367,7 @@ struct Cell {
         // The load aborts: the config attempt is wasted and the request
         // never reaches the fabric.
         willFail = true;
-        reg.add(ids.configFaults);
+        ++configFaults;
       }
     }
     if (!willFail) execPs = t.execPs(r.bytes);
@@ -406,7 +378,7 @@ struct Cell {
     blade.current = job;
     blade.currentFails = willFail;
     blade.busyPs += servicePs;
-    reg.observe(ids.servicePs, servicePs);
+    serviceHist.observe(servicePs);
     due[1 + bladeIdx] = {nowPs + servicePs, seq++};
     if (rec) {
       rec->onServiceStart(r.ordinal, job.attempt, bladeIdx, nowPs, stallPs,
@@ -438,9 +410,9 @@ struct Cell {
   }
 
   /// Sheds one fresh request: counter, terminal trace, series window.
-  void shedFresh(std::uint32_t reqIdx, obs::CounterId counter,
+  void shedFresh(std::uint32_t reqIdx, std::uint64_t& counter,
                  trace::Outcome outcome) {
-    reg.add(counter);
+    ++counter;
     Request& r = slots[reqIdx];
     r.failed = true;
     if (recordSeries) {
@@ -456,7 +428,7 @@ struct Cell {
   /// or the estimated wait blows the SLO-derived deadline.
   void admitFresh(std::uint32_t reqIdx) {
     Request& r = slots[reqIdx];
-    reg.add(ids.offered);
+    ++offered;
     if (rec) rec->onArrival(r.ordinal, nowPs);
     // Per-user token bucket ahead of routing: a rate-limited user's
     // request never consumes a routing decision or queue estimate.
@@ -469,27 +441,27 @@ struct Cell {
                                      1e-12);
       lastPs = nowPs;
       if (tokens < 1.0) {
-        shedFresh(reqIdx, ids.shedRateLimit, trace::Outcome::kShedRateLimit);
+        shedFresh(reqIdx, shedRateLimit, trace::Outcome::kShedRateLimit);
         return;
       }
       tokens -= 1.0;
     }
     const std::int32_t choice = route(/*exclude=*/-1);
     if (choice < 0) {
-      shedFresh(reqIdx, ids.shedBreaker, trace::Outcome::kShedBreaker);
+      shedFresh(reqIdx, shedBreaker, trace::Outcome::kShedBreaker);
       return;
     }
     const auto bladeIdx = static_cast<std::uint32_t>(choice);
     const std::size_t d = depth(blades[bladeIdx]);
     if (d >= options.admission.maxQueueDepth) {
-      shedFresh(reqIdx, ids.shedQueue, trace::Outcome::kShedQueue);
+      shedFresh(reqIdx, shedQueue, trace::Outcome::kShedQueue);
       return;
     }
     if (static_cast<std::int64_t>(d) * meanServicePs > deadlineWaitPs) {
-      shedFresh(reqIdx, ids.shedDeadline, trace::Outcome::kShedDeadline);
+      shedFresh(reqIdx, shedDeadline, trace::Outcome::kShedDeadline);
       return;
     }
-    reg.add(ids.admitted);
+    ++admitted;
     retryTokens = std::min(options.retry.burstTokens,
                            retryTokens + options.retry.budgetFraction);
     if (options.hedge.enabled) {
@@ -576,8 +548,8 @@ struct Cell {
   void finishFailed(std::uint32_t reqIdx) {
     Request& r = slots[reqIdx];
     r.failed = true;
-    reg.add(ids.completedFailed);
-    reg.observe(ids.attempts, r.attempts);
+    ++completedFailed;
+    attemptsHist.observe(r.attempts);
     if (recordSeries) {
       obs::TimeSeries::Window& w = series.at(nowPs);
       ++w.failed;
@@ -602,7 +574,7 @@ struct Cell {
       if (blade.consecFail % options.escalateAfter == 0 &&
           blade.rung + 1 < config::kRecoveryRungCount) {
         ++blade.rung;
-        reg.add(ids.escalations);
+        ++escalations;
         if (rec) {
           rec->bladeMark(bladeIdx, trace::BladeMarkKind::kLadderEscalate,
                          nowPs);
@@ -615,7 +587,7 @@ struct Cell {
       if (blade.consecOk >= options.recoverAfter && blade.rung > 0) {
         --blade.rung;
         blade.consecOk = 0;
-        reg.add(ids.deescalations);
+        ++deescalations;
         if (rec) {
           rec->bladeMark(bladeIdx, trace::BladeMarkKind::kLadderDeescalate,
                          nowPs);
@@ -631,7 +603,7 @@ struct Cell {
         if (fail) {
           blade.state = BreakerState::kOpen;
           blade.reopenAtPs = nowPs + options.breaker.openDuration.ps();
-          reg.add(ids.breakerOpens);
+          ++breakerOpens;
           if (recordSeries) ++series.at(nowPs).breakerOpens;
           if (rec) {
             rec->bladeMark(bladeIdx, trace::BladeMarkKind::kBreakerOpen,
@@ -643,7 +615,7 @@ struct Cell {
             blade.state = BreakerState::kClosed;
             --unclosedBreakers;
             blade.consecFail = 0;
-            reg.add(ids.breakerCloses);
+            ++breakerCloses;
             if (rec) {
               rec->bladeMark(bladeIdx, trace::BladeMarkKind::kBreakerClose,
                              nowPs);
@@ -657,7 +629,7 @@ struct Cell {
         blade.state = BreakerState::kOpen;
         ++unclosedBreakers;
         blade.reopenAtPs = nowPs + options.breaker.openDuration.ps();
-        reg.add(ids.breakerOpens);
+        ++breakerOpens;
         if (recordSeries) ++series.at(nowPs).breakerOpens;
         if (rec) {
           rec->bladeMark(bladeIdx, trace::BladeMarkKind::kBreakerOpen, nowPs);
@@ -670,9 +642,9 @@ struct Cell {
     if (!r.done) {
       if (!fail) {
         r.done = true;
-        reg.add(ids.completedOk);
+        ++completedOk;
         const std::int64_t latencyPs = nowPs - r.arrivalPs;
-        reg.observe(ids.latencyPs, latencyPs);
+        latencyHist.observe(latencyPs);
         // The slow-tail threshold is the quantile *before* this sample:
         // a request cannot make itself look fast by shifting the bar.
         std::int64_t slowThresholdPs = -1;
@@ -683,8 +655,8 @@ struct Cell {
               localLatency.quantile(options.tracing.slowQuantile));
         }
         if (trackLatency) localLatency.observe(latencyPs);
-        reg.observe(ids.attempts, r.attempts);
-        if (job.hedge) reg.add(ids.hedgeWins);
+        attemptsHist.observe(r.attempts);
+        if (job.hedge) ++hedgeWins;
         if (recordSeries) {
           obs::TimeSeries::Window& w = series.at(nowPs);
           ++w.completed;
@@ -703,7 +675,7 @@ struct Cell {
         if (r.attempts < options.retry.maxAttempts) {
           if (retryTokens >= 1.0) {
             retryTokens -= 1.0;
-            reg.add(ids.retries);
+            ++retries;
             if (recordSeries) ++series.at(nowPs).retries;
             const double backoff =
                 static_cast<double>(options.retry.backoffBase.ps()) *
@@ -712,7 +684,7 @@ struct Cell {
                                       1, static_cast<std::int64_t>(backoff)),
                           /*hedge=*/false, job.req);
           } else {
-            reg.add(ids.retriesDenied);
+            ++retriesDenied;
             if (rec) rec->onRetryDenied(r.ordinal, nowPs);
             finishFailed(job.req);
           }
@@ -735,7 +707,7 @@ struct Cell {
       Request& r = slots[job.req];
       if (r.done) {
         --r.inFlight;
-        reg.add(ids.hedgeCancelled);
+        ++hedgeCancelled;
         if (rec) rec->onCancelled(r.ordinal, job.attempt, nowPs);
         if (job.probe && blade.state == BreakerState::kHalfOpen &&
             blade.probesInFlight > 0) {
@@ -774,9 +746,48 @@ struct Cell {
     }
     hedgeTokens -= 1.0;
     r.hedged = true;
-    reg.add(ids.hedges);
+    ++hedges;
     if (rec) rec->onHedgeLaunch(r.ordinal, nowPs);
     dispatch(static_cast<std::uint32_t>(choice), reqIdx, /*hedge=*/true);
+  }
+
+  /// Writes the per-event series into `out`.
+  void writePerEventSeries(obs::MetricsSnapshot& out) const {
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"fleet.offered", offered},
+        {"fleet.admitted", admitted},
+        {"fleet.shed.breaker", shedBreaker},
+        {"fleet.shed.deadline", shedDeadline},
+        {"fleet.shed.queue", shedQueue},
+        {"fleet.shed.ratelimit", shedRateLimit},
+        {"fleet.completed.ok", completedOk},
+        {"fleet.completed.failed", completedFailed},
+        {"fleet.retries", retries},
+        {"fleet.retries_denied", retriesDenied},
+        {"fleet.hedges", hedges},
+        {"fleet.hedge_wins", hedgeWins},
+        {"fleet.hedge_cancelled", hedgeCancelled},
+        {"fleet.breaker.opens", breakerOpens},
+        {"fleet.breaker.closes", breakerCloses},
+        {"fleet.breaker.half_opens", breakerHalfOpens},
+        {"fleet.config.loads", configLoads},
+        {"fleet.config.faults", configFaults},
+        {"fleet.link.stalls", linkStalls},
+        {"fleet.blade.escalations", escalations},
+        {"fleet.blade.deescalations", deescalations},
+    };
+    for (const auto& [name, value] : counters) {
+      if (value != 0) out.counters.emplace(name, value);
+    }
+    const std::pair<const char*, const obs::HistogramSummary*> histograms[] = {
+        {"fleet.latency_ps", &latencyHist},
+        {"fleet.queue_wait_ps", &queueWaitHist},
+        {"fleet.service_ps", &serviceHist},
+        {"fleet.attempts", &attemptsHist},
+    };
+    for (const auto& [name, summary] : histograms) {
+      if (summary->count > 0) out.histograms.emplace(name, *summary);
+    }
   }
 
   CellResult run(std::size_t cellIdx) {
@@ -874,27 +885,30 @@ struct Cell {
     result.endPs = endPs;
     result.requestSlots = slots.size();
     result.utilization.reserve(blades.size());
+    std::uint64_t busyPs = 0;
     for (const Blade& blade : blades) {
-      reg.add(ids.bladeBusyPs, static_cast<std::uint64_t>(blade.busyPs));
+      busyPs += static_cast<std::uint64_t>(blade.busyPs);
       result.utilization.push_back(
           endPs > 0 ? static_cast<double>(blade.busyPs) /
                           static_cast<double>(endPs)
                     : 0.0);
     }
+    writePerEventSeries(result.metrics);
+    auto& counters = result.metrics.counters;
+    counters["fleet.blade.busy_ps"] = busyPs;
     if (rec) {
       result.trace = rec->take();
-      reg.add(ids.traceRecorded, result.trace.recorded);
-      reg.add(ids.traceTailEligible, result.trace.tailEligible);
-      reg.add(ids.traceKeptTail, result.trace.keptTail);
-      reg.add(ids.traceKeptSampled, result.trace.keptSampled);
-      reg.add(ids.traceDroppedCap, result.trace.droppedCap);
+      counters["fleet.trace.recorded"] = result.trace.recorded;
+      counters["fleet.trace.tail_eligible"] = result.trace.tailEligible;
+      counters["fleet.trace.kept_tail"] = result.trace.keptTail;
+      counters["fleet.trace.kept_sampled"] = result.trace.keptSampled;
+      counters["fleet.trace.dropped_cap"] = result.trace.droppedCap;
     }
     if (recordSeries) {
-      reg.add(ids.sloGood, series.totalGood());
-      reg.add(ids.sloBad, series.totalBad());
+      counters["fleet.slo.good"] = series.totalGood();
+      counters["fleet.slo.bad"] = series.totalBad();
       result.series = std::move(series);
     }
-    result.metrics = reg.snapshot();
     return result;
   }
 };
@@ -981,17 +995,14 @@ FleetReport runFleet(const tasks::FunctionRegistry& registry,
   util::require(profile.tasks.size() == registry.size(),
                 "runFleet: profile does not match the function registry");
   util::require(!profile.tasks.empty(), "runFleet: empty blade profile");
-  static const obs::HistogramId kRunNs =
-      obs::MetricTable::global().histogram("host.fleet.run_ns");
-  const obs::HostTimer runTimer{kRunNs};
-  const Ids ids = internIds();
+  const obs::HostTimer runTimer{"host.fleet.run_ns"};
 
   std::vector<std::size_t> cellIndices(options.cells);
   for (std::size_t c = 0; c < cellIndices.size(); ++c) cellIndices[c] = c;
   std::vector<CellResult> cells = exec::parallelMap(
       cellIndices,
       [&](const std::size_t cell) {
-        Cell state{options, profile, ids, cell};
+        Cell state{options, profile, cell};
         return state.run(cell);
       },
       exec::ForOptions{.threads = options.threads});

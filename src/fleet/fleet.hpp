@@ -37,7 +37,7 @@
 /// Determinism: a cell (one chassis) is an independent simulation with its
 /// own pending set, its own arrival/routing RNG, and one RNG per blade
 /// (fault::Plan::forNode of the global blade index). Cells run through
-/// exec::parallelMap and their per-cell Registry snapshots fold in cell
+/// exec::parallelMap and their per-cell MetricsSnapshots fold in cell
 /// order after the barrier, so output is byte-identical at any --threads,
 /// same contract as hprc::runChassis and the sweep harness.
 

@@ -77,11 +77,7 @@ ChassisReport runChassis(const tasks::FunctionRegistry& registry,
   const auto shares =
       partitionWorkload(workload, options.blades, options.partition);
 
-  static const obs::HistogramId kRunNs =
-      obs::MetricTable::global().histogram("host.chassis.run_ns");
-  static const obs::HistogramId kBladeNs =
-      obs::MetricTable::global().histogram("host.chassis.blade_ns");
-  const obs::HostTimer runTimer{kRunNs};
+  const obs::HostTimer runTimer{"host.chassis.run_ns"};
 
   ChassisReport report;
   std::vector<std::size_t> bladeIndices(shares.size());
@@ -91,7 +87,7 @@ ChassisReport runChassis(const tasks::FunctionRegistry& registry,
       [&](const std::size_t blade) {
         const runtime::ScenarioOptions bladeOptions =
             bladeScenarioOptions(options.scenario, blade);
-        const obs::HostTimer bladeTimer{kBladeNs};
+        const obs::HostTimer bladeTimer{"host.chassis.blade_ns"};
         if (shares[blade].calls.empty()) return runtime::ExecutionReport{};
         return runtime::runScenario(registry, shares[blade], bladeOptions).prtr;
       },

@@ -2,14 +2,18 @@
 
 namespace prtr::obs {
 
-void HostMetrics::observe(HistogramId id, std::int64_t value) {
+void HostMetrics::observe(std::string_view name, std::int64_t value) {
   const std::scoped_lock lock{mutex_};
-  registry_.observe(id, value);
+  auto it = recorded_.histograms.find(name);
+  if (it == recorded_.histograms.end()) {
+    it = recorded_.histograms.emplace(name, HistogramSummary{}).first;
+  }
+  it->second.observe(value);
 }
 
 MetricsSnapshot HostMetrics::snapshot() const {
   const std::scoped_lock lock{mutex_};
-  return registry_.snapshot();
+  return recorded_;
 }
 
 HostMetrics& hostMetrics() {

@@ -3,59 +3,60 @@
 /// Host-side cost of producing the simulated numbers: wall-clock timings
 /// (scenario phases, pool tasks, cache and bitstream builds, sweep points,
 /// chassis blades, fleet runs) and the pool/cache backlog samples, recorded
-/// as `host.*` histograms through the same interned ids as simulated
-/// metrics. Recording is always on and lands in one process-wide registry
-/// behind one mutex, so any thread may record and a snapshot may be taken
-/// at any time. Scopes open per phase, task, or build, never per simulated
-/// event.
+/// by name as `host.*` histograms. Recording is always on and lands in one
+/// process-wide MetricsSnapshot behind one mutex, so any thread may record
+/// and a snapshot may be taken at any time. Scopes open per phase, task, or
+/// build, never per simulated event.
 ///
 /// Host numbers are wall-clock and therefore never reach simulated outputs
-/// (ScenarioResult::metrics, Hooks sinks, BenchReport --json documents,
-/// traces); `--profile <path>` is their one exit (BenchReport::finish and
+/// (ScenarioResult::metrics, BenchReport --json documents, traces);
+/// `--profile <path>` is their one exit (BenchReport::finish and
 /// prtrsim_cli write hostMetrics().snapshot() there).
 
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
 namespace prtr::obs {
 
-/// The process-wide host registry.
+/// The process-wide host histograms.
 class HostMetrics {
  public:
-  /// Records one observation (nanoseconds for `_ns` series).
-  void observe(HistogramId id, std::int64_t value);
+  /// Records one observation under `name` (nanoseconds for `_ns` series).
+  void observe(std::string_view name, std::int64_t value);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
   mutable std::mutex mutex_;
-  Registry registry_;
+  MetricsSnapshot recorded_;
 };
 
-/// The registry every HostTimer records into (never destroyed: pool
+/// The host histograms every HostTimer records into (never destroyed: pool
 /// workers draining at exit may still record).
 [[nodiscard]] HostMetrics& hostMetrics();
 
 /// RAII wall-clock timer: records construction-to-destruction nanoseconds
-/// under `id` into hostMetrics().
+/// under `name` into hostMetrics(). `name` must outlive the timer (every
+/// caller passes a string literal).
 class HostTimer {
  public:
-  explicit HostTimer(HistogramId id) noexcept
-      : id_(id), start_(std::chrono::steady_clock::now()) {}
+  explicit HostTimer(std::string_view name) noexcept
+      : name_(name), start_(std::chrono::steady_clock::now()) {}
   HostTimer(const HostTimer&) = delete;
   HostTimer& operator=(const HostTimer&) = delete;
   ~HostTimer() {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     hostMetrics().observe(
-        id_, std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                 .count());
+        name_, std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                   .count());
   }
 
  private:
-  HistogramId id_;
+  std::string_view name_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <mutex>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 namespace prtr::obs {
@@ -52,82 +49,6 @@ double HistogramSummary::quantile(double q) const noexcept {
     return estimate;
   }
   return static_cast<double>(max);
-}
-
-// ---------------------------------------------------------------------------
-// MetricTable
-
-/// One kind's intern pool: names in a deque (stable references across
-/// growth) indexed by a transparent-hash map, the SymbolTable layout.
-struct MetricTable::Pool {
-  struct Hash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::deque<std::string> names;
-  std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>> index;
-
-  std::uint32_t intern(std::string_view name) {
-    if (const auto it = index.find(name); it != index.end()) {
-      return it->second;
-    }
-    const auto id = static_cast<std::uint32_t>(names.size());
-    names.emplace_back(name);
-    index.emplace(names.back(), id);
-    return id;
-  }
-
-  [[nodiscard]] std::uint32_t find(std::string_view name) const noexcept {
-    const auto it = index.find(name);
-    return it != index.end() ? it->second : 0xFFFF'FFFF;
-  }
-};
-
-MetricTable::MetricTable()
-    : counters_(std::make_unique<Pool>()),
-      histograms_(std::make_unique<Pool>()) {}
-
-MetricTable::~MetricTable() = default;
-
-MetricTable& MetricTable::global() {
-  // Leaked on purpose: registries snapshot during static destruction in
-  // some tests, and ids must outlive every Registry.
-  static MetricTable* table = new MetricTable;
-  return *table;
-}
-
-CounterId MetricTable::counter(std::string_view name) {
-  {
-    std::shared_lock lock{mutex_};
-    if (const std::uint32_t id = counters_->find(name); id != 0xFFFF'FFFF) {
-      return CounterId{id};
-    }
-  }
-  std::unique_lock lock{mutex_};
-  return CounterId{counters_->intern(name)};
-}
-
-HistogramId MetricTable::histogram(std::string_view name) {
-  {
-    std::shared_lock lock{mutex_};
-    if (const std::uint32_t id = histograms_->find(name); id != 0xFFFF'FFFF) {
-      return HistogramId{id};
-    }
-  }
-  std::unique_lock lock{mutex_};
-  return HistogramId{histograms_->intern(name)};
-}
-
-const std::string& MetricTable::counterName(CounterId id) const {
-  std::shared_lock lock{mutex_};
-  return counters_->names[id.index()];
-}
-
-const std::string& MetricTable::histogramName(HistogramId id) const {
-  std::shared_lock lock{mutex_};
-  return histograms_->names[id.index()];
 }
 
 // ---------------------------------------------------------------------------
@@ -299,32 +220,6 @@ std::string MetricsSnapshot::toJson() const {
   util::json::Writer w{os};
   writeJson(w);
   return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-
-void Registry::growCounters(CounterId id) {
-  counters_.resize(id.index() + 1);
-}
-
-void Registry::growHistograms(HistogramId id) {
-  histograms_.resize(id.index() + 1);
-}
-
-MetricsSnapshot Registry::snapshot() const {
-  const MetricTable& table = MetricTable::global();
-  MetricsSnapshot out;
-  for (std::uint32_t i = 0; i < counters_.size(); ++i) {
-    if (!counters_[i].touched) continue;
-    out.counters.emplace(table.counterName(CounterId{i}), counters_[i].value);
-  }
-  for (std::uint32_t i = 0; i < histograms_.size(); ++i) {
-    if (!histograms_[i].touched) continue;
-    out.histograms.emplace(table.histogramName(HistogramId{i}),
-                           histograms_[i].summary);
-  }
-  return out;
 }
 
 }  // namespace prtr::obs

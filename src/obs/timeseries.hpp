@@ -7,7 +7,7 @@
 /// Windows are indexed by simulated time (`atPs / windowPs`) and grown
 /// densely, so folding the per-cell series in cell order is element-wise
 /// and deterministic at any --threads — the same ordered-reduction
-/// contract the metric registry snapshots follow.
+/// contract the metrics snapshots follow.
 ///
 /// The SLO gate is the classic multi-window burn-rate alert: with
 /// objective `o`, a window's burn rate is `badFraction / (1 - o)` (burn 1

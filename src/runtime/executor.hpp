@@ -58,8 +58,7 @@ struct ExecutorOptions {
 /// Writes the counters every run-end scrape shares into `out`:
 /// sim.events_processed, sim.time_ps, config.icap.{loads,bytes_written,
 /// contention_ps} and config.vendor_api.{loads,bytes_written} of `node`.
-/// A scrape writes each name once, so it fills the snapshot's maps
-/// directly; interned ids pay off only for series recorded repeatedly.
+/// A scrape writes each name once, straight into the snapshot's maps.
 void scrapeNodeCounters(xd1::Node& node, obs::MetricsSnapshot& out);
 
 /// The one run driver: resets `report` to an empty `executor` report, runs

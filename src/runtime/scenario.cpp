@@ -127,24 +127,6 @@ model::Params deriveModelParamsAt(const tasks::FunctionRegistry& registry,
   return abs.normalized();
 }
 
-/// Host-timing ids (obs/host.hpp) of runScenario's phases, interned once
-/// per process.
-struct HostIds {
-  obs::HistogramId lint, frtr, prtr, model, verify;
-};
-
-const HostIds& hostIds() {
-  static const HostIds kIds = [] {
-    obs::MetricTable& t = obs::MetricTable::global();
-    return HostIds{t.histogram("host.scenario.lint_ns"),
-                   t.histogram("host.scenario.frtr_ns"),
-                   t.histogram("host.scenario.prtr_ns"),
-                   t.histogram("host.scenario.model_ns"),
-                   t.histogram("host.scenario.verify_ns")};
-  }();
-  return kIds;
-}
-
 }  // namespace
 
 const char* toString(ScenarioSides sides) noexcept {
@@ -173,13 +155,11 @@ model::Params deriveModelParams(const tasks::FunctionRegistry& registry,
 ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
                            const tasks::Workload& workload,
                            const ScenarioOptions& options) {
-  const HostIds& host = hostIds();
-
   // Strict mode: statically lint the scenario before instantiating any
   // simulator. Error-severity findings abort here with the same codes
   // prtr-lint reports; warnings are advisory and do not block execution.
   {
-    const obs::HostTimer timer{host.lint};
+    const obs::HostTimer timer{"host.scenario.lint_ns"};
     analyze::LintTargets lintTargets;
     lintTargets.scenario = &options;
     const analyze::DiagnosticSink lint = analyze::lintAll(lintTargets);
@@ -206,7 +186,7 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   ScenarioResult result;
 
   if (options.sides == ScenarioSides::kBoth) {
-    const obs::HostTimer timer{host.frtr};
+    const obs::HostTimer timer{"host.scenario.frtr_ns"};
     sim::Simulator sim;
     xd1::Node node{sim, nodeConfigFor(options)};
     bitstream::Library library = makeLibrary(options, registry, node);
@@ -215,13 +195,13 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   }
 
   {
-    const obs::HostTimer timer{host.prtr};
+    const obs::HostTimer timer{"host.scenario.prtr_ns"};
     result.prtr = runPrtrSide(registry, workload, options, prtrTl);
   }
 
   const double hitRatio = options.forceMiss ? 0.0 : result.prtr.hitRatio();
   {
-    const obs::HostTimer timer{host.model};
+    const obs::HostTimer timer{"host.scenario.model_ns"};
     result.modelParams = deriveModelParamsAt(registry, workload, options,
                                              hitRatio);
     result.modelSpeedup = model::speedup(result.modelParams);
@@ -255,7 +235,7 @@ ScenarioResult runScenario(const tasks::FunctionRegistry& registry,
   // platform's physical exclusivity constraints. Same abort contract as
   // the strict pre-run lint above.
   if (options.verify) {
-    const obs::HostTimer timer{host.verify};
+    const obs::HostTimer timer{"host.scenario.verify_ns"};
     analyze::DiagnosticSink findings;
     if (frtrTl != nullptr) verify::checkTimeline("frtr", *frtrTl, findings);
     if (prtrTl != nullptr) verify::checkTimeline("prtr", *prtrTl, findings);

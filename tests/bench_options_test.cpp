@@ -64,6 +64,22 @@ TEST(BenchOptions, RejectsMissingOrMalformedValues) {
   EXPECT_THROW(parse({"--seed", "1x"}), util::DomainError);
 }
 
+// Each pool worker is an OS thread, so the count is bounded. Parse only:
+// no pool is started here.
+TEST(BenchOptions, RejectsThreadCountsAboveTheBound) {
+  EXPECT_EQ(parse({"--threads", "256"}).threads(), Options::kMaxThreads);
+  for (const char* value : {"257", "100000", "18446744073709551615"}) {
+    try {
+      (void)parse({"--threads", value});
+      ADD_FAILURE() << "--threads " << value << " parsed";
+    } catch (const util::DomainError& error) {
+      EXPECT_NE(std::string{error.what()}.find("at most 256"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 // strtoull would take a sign or leading blanks (wrapping "-1" to 2^64 - 1)
 // and saturate on overflow; the shared parser takes digits that fit only.
 TEST(BenchOptions, RejectsSignsBlanksAndOverflow) {
@@ -103,13 +119,12 @@ TEST(BenchOptions, HelpFlagIsRecognisedAnywhere) {
 }
 
 // Any BenchReport bench honours --profile: finish() writes the host
-// registry as a MetricsSnapshot JSON whose every name is under host.
+// histograms as a MetricsSnapshot JSON whose every name is under host.
 TEST(BenchOptions, ProfileFlagWritesTheHostTimingsFromFinish) {
   const std::string path = testing::TempDir() + "bench_profile.json";
   const obs::BenchReport report{"demo", parse({"--profile", path.c_str()})};
   {
-    const obs::HostTimer timer{
-        obs::MetricTable::global().histogram("host.test.bench_report_ns")};
+    const obs::HostTimer timer{"host.test.bench_report_ns"};
   }
   report.finish();
 

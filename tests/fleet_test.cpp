@@ -3,8 +3,9 @@
 // close cycling under a hostile fault plan, load shedding under overload,
 // hedged requests, request accounting (admitted = completed + failed),
 // request memory bounded by the in-flight population (recycled slots), and
-// digest pins of a hedged, traced chaos run and of a run whose events keep
-// falling on the same picosecond (schedule-order tie-breaks).
+// digest pins of a healthy default run, of a hedged, traced chaos run and of
+// a run whose events keep falling on the same picosecond (schedule-order
+// tie-breaks).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -211,6 +212,29 @@ TEST(FleetHedgeTest, HedgedChaosRunIsPinned) {
   EXPECT_GT(report.breakerOpens, 0u);
   EXPECT_EQ(reportDigest(report), 0xe7379ceea6753bcfULL)
       << report.toString() << report.metrics.toString();
+}
+
+TEST(FleetHealthyTest, DefaultRunIsPinnedAtAnyWidth) {
+  // A fault-free, untraced run of the default fleet: the fault, retry,
+  // hedge, breaker and trace counters never fire, so the pin covers which
+  // series a cell leaves out as much as the values it writes.
+  fleet::FleetOptions options;
+  options.requests = 20'000;
+  for (const std::size_t threads : {1u, 4u}) {
+    options.threads = threads;
+    const fleet::FleetReport report =
+        runFleet(paperRegistry(), sharedProfile(), options);
+    EXPECT_EQ(report.failed, 0u);
+    for (const char* absent :
+         {"fleet.completed.failed", "fleet.retries", "fleet.hedges",
+          "fleet.breaker.opens", "fleet.config.faults", "fleet.link.stalls",
+          "fleet.trace.recorded", "fleet.slo.good"}) {
+      EXPECT_FALSE(report.metrics.counters.contains(absent)) << absent;
+    }
+    EXPECT_EQ(reportDigest(report), 0x327afa89c3735771ULL)
+        << "threads=" << threads << '\n'
+        << report.toString() << report.metrics.toString();
+  }
 }
 
 TEST(FleetDeterminismTest, SimultaneousEventsFireInScheduleOrder) {

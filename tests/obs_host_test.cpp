@@ -18,7 +18,7 @@ namespace {
 
 using namespace prtr;
 
-/// Histogram `name` as recorded into the host registry since `before`.
+/// Histogram `name` as recorded into the host histograms since `before`.
 /// Every test in this binary shares obs::hostMetrics(), so checks measure
 /// the delta over their own window.
 obs::HistogramSummary hostDelta(const obs::MetricsSnapshot& before,
@@ -29,17 +29,11 @@ obs::HistogramSummary hostDelta(const obs::MetricsSnapshot& before,
   return it != delta.histograms.end() ? it->second : obs::HistogramSummary{};
 }
 
-obs::HistogramId hostId(std::string_view name) {
-  return obs::MetricTable::global().histogram(name);
-}
-
 TEST(Profiler, RecordAggregatesUnderTheLabel) {
-  const obs::HistogramId a = hostId("host.test.phase_a_ns");
-  const obs::HistogramId b = hostId("host.test.phase_b_ns");
   const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
-  obs::hostMetrics().observe(a, 100);
-  obs::hostMetrics().observe(a, 300);
-  obs::hostMetrics().observe(b, 50);
+  obs::hostMetrics().observe("host.test.phase_a_ns", 100);
+  obs::hostMetrics().observe("host.test.phase_a_ns", 300);
+  obs::hostMetrics().observe("host.test.phase_b_ns", 50);
   const obs::HistogramSummary phaseA = hostDelta(before, "host.test.phase_a_ns");
   EXPECT_EQ(phaseA.count, 2u);
   EXPECT_EQ(phaseA.sum, 400);
@@ -51,10 +45,9 @@ TEST(Profiler, RecordAggregatesUnderTheLabel) {
 }
 
 TEST(Profiler, HostTimerAddsExactlyOneObservation) {
-  const obs::HistogramId id = hostId("host.test.timer_ns");
   const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
   {
-    const obs::HostTimer timer{id};
+    const obs::HostTimer timer{"host.test.timer_ns"};
   }
   const obs::HistogramSummary timed = hostDelta(before, "host.test.timer_ns");
   EXPECT_EQ(timed.count, 1u);
@@ -62,7 +55,7 @@ TEST(Profiler, HostTimerAddsExactlyOneObservation) {
 }
 
 // The same work fanned out at different pool widths, and over raw threads,
-// must aggregate to the same count and sum: the host registry's mutex makes
+// must aggregate to the same count and sum: the host mutex makes
 // concurrent recording from pool workers, the participating caller, and
 // unrelated threads lossless.
 TEST(Profiler, AggregationIsDeterministicAcrossPoolWidths) {
@@ -72,15 +65,13 @@ TEST(Profiler, AggregationIsDeterministicAcrossPoolWidths) {
     items[i] = static_cast<std::int64_t>(i + 1);
   }
   const auto itemSum = static_cast<std::int64_t>(kItems * (kItems + 1) / 2);
-  const obs::HistogramId sampled = hostId("host.test.work_sample");
-  const obs::HistogramId timed = hostId("host.test.work_item_ns");
   for (const std::size_t threads : {1u, 2u, 4u}) {
     const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
     const auto out = exec::parallelMap(
         items,
         [&](std::int64_t item) {
-          const obs::HostTimer timer{timed};
-          obs::hostMetrics().observe(sampled, item);
+          const obs::HostTimer timer{"host.test.work_item_ns"};
+          obs::hostMetrics().observe("host.test.work_sample", item);
           return item;
         },
         exec::ForOptions{.threads = threads});
@@ -93,14 +84,14 @@ TEST(Profiler, AggregationIsDeterministicAcrossPoolWidths) {
         << "threads=" << threads;
   }
 
-  // Raw threads outside the pool share one obs thread slot, so only the
-  // registry's own lock keeps their records apart.
+  // Raw threads outside the pool: only the host mutex keeps their records
+  // apart.
   const obs::MetricsSnapshot before = obs::hostMetrics().snapshot();
   std::vector<std::thread> raw;
   for (std::size_t t = 0; t < 2; ++t) {
     raw.emplace_back([&, t] {
       for (std::size_t i = t; i < kItems; i += 2) {
-        obs::hostMetrics().observe(sampled, items[i]);
+        obs::hostMetrics().observe("host.test.work_sample", items[i]);
       }
     });
   }
@@ -124,7 +115,7 @@ bool hasHostName(const obs::MetricsSnapshot& snapshot) {
 
 // Host timings are wall-clock, so they must never reach a simulated output:
 // the scenario's own metrics stay free of host.* names, while the host
-// registry gains one observation per phase.
+// histograms gain one observation per phase.
 TEST(Profiler, ScenarioHostTimingsStayOutOfSimulatedMetrics) {
   const auto registry = tasks::makePaperFunctions();
   const auto workload =

@@ -1,11 +1,11 @@
 // Tests for the obs metrics layer and its integration with the scenario
-// runner: MetricTable interning, id-indexed registry operations, slot
-// layout, merge/diff semantics, JSON emission, the absent string record
-// calls, and the determinism guarantee that two bit-identical runs produce
-// equal snapshots.
+// runner: histogram summaries and quantiles, merge/diff semantics, JSON
+// emission, and the determinism guarantee that two bit-identical runs
+// produce equal snapshots.
 #include <gtest/gtest.h>
 
-#include <string_view>
+#include <cstdint>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "runtime/scenario.hpp"
@@ -15,49 +15,14 @@ namespace {
 
 using namespace prtr;
 
-obs::MetricTable& table() { return obs::MetricTable::global(); }
-
-// The hot slots are cache-line-aligned and cache-line-granular, so two
-// adjacent slots never share a line.
-static_assert(alignof(obs::CounterSlot) == 64);
-static_assert(sizeof(obs::CounterSlot) == 64);
-static_assert(alignof(obs::HistogramSlot) == 64);
-static_assert(sizeof(obs::HistogramSlot) % 64 == 0);
-
-TEST(MetricTable, InternLookupRoundTrip) {
-  const obs::CounterId c = table().counter("test.table.roundtrip.counter");
-  const obs::HistogramId h = table().histogram("test.table.roundtrip.hist");
-  ASSERT_TRUE(c.valid());
-  ASSERT_TRUE(h.valid());
-  // Idempotent: the same name always interns to the same id.
-  EXPECT_EQ(table().counter("test.table.roundtrip.counter"), c);
-  EXPECT_EQ(table().histogram("test.table.roundtrip.hist"), h);
-  // Names round-trip through the id.
-  EXPECT_EQ(table().counterName(c), "test.table.roundtrip.counter");
-  EXPECT_EQ(table().histogramName(h), "test.table.roundtrip.hist");
-}
-
-TEST(MetricTable, KindsHaveIndependentIdSpaces) {
-  // A counter and a histogram may share a dotted name; their ids are
-  // unrelated and the registries keep the series separate.
-  const obs::CounterId c = table().counter("test.table.shared_name");
-  const obs::HistogramId h = table().histogram("test.table.shared_name");
-  obs::Registry reg;
-  reg.add(c, 2);
-  reg.observe(h, 5);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counterOr("test.table.shared_name"), 2u);
-  EXPECT_EQ(snap.histograms.at("test.table.shared_name").sum, 5);
-}
-
 TEST(MetricsRegistry, CountersAccumulateAndDefaultToZero) {
-  const obs::CounterId loads = table().counter("icap.loads");
-  const obs::CounterId bytes = table().counter("icap.bytes_written");
-  obs::Registry reg;
-  reg.add(loads);
-  reg.add(loads, 4);
-  reg.add(bytes, 1'000);
-  const obs::MetricsSnapshot snap = reg.snapshot();
+  // Counters add when snapshots merge; absent names read as the fallback.
+  obs::MetricsSnapshot snap;
+  snap.counters["icap.loads"] = 1;
+  obs::MetricsSnapshot more;
+  more.counters["icap.loads"] = 4;
+  more.counters["icap.bytes_written"] = 1'000;
+  snap.merge(more);
   EXPECT_EQ(snap.counterOr("icap.loads"), 5u);
   EXPECT_EQ(snap.counterOr("icap.bytes_written"), 1'000u);
   EXPECT_EQ(snap.counterOr("absent"), 0u);
@@ -77,84 +42,60 @@ TEST(MetricsRegistry, GaugesOverwrite) {
 }
 
 TEST(MetricsRegistry, HistogramsSummarize) {
-  const obs::HistogramId stall = table().histogram("executor.prtr.stall_ps");
-  obs::Registry reg;
-  reg.observe(stall, 10);
-  reg.observe(stall, 30);
-  reg.observe(stall, 20);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  const auto it = snap.histograms.find("executor.prtr.stall_ps");
-  ASSERT_NE(it, snap.histograms.end());
-  EXPECT_EQ(it->second.count, 3u);
-  EXPECT_EQ(it->second.sum, 60);
-  EXPECT_EQ(it->second.min, 10);
-  EXPECT_EQ(it->second.max, 30);
-  EXPECT_DOUBLE_EQ(it->second.mean(), 20.0);
-}
-
-TEST(MetricsRegistry, OnlyTouchedSlotsMaterialize) {
-  // Interning a name process-wide must not make it appear in every
-  // registry's snapshot: untouched slots stay out.
-  const obs::CounterId touched = table().counter("test.touched.yes");
-  [[maybe_unused]] const obs::CounterId untouched =
-      table().counter("test.touched.no");
-  obs::Registry reg;
-  EXPECT_TRUE(reg.snapshot().empty());
-  reg.add(touched, 0);  // a zero-delta add still marks the slot recorded
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_TRUE(snap.counters.contains("test.touched.yes"));
-  EXPECT_FALSE(snap.counters.contains("test.touched.no"));
+  obs::HistogramSummary stall;
+  stall.observe(10);
+  stall.observe(30);
+  stall.observe(20);
+  EXPECT_EQ(stall.count, 3u);
+  EXPECT_EQ(stall.sum, 60);
+  EXPECT_EQ(stall.min, 10);
+  EXPECT_EQ(stall.max, 30);
+  EXPECT_DOUBLE_EQ(stall.mean(), 20.0);
 }
 
 TEST(MetricsHistogram, QuantilesAreDeterministicAndClampedToTheRange) {
-  const obs::HistogramId latency = table().histogram("latency_ps");
-  obs::Registry reg;
-  for (int i = 1; i <= 100; ++i) reg.observe(latency, i);
-  const obs::HistogramSummary h =
-      reg.snapshot().histograms.at("latency_ps");
+  obs::HistogramSummary h;
+  for (int i = 1; i <= 100; ++i) h.observe(i);
+  obs::HistogramSummary again;
+  for (int i = 1; i <= 100; ++i) again.observe(i);
   // Log2-bucketed nearest-rank quantiles: deterministic, monotone, and
   // always inside [min, max].
-  EXPECT_EQ(h.p50(), reg.snapshot().histograms.at("latency_ps").p50());
+  EXPECT_EQ(h.p50(), again.p50());
   EXPECT_LE(h.p50(), h.p95());
   EXPECT_LE(h.p95(), h.p99());
   EXPECT_GE(h.p50(), static_cast<double>(h.min));
   EXPECT_LE(h.p99(), static_cast<double>(h.max));
   // A single observation collapses every quantile onto that value.
-  obs::Registry one;
-  one.observe(table().histogram("x"), 42);
-  const obs::HistogramSummary single = one.snapshot().histograms.at("x");
+  obs::HistogramSummary single;
+  single.observe(42);
   EXPECT_DOUBLE_EQ(single.p50(), 42.0);
   EXPECT_DOUBLE_EQ(single.p99(), 42.0);
   // Empty histogram quantiles are 0 by definition.
   EXPECT_DOUBLE_EQ(obs::HistogramSummary{}.p50(), 0.0);
   // The JSON rendering carries the quantiles.
-  const std::string json = reg.snapshot().toJson();
+  obs::MetricsSnapshot snap;
+  snap.histograms["latency_ps"] = h;
+  const std::string json = snap.toJson();
   EXPECT_NE(json.find("\"p50\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
-/// A registry's snapshot with one gauge written by name beside it.
-obs::MetricsSnapshot withGauge(const obs::Registry& reg, const char* name,
-                               double value) {
-  obs::MetricsSnapshot snap = reg.snapshot();
-  snap.gauges[name] = value;
+/// A snapshot of `loads` icap.loads, one latency_ps sample and a hit_ratio
+/// gauge.
+obs::MetricsSnapshot sample(std::uint64_t loads, std::int64_t latencyPs,
+                            double hitRatio) {
+  obs::MetricsSnapshot snap;
+  snap.counters["icap.loads"] = loads;
+  snap.histograms["latency_ps"].observe(latencyPs);
+  snap.gauges["hit_ratio"] = hitRatio;
   return snap;
 }
 
 TEST(MetricsSnapshot, MergePrefixesAndCombines) {
-  const obs::CounterId loads = table().counter("icap.loads");
-  const obs::HistogramId latency = table().histogram("latency_ps");
-  obs::Registry a;
-  a.add(loads, 3);
-  a.observe(latency, 100);
-  obs::Registry b;
-  b.add(loads, 2);
-  b.observe(latency, 300);
-
-  obs::MetricsSnapshot merged = withGauge(a, "hit_ratio", 0.5);
+  obs::MetricsSnapshot merged = sample(3, 100, 0.5);
   // Same names: counters add, gauges overwrite.
-  merged.merge(withGauge(b, "hit_ratio", 0.9));
+  merged.merge(sample(2, 300, 0.9));
   EXPECT_EQ(merged.counterOr("icap.loads"), 5u);
   EXPECT_DOUBLE_EQ(*merged.gauge("hit_ratio"), 0.9);
   EXPECT_EQ(merged.histograms.at("latency_ps").count, 2u);
@@ -162,45 +103,36 @@ TEST(MetricsSnapshot, MergePrefixesAndCombines) {
   EXPECT_EQ(merged.histograms.at("latency_ps").max, 300);
 
   obs::MetricsSnapshot prefixed;
-  prefixed.merge(withGauge(a, "hit_ratio", 0.5), "blade0.");
+  prefixed.merge(sample(3, 100, 0.5), "blade0.");
   EXPECT_EQ(prefixed.counterOr("blade0.icap.loads"), 3u);
   EXPECT_EQ(prefixed.counterOr("icap.loads"), 0u);
   EXPECT_TRUE(prefixed.gauge("blade0.hit_ratio").has_value());
 }
 
 TEST(MetricsSnapshot, MoveMergeMatchesCopyMerge) {
-  const obs::CounterId loads = table().counter("icap.loads");
-  const obs::HistogramId latency = table().histogram("latency_ps");
-  obs::Registry a;
-  a.add(loads, 3);
-  a.observe(latency, 100);
-  obs::Registry b;
-  b.add(loads, 2);
-  b.observe(latency, 300);
-
+  const obs::MetricsSnapshot b = sample(2, 300, 0.9);
   for (const std::string& prefix : {std::string{}, std::string{"blade1."}}) {
-    obs::MetricsSnapshot viaCopy = withGauge(a, "hit_ratio", 0.5);
-    viaCopy.merge(withGauge(b, "hit_ratio", 0.9), prefix);
-    obs::MetricsSnapshot viaMove = withGauge(a, "hit_ratio", 0.5);
-    viaMove.merge(withGauge(b, "hit_ratio", 0.9), prefix);
+    obs::MetricsSnapshot viaCopy = sample(3, 100, 0.5);
+    viaCopy.merge(b, prefix);
+    obs::MetricsSnapshot viaMove = sample(3, 100, 0.5);
+    viaMove.merge(sample(2, 300, 0.9), prefix);
     EXPECT_EQ(viaCopy, viaMove) << "prefix=" << prefix;
     EXPECT_EQ(viaCopy.toJson(), viaMove.toJson());
   }
   // Moving into an empty snapshot is the wholesale-move fast path.
   obs::MetricsSnapshot empty;
-  empty.merge(a.snapshot());
+  empty.merge(sample(3, 100, 0.5));
   EXPECT_EQ(empty.counterOr("icap.loads"), 3u);
 }
 
 TEST(MetricsSnapshot, DiffSubtractsCountersAndKeepsGauges) {
-  const obs::CounterId calls = table().counter("calls");
-  const obs::CounterId fresh = table().counter("new_counter");
-  obs::Registry reg;
-  reg.add(calls, 10);
-  const obs::MetricsSnapshot earlier = withGauge(reg, "speedup", 2.0);
-  reg.add(calls, 5);
-  reg.add(fresh, 1);
-  const obs::MetricsSnapshot later = withGauge(reg, "speedup", 3.0);
+  obs::MetricsSnapshot earlier;
+  earlier.counters["calls"] = 10;
+  earlier.gauges["speedup"] = 2.0;
+  obs::MetricsSnapshot later;
+  later.counters["calls"] = 15;
+  later.counters["new_counter"] = 1;
+  later.gauges["speedup"] = 3.0;
 
   const obs::MetricsSnapshot delta = later.diff(earlier);
   EXPECT_EQ(delta.counterOr("calls"), 5u);
@@ -209,37 +141,14 @@ TEST(MetricsSnapshot, DiffSubtractsCountersAndKeepsGauges) {
 }
 
 TEST(MetricsSnapshot, JsonHasTheThreeSections) {
-  obs::Registry reg;
-  reg.add(table().counter("calls"), 1);
-  reg.observe(table().histogram("lat"), 10);
-  const std::string json = withGauge(reg, "ratio", 0.5).toJson();
+  obs::MetricsSnapshot snap;
+  snap.counters["calls"] = 1;
+  snap.histograms["lat"].observe(10);
+  snap.gauges["ratio"] = 0.5;
+  const std::string json = snap.toJson();
   EXPECT_NE(json.find("\"counters\":{\"calls\":1}"), std::string::npos) << json;
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-}
-
-// A Registry records by interned id only: there is no add/set/observe by
-// name. These static_asserts pin that — if a string overload appears, this
-// test fails before any caller can depend on it.
-// Dependent forms so the negative checks SFINAE instead of hard-erroring.
-template <typename R>
-concept AddsByStringName =
-    requires(R r, std::string_view name) { r.add(name, std::uint64_t{2}); };
-template <typename R>
-concept SetsByStringName =
-    requires(R r, std::string_view name) { r.set(name, 0.25); };
-template <typename R>
-concept ObservesByStringName =
-    requires(R r, std::string_view name) { r.observe(name, std::int64_t{10}); };
-
-TEST(MetricsRegistry, StringRecordingShimsAreGone) {
-  static_assert(!AddsByStringName<obs::Registry>);
-  static_assert(!SetsByStringName<obs::Registry>);
-  static_assert(!ObservesByStringName<obs::Registry>);
-  // The replacement stays: intern once, record by id.
-  obs::Registry reg;
-  reg.add(table().counter("test.shim.calls"), 2);
-  EXPECT_EQ(reg.snapshot().counterOr("test.shim.calls"), 2u);
 }
 
 runtime::ScenarioOptions smallScenario() {
