@@ -17,6 +17,9 @@
 // --fault-rate injects word flips at P per configuration word (plus ICAP
 // aborts at P*100, capped at 2%) from the deterministic --fault-seed, and
 // enables the recovery runtime with --max-retries attempts per ladder rung.
+//
+// Exit status: 0 on success, 2 on a usage error (a malformed or unknown
+// flag, as at prtr-bench), 1 when the scenario fails its lint or its run.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -65,12 +68,12 @@ std::map<std::string, std::string> parseArgs(
   for (std::size_t i = 0; i < rest.size(); ++i) {
     const std::string& flag = rest[i];
     if (flag.rfind("--", 0) != 0) {
-      throw util::DomainError{"prtrsim: options start with --, got " + flag};
+      throw util::DomainError{"options start with --, got " + flag};
     }
     std::string key = flag.substr(2);
     std::string value{"1"};  // --timeline is the one flag without a value
     if (key != "timeline") {
-      util::require(i + 1 < rest.size(), "prtrsim: missing value for --" + key);
+      util::require(i + 1 < rest.size(), "missing value for --" + key);
       value = rest[++i];
     }
     args.insert_or_assign(std::move(key), std::move(value));
@@ -122,7 +125,7 @@ int main(int argc, char** argv) {
           registry, calls, bytes, std::max<std::size_t>(calls / 10, 1),
           std::min<std::size_t>(3, registry.size()), rng);
     } else {
-      throw util::DomainError{"prtrsim: unknown workload '" + kind + "'"};
+      throw util::DomainError{"unknown workload '" + kind + "'"};
     }
 
     runtime::ScenarioOptions options;
@@ -209,18 +212,22 @@ int main(int argc, char** argv) {
     if (!metricsPath.empty()) {
       std::ofstream out{metricsPath};
       util::require(out.good(),
-                    "prtrsim: cannot open " + metricsPath + " for writing");
+                    "cannot open " + metricsPath + " for writing");
       out << result.metrics.toJson() << '\n';
       std::cout << "metrics snapshot written to " << metricsPath << '\n';
     }
     if (!profilePath.empty()) {
       std::ofstream out{profilePath};
       util::require(out.good(),
-                    "prtrsim: cannot open " + profilePath + " for writing");
+                    "cannot open " + profilePath + " for writing");
       out << obs::hostMetrics().snapshot().toJson() << '\n';
       std::cout << "host profile written to " << profilePath << '\n';
     }
     return 0;
+  } catch (const util::DomainError& error) {
+    // A rejected flag or name: a usage error, exit 2 as at prtr-bench.
+    std::cerr << "prtrsim: " << error.what() << '\n';
+    return 2;
   } catch (const std::exception& error) {
     std::cerr << "prtrsim: " << error.what() << '\n';
     return 1;

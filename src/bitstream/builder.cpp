@@ -326,7 +326,10 @@ void writeFramePayloads(ModuleId module, std::uint32_t firstFrame,
                         std::uint32_t count, std::uint32_t frameBytes,
                         std::span<std::uint8_t> out, std::size_t stride) {
 #if PRTR_PAYLOAD_AVX2
-  if (module != 0 && useAvx2()) {
+  // The kernel draws for all eight lanes whatever the count, so under four
+  // frames (one frame in a readback, a run's tail) the scalar loop is
+  // faster.
+  if (module != 0 && count >= 4 && useAvx2()) {
     requireFits(count, frameBytes, out, stride);
     writeFramePayloadsAvx2(module, firstFrame, count, frameBytes, out.data(),
                            stride);

@@ -43,8 +43,9 @@ using ModuleId = std::uint64_t;
 /// `out[i * stride, i * stride + frameBytes)`. Only the non-zero content
 /// bytes are stored, so those ranges must be zero on entry; bytes between
 /// frames are never touched. Module 0 writes nothing. On x86 CPUs with AVX2
-/// an eight-lane kernel synthesizes eight frames per step; elsewhere the
-/// scalar loop runs. Both write the same bytes (the framePayload contract).
+/// an eight-lane kernel synthesizes eight frames per step; elsewhere, and
+/// for fewer than four frames, the scalar loop runs. Both write the same
+/// bytes (the framePayload contract).
 void writeFramePayloads(ModuleId module, std::uint32_t firstFrame,
                         std::uint32_t count, std::uint32_t frameBytes,
                         std::span<std::uint8_t> out, std::size_t stride);

@@ -91,45 +91,36 @@ ParsedStream parse(std::span<const std::uint8_t> bytes,
   return out;
 }
 
-void ParsedStream::forEachPayload(
-    const PayloadVisitor& visit,
-    const std::vector<std::uint32_t>* subset) const {
-  std::span<const std::uint8_t> source = bytes;
+void ParsedStream::forEachPayload(const PayloadVisitor& visit,
+                                  const FrameFilter& wanted) const {
+  // A byte stream's payloads are visited in place; a recipe stream's
+  // wanted frames are gathered into runs and synthesized.
+  std::vector<FrameRun> runs;
   std::size_t at = payloadOffset;
-  std::size_t stride = payloadStride;
-  if (source.empty()) {
-    const std::vector<std::uint8_t>* synthesized = payloads.get();
-    if (synthesized == nullptr) {
-      auto fresh = std::make_unique<std::vector<std::uint8_t>>();
-      fresh->reserve(std::size_t{header.frameCount} * header.frameBytes);
-      const std::size_t address =
-          header.type == StreamType::kPartial ? kFrameAddressBytes : 0;
-      detail::synthesizeFrames(
-          header, frameRuns, regionFirst, framesUsed,
-          [&](std::span<const std::uint8_t> block, std::uint32_t,
-              std::uint32_t frames) {
-            for (std::uint32_t i = 0; i < frames; ++i) {
-              const auto payload =
-                  block.subspan(i * (header.frameBytes + address) + address,
-                                header.frameBytes);
-              fresh->insert(fresh->end(), payload.begin(), payload.end());
-            }
-          });
-      synthesized = &payloads.publish(std::move(fresh));
-    }
-    source = *synthesized;
-    at = 0;
-    stride = header.frameBytes;
-  }
   for (const FrameRun& run : frameRuns) {
     for (std::uint32_t frame = run.first; frame - run.first < run.count;
-         ++frame, at += stride) {
-      if (subset == nullptr ||
-          std::binary_search(subset->begin(), subset->end(), frame)) {
-        visit(frame, source.subspan(at, header.frameBytes));
+         ++frame, at += payloadStride) {
+      if (wanted && !wanted(frame)) continue;
+      if (bytes.empty()) {
+        appendFrame(runs, frame);
+      } else {
+        visit(frame, bytes.subspan(at, header.frameBytes));
       }
     }
   }
+  if (!bytes.empty() || runs.empty()) return;
+  const std::size_t address =
+      header.type == StreamType::kPartial ? kFrameAddressBytes : 0;
+  detail::synthesizeFrames(
+      header, runs, regionFirst, framesUsed,
+      [&](std::span<const std::uint8_t> block, std::uint32_t first,
+          std::uint32_t frames) {
+        for (std::uint32_t i = 0; i < frames; ++i) {
+          visit(first + i,
+                block.subspan(i * (header.frameBytes + address) + address,
+                              header.frameBytes));
+        }
+      });
 }
 
 ParsedRef parse(const Bitstream& stream, const fabric::Device& device) {

@@ -1,9 +1,9 @@
 #pragma once
 /// \file parser.hpp
-/// Structural validation and decoding of XBF streams. The configuration
-/// engine parses every stream before applying it, mirroring the checks a
-/// real configuration controller performs (and the ones the Cray API layers
-/// on top — see config/vendor_api.hpp).
+/// Structural validation and decoding of XBF streams, mirroring the checks
+/// of a real configuration controller (and the Cray API, vendor_api.hpp).
+/// A parse keeps no payload byte: forEachPayload slices a byte stream's
+/// bytes or synthesizes a recipe stream's frames on every read.
 
 #include <cstdint>
 #include <functional>
@@ -20,6 +20,8 @@ namespace prtr::bitstream {
 /// Receives one frame write: the frame and its payload.
 using PayloadVisitor = std::function<void(
     std::uint32_t frame, std::span<const std::uint8_t> payload)>;
+/// Picks the frame writes a payload read visits.
+using FrameFilter = std::function<bool(std::uint32_t frame)>;
 
 /// Parsed view over a validated stream. A byte stream's view is
 /// non-owning: its bytes must outlive it.
@@ -27,7 +29,7 @@ struct ParsedStream {
   Header header;
   /// The frames written, in order, as maximal consecutive runs (a full
   /// stream or a library partial is one run), so configuration memory
-  /// applies a stream with one bounds check and one fill per run.
+  /// applies a stream with one bounds check and one owner run per run.
   std::vector<FrameRun> frameRuns;
   /// A byte stream's bytes; write i's payload starts at
   /// `payloadOffset + i * payloadStride`. Empty for a recipe stream, whose
@@ -38,20 +40,16 @@ struct ParsedStream {
   std::size_t payloadStride = 0;
   std::uint32_t regionFirst = 0;
   std::uint32_t framesUsed = 0;
-  /// A recipe stream's payloads, back to back in write order: synthesized
-  /// an L1-sized block at a time by the first forEachPayload, then kept, so
-  /// a stream that is read (readback, repair, MFW grouping) is synthesized
-  /// once, and one that is never read holds none.
-  Memo<std::vector<std::uint8_t>> payloads;
   /// The stream's MFW plan, published by the first planMfw (compress.hpp).
   Memo<MfwPlan> mfw;
 
   /// Calls `visit(frame, payload)` for every frame write, in stream order,
-  /// or only for the writes to the frames in `subset` (sorted) when it is
+  /// or only for the writes to the frames `wanted` accepts when it is
   /// given. A byte stream's payloads are slices of its bytes; a recipe
-  /// stream's are slices of `payloads`.
+  /// stream synthesizes the visited frames a block at a time and keeps none
+  /// (each payload is valid during its visit only).
   void forEachPayload(const PayloadVisitor& visit,
-                      const std::vector<std::uint32_t>* subset = nullptr) const;
+                      const FrameFilter& wanted = {}) const;
 };
 
 /// Parses and validates `bytes` against `device`'s geometry.

@@ -103,7 +103,6 @@ void Manager::recordRecoverySpan(const char* label, char glyph,
 }
 
 bool Manager::shouldVerify(std::uint64_t upsetsBefore) const {
-  if (!icap_->memory().readbackEnabled()) return false;
   switch (recovery_.verify) {
     case VerifyMode::kOff: return false;
     case VerifyMode::kAlways: return true;

@@ -3,57 +3,66 @@
 #include <algorithm>
 #include <string>
 
+#include "bitstream/builder.hpp"
 #include "util/error.hpp"
 
 namespace prtr::config {
 
 ConfigMemory::ConfigMemory(const fabric::Device& device)
-    : device_(&device),
-      frameOwner_(device.geometry().totalFrames(), 0),
-      frameStamp_(device.geometry().totalFrames(), 0) {}
+    : device_(&device), runs_{{0, Source{}}} {}
 
-std::uint64_t ConfigMemory::frameOwner(std::uint32_t frame) const {
-  util::require(frame < frameOwner_.size(), "ConfigMemory: frame out of range");
-  return frameStamp_[frame] == epoch_ ? frameOwner_[frame] : baseOwner_;
+void ConfigMemory::requireFrame(std::uint32_t frame) const {
+  util::require(frame < device_->geometry().totalFrames(),
+                "ConfigMemory: frame out of range");
 }
 
-void ConfigMemory::writeOwners(const bitstream::ParsedStream& stream) {
-  const std::uint64_t owner = stream.header.moduleId;
+ConfigMemory::Source ConfigMemory::sourceOf(
+    const bitstream::ParsedStream& stream) {
+  if (!stream.bytes.empty()) return {stream.header.moduleId, 0, 0, true};
+  return {stream.header.moduleId, stream.regionFirst, stream.framesUsed, false};
+}
+
+const ConfigMemory::Source& ConfigMemory::sourceAt(std::uint32_t frame) const {
+  return std::prev(runs_.upper_bound(frame))->second;
+}
+
+void ConfigMemory::write(const bitstream::ParsedStream& stream) {
+  const Source source = sourceOf(stream);
+  const std::uint32_t frames = device_->geometry().totalFrames();
   for (const bitstream::FrameRun& run : stream.frameRuns) {
-    if (std::uint64_t{run.first} + run.count > frameOwner_.size()) {
+    if (std::uint64_t{run.first} + run.count > frames) {
       throw util::ConfigError{"ConfigMemory: frame run [" +
                               std::to_string(run.first) + ", +" +
                               std::to_string(run.count) +
                               ") exceeds the device's frames"};
     }
-    if (run.first == 0 && run.count == frameOwner_.size()) {
-      // Every frame rewritten: every stamp goes stale at once.
-      baseOwner_ = owner;
-      ++epoch_;
-      continue;
-    }
-    std::fill_n(frameOwner_.begin() + run.first, run.count, owner);
-    std::fill_n(frameStamp_.begin() + run.first, run.count, epoch_);
+    if (run.count == 0) continue;
+    // Split the run holding the end; the runs inside give way to this one.
+    const std::uint32_t end = run.first + run.count;
+    if (end < frames) runs_.try_emplace(end, sourceAt(end));
+    runs_.erase(runs_.upper_bound(run.first), runs_.lower_bound(end));
+    runs_[run.first] = source;
+    overlay_.erase(overlay_.lower_bound(run.first), overlay_.lower_bound(end));
   }
+  if (source.literal) {
+    stream.forEachPayload(
+        [this](std::uint32_t frame, std::span<const std::uint8_t> payload) {
+          overlay_[frame].assign(payload.begin(), payload.end());
+        });
+  }
+  framesWritten_ += stream.header.frameCount;
 }
 
-void ConfigMemory::retainPayloads(const bitstream::ParsedStream& stream) {
-  if (image_.empty()) return;
-  stream.forEachPayload([this](std::uint32_t frame,
-                               std::span<const std::uint8_t> payload) {
-    std::copy(payload.begin(), payload.end(),
-              image_.begin() +
-                  static_cast<std::ptrdiff_t>(frame * payload.size()));
-  });
+std::uint64_t ConfigMemory::frameOwner(std::uint32_t frame) const {
+  requireFrame(frame);
+  return sourceAt(frame).module;
 }
 
 void ConfigMemory::applyFull(const bitstream::ParsedStream& stream) {
   if (stream.header.type != bitstream::StreamType::kFull) {
     throw util::ConfigError{"ConfigMemory: applyFull needs a full stream"};
   }
-  writeOwners(stream);
-  retainPayloads(stream);
-  framesWritten_ += stream.header.frameCount;
+  write(stream);
   done_ = true;
 }
 
@@ -66,68 +75,89 @@ void ConfigMemory::applyPartial(const bitstream::ParsedStream& stream) {
         "ConfigMemory: dynamic partial reconfiguration requires an operating "
         "(fully configured) device"};
   }
-  writeOwners(stream);
-  retainPayloads(stream);
-  framesWritten_ += stream.header.frameCount;
+  write(stream);
 }
 
-void ConfigMemory::enableReadback() {
-  if (!image_.empty()) return;
-  image_.assign(std::uint64_t{device_->geometry().totalFrames()} *
-                    device_->geometry().encoding().frameBytes,
-                0);
-}
-
-std::span<const std::uint8_t> ConfigMemory::frameContent(
+std::vector<std::uint8_t> ConfigMemory::frameContent(
     std::uint32_t frame) const {
-  util::require(!image_.empty(),
-                "ConfigMemory: enableReadback() before reading content");
-  util::require(frame < frameOwner_.size(), "ConfigMemory: frame out of range");
-  const std::uint32_t frameBytes = device_->geometry().encoding().frameBytes;
-  return std::span{image_.data() + std::uint64_t{frame} * frameBytes,
-                   frameBytes};
+  requireFrame(frame);
+  if (const auto upset = overlay_.find(frame); upset != overlay_.end()) {
+    return upset->second;
+  }
+  const Source& source = sourceAt(frame);
+  return bitstream::framePayload(source.module, source.regionFirst,
+                                 source.framesUsed, frame,
+                                 device_->geometry().encoding().frameBytes);
 }
 
 void ConfigMemory::injectUpset(std::uint32_t frame, std::uint32_t offset,
                                std::uint8_t mask) {
-  util::require(!image_.empty(),
-                "ConfigMemory: enableReadback() before injecting upsets");
-  util::require(frame < frameOwner_.size(), "ConfigMemory: frame out of range");
-  const std::uint32_t frameBytes = device_->geometry().encoding().frameBytes;
-  util::require(offset < frameBytes, "ConfigMemory: offset out of range");
+  requireFrame(frame);
+  util::require(offset < device_->geometry().encoding().frameBytes,
+                "ConfigMemory: offset out of range");
   util::require(mask != 0, "ConfigMemory: empty upset mask");
-  image_[std::uint64_t{frame} * frameBytes + offset] ^= mask;
+  auto entry = overlay_.find(frame);
+  if (entry == overlay_.end()) {
+    entry = overlay_.emplace(frame, frameContent(frame)).first;
+  }
+  entry->second[offset] ^= mask;
   ++upsets_;
 }
 
 std::uint64_t ConfigMemory::repairFrames(
     const bitstream::ParsedStream& stream,
     const std::vector<std::uint32_t>& frames) {
-  util::require(!image_.empty(),
-                "ConfigMemory: enableReadback() before repairing frames");
-  if (frames.empty()) return 0;
   std::vector<std::uint32_t> wanted = frames;
   std::sort(wanted.begin(), wanted.end());
+  const Source source = sourceOf(stream);
   std::uint64_t repaired = 0;
   stream.forEachPayload(
       [&](std::uint32_t frame, std::span<const std::uint8_t> payload) {
-        std::copy(payload.begin(), payload.end(),
-                  image_.begin() +
-                      static_cast<std::ptrdiff_t>(frame * payload.size()));
+        // Where the run's own recipe makes the golden bytes, dropping the
+        // overlay entry restores them; any other source needs a copy.
+        if (!source.literal && sourceAt(frame) == source) {
+          overlay_.erase(frame);
+        } else {
+          overlay_[frame].assign(payload.begin(), payload.end());
+        }
         ++repaired;
       },
-      &wanted);
+      [&wanted](std::uint32_t frame) {
+        return std::binary_search(wanted.begin(), wanted.end(), frame);
+      });
   framesWritten_ += repaired;
   return repaired;
 }
 
+std::vector<std::uint32_t> ConfigMemory::corruptedFrames(
+    const bitstream::ParsedStream& golden,
+    const std::vector<std::uint32_t>* subset) const {
+  const Source source = sourceOf(golden);
+  std::vector<std::uint32_t> corrupted;
+  golden.forEachPayload(
+      [&](std::uint32_t frame, std::span<const std::uint8_t> payload) {
+        const std::vector<std::uint8_t> current = frameContent(frame);
+        if (!std::equal(current.begin(), current.end(), payload.begin())) {
+          corrupted.push_back(frame);
+        }
+      },
+      [&](std::uint32_t frame) {
+        // A frame its golden recipe wrote, untouched since, is clean unread.
+        return (subset == nullptr ||
+                std::binary_search(subset->begin(), subset->end(), frame)) &&
+               (source.literal || overlay_.contains(frame) ||
+                sourceAt(frame) != source);
+      });
+  return corrupted;
+}
+
 void ConfigMemory::reset() noexcept {
-  baseOwner_ = 0;
-  ++epoch_;
+  runs_.erase(std::next(runs_.begin()), runs_.end());
+  runs_.begin()->second = Source{};
+  overlay_.clear();
   done_ = false;
   framesWritten_ = 0;
   upsets_ = 0;
-  if (!image_.empty()) image_.assign(image_.size(), 0);
 }
 
 bitstream::ParsedRef ConfigMemory::parsedFor(

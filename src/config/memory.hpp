@@ -1,18 +1,18 @@
 #pragma once
 /// \file memory.hpp
-/// Configuration-memory state of one FPGA: which module owns each frame and
-/// the DONE pin. Partial streams may only be applied while the device is
-/// operating (dynamic/active partial reconfiguration, paper section 2.2);
-/// a full stream resets the whole array.
+/// Configuration-memory state of one FPGA: frame owners and content and the
+/// DONE pin. Partial streams may only be applied while the device is
+/// operating (dynamic partial reconfiguration, paper section 2.2).
 ///
-/// Frame ownership is a base owner plus per-frame stamped owners: a stream
-/// whose one frame run covers the whole device sets the base owner and
-/// bumps a 64-bit epoch (O(1), no fill), and a partial stamps the frames it
-/// writes with the current epoch. A frame whose stamp is stale belongs to
-/// the base owner. The epoch never wraps in practice (2^64 full writes).
+/// A region is loaded whole and a recipe stream's bytes follow from its
+/// recipe (bitstream::framePayload), so there is no frame image: disjoint
+/// frame runs cover the device, each with its owner and recipe (a write
+/// splits the runs it overlaps, O(runs)), and a sparse overlay holds every
+/// frame whose bytes do not follow from its run — upset frames and the
+/// frames of byte-backed streams. Reading a frame synthesizes that frame.
 
 #include <cstdint>
-#include <span>
+#include <map>
 #include <vector>
 
 #include "bitstream/parser.hpp"
@@ -20,7 +20,7 @@
 
 namespace prtr::config {
 
-/// Tracks frame ownership and the DONE signal.
+/// Tracks frame ownership and content and the DONE signal.
 class ConfigMemory {
  public:
   explicit ConfigMemory(const fabric::Device& device);
@@ -46,22 +46,14 @@ class ConfigMemory {
   /// Power-cycle: clears all state.
   void reset() noexcept;
 
-  // ---- readback support (configuration scrubbing, SEU repair) ----------
-
-  /// Enables frame-payload retention. Costs totalFrames x frameBytes of
-  /// host memory per device, so it is opt-in; must be called before the
-  /// streams whose content should be readable are applied.
-  void enableReadback();
-  [[nodiscard]] bool readbackEnabled() const noexcept { return !image_.empty(); }
-
-  /// Copy of the current configuration content of `frame`.
-  /// Requires enableReadback() beforehand.
-  [[nodiscard]] std::span<const std::uint8_t> frameContent(
+  /// The current configuration content of `frame` (all zeros before any
+  /// configuration).
+  [[nodiscard]] std::vector<std::uint8_t> frameContent(
       std::uint32_t frame) const;
 
   /// Flips `mask` bits of byte `offset` within `frame` — a single-event
   /// upset (SEU) injection for scrubbing studies. Does not change the
-  /// frame's owner bookkeeping (the upset is silent, as in hardware).
+  /// frame's owner (the upset is silent, as in hardware).
   void injectUpset(std::uint32_t frame, std::uint32_t offset,
                    std::uint8_t mask);
 
@@ -70,36 +62,53 @@ class ConfigMemory {
   }
 
   /// Rewrites the listed frames with their golden payloads from `stream`
-  /// (which must contain a write for each of them) — the frame-granular
-  /// repair primitive of the recovery runtime. Requires enableReadback().
+  /// (frames it does not write are skipped) — the frame-granular repair
+  /// primitive of the recovery runtime. Owners are left as they are.
   /// Returns the number of frames actually rewritten.
   std::uint64_t repairFrames(const bitstream::ParsedStream& stream,
                              const std::vector<std::uint32_t>& frames);
 
-  /// The validated view of `stream` for this memory's device. The stream
-  /// memoizes it (bitstream::parse), so every node loading the same library
-  /// stream shares one parse and one CRC walk per process. The view stays
-  /// valid while the stream lives (the bitstream::Library used by the
-  /// runtime keeps its streams alive).
+  /// Frames written by `golden` whose content differs from its payload, in
+  /// stream order, or only those among `subset` (sorted). A frame of a run
+  /// with `golden`'s own recipe and no overlay entry is clean unread.
+  [[nodiscard]] std::vector<std::uint32_t> corruptedFrames(
+      const bitstream::ParsedStream& golden,
+      const std::vector<std::uint32_t>* subset = nullptr) const;
+
+  /// The validated view of `stream` for this device, memoized on the stream
+  /// (bitstream::parse): every node shares one parse per library stream.
+  /// It stays valid while the stream lives.
   [[nodiscard]] bitstream::ParsedRef parsedFor(
       const bitstream::Bitstream& stream) const;
 
  private:
-  /// Sets the owner of every frame `stream` writes: a whole-device run
-  /// moves the base owner, any other run stamps its frames. Throws
-  /// ConfigError when a run exceeds this device's frames.
-  void writeOwners(const bitstream::ParsedStream& stream);
-  void retainPayloads(const bitstream::ParsedStream& stream);
+  /// Where a run's bytes come from: the recipe of the stream that wrote it
+  /// (framePayload's arguments), or the overlay (`literal`, a byte-backed
+  /// stream). `module` is the run's owner either way.
+  struct Source {
+    std::uint64_t module = 0;
+    std::uint32_t regionFirst = 0;
+    std::uint32_t framesUsed = 0;
+    bool literal = false;
+
+    friend bool operator==(const Source&, const Source&) = default;
+  };
+  [[nodiscard]] static Source sourceOf(const bitstream::ParsedStream& stream);
+  /// The source of the run holding `frame`.
+  [[nodiscard]] const Source& sourceAt(std::uint32_t frame) const;
+  /// Applies `stream`'s runs and content. Throws ConfigError when a run
+  /// exceeds this device's frames.
+  void write(const bitstream::ParsedStream& stream);
+  void requireFrame(std::uint32_t frame) const;
 
   const fabric::Device* device_;
-  std::uint64_t baseOwner_ = 0;  ///< owner of every frame with a stale stamp
-  std::uint64_t epoch_ = 1;      ///< bumped by whole-device writes and reset
-  std::vector<std::uint64_t> frameOwner_;  ///< valid where stamp == epoch_
-  std::vector<std::uint64_t> frameStamp_;
+  /// First frame -> source of each run, up to the next run's first frame.
+  std::map<std::uint32_t, Source> runs_;
+  /// Frame -> its whole content, where it does not follow from its run.
+  std::map<std::uint32_t, std::vector<std::uint8_t>> overlay_;
   bool done_ = false;
   std::uint64_t framesWritten_ = 0;
   std::uint64_t upsets_ = 0;
-  std::vector<std::uint8_t> image_;  ///< empty unless readback is enabled
 };
 
 }  // namespace prtr::config

@@ -1,36 +1,15 @@
 #include "config/scrubber.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace prtr::config {
 
-std::vector<std::uint32_t> verifyRegion(
-    ConfigMemory& memory, const bitstream::Bitstream& golden,
-    const std::vector<std::uint32_t>* subset) {
-  util::require(memory.readbackEnabled(),
-                "verifyRegion: enable readback on the configuration memory");
-  const bitstream::ParsedRef parsed = memory.parsedFor(golden);
-  std::vector<std::uint32_t> corrupted;
-  parsed->forEachPayload(
-      [&](std::uint32_t frame, std::span<const std::uint8_t> payload) {
-        const auto current = memory.frameContent(frame);
-        if (!std::equal(current.begin(), current.end(), payload.begin())) {
-          corrupted.push_back(frame);
-        }
-      },
-      subset);
-  return corrupted;
-}
-
 Scrubber::Scrubber(sim::Simulator& sim, ConfigMemory& memory,
-                   IcapController& icap, const fabric::Device& device,
+                   IcapController& icap, const fabric::Device& /*device*/,
                    const bitstream::Bitstream& golden, util::Time period)
     : sim_(&sim),
       memory_(&memory),
       icap_(&icap),
-      device_(&device),
       golden_(&golden),
       period_(period) {
   util::require(period > util::Time::zero(), "Scrubber: period must be positive");

@@ -25,11 +25,12 @@ namespace prtr::config {
 
 /// Frames written by `golden` (the stream that configured them) whose
 /// current content differs from its payload byte for byte, or only those
-/// among `subset` (sorted) when it is given. Requires readback-enabled
-/// memory.
-[[nodiscard]] std::vector<std::uint32_t> verifyRegion(
+/// among `subset` (sorted) when it is given (ConfigMemory::corruptedFrames).
+[[nodiscard]] inline std::vector<std::uint32_t> verifyRegion(
     ConfigMemory& memory, const bitstream::Bitstream& golden,
-    const std::vector<std::uint32_t>* subset = nullptr);
+    const std::vector<std::uint32_t>* subset = nullptr) {
+  return memory.corruptedFrames(*memory.parsedFor(golden), subset);
+}
 
 /// Scrubbing statistics.
 struct ScrubStats {
@@ -80,7 +81,6 @@ class Scrubber {
   sim::Simulator* sim_;
   ConfigMemory* memory_;
   IcapController* icap_;
-  const fabric::Device* device_;
   const bitstream::Bitstream* golden_;
   util::Time period_;
   UpsetInjector* injector_ = nullptr;

@@ -132,9 +132,6 @@ void Injector::attach(config::IcapController& icap) {
     });
   }
   if (plan_.wordFlipRate > 0.0) {
-    util::require(icap.memory().readbackEnabled(),
-                  "Injector: word flips need readback-enabled memory "
-                  "(enable before attaching)");
     icap.setWriteFaultHook([this, &icap](const bitstream::ParsedStream& parsed,
                                          const std::vector<std::uint32_t>*
                                              frames) {

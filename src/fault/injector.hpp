@@ -28,8 +28,7 @@ class Injector {
   /// Installs the link-stall decorator (no-op when the stall rate is 0).
   void attach(sim::SimplexLink& link);
   /// Installs the ICAP decorators: transfer timeouts / aborts ahead of the
-  /// pipeline, word flips on everything the port writes. The controller's
-  /// ConfigMemory must have readback enabled when word flips are on.
+  /// pipeline, word flips on everything the port writes.
   void attach(config::IcapController& icap);
   /// Installs the transient-rejection decorator on the vendor API.
   void attach(config::VendorApi& api);

@@ -53,14 +53,6 @@ Node::Node(sim::Simulator& sim, NodeConfig config)
   manager_ = std::make_unique<config::Manager>(sim, *floorplan_, *api_, *icap_);
   manager_->setRecoveryPolicy(config_.recovery);
 
-  // Word flips and readback-verify both need the frame image retained.
-  // Enabling readback changes memory cost only, never event timing, so the
-  // healthy-path outputs stay bit-identical.
-  if (config_.faults.wordFlipRate > 0.0 ||
-      (config_.recovery.enabled &&
-       config_.recovery.verify != config::VerifyMode::kOff)) {
-    memory_->enableReadback();
-  }
   if (config_.faults.active()) {
     injector_ = std::make_unique<fault::Injector>(config_.faults);
     injector_->attach(*linkIn_);

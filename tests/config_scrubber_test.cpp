@@ -13,7 +13,6 @@ namespace {
 class ScrubFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    memory_.enableReadback();
     memory_.applyFull(*bitstream::parse(builder_.buildFull(1), plan_.device()));
   }
 
@@ -25,16 +24,6 @@ class ScrubFixture : public ::testing::Test {
                          util::DataRate::megabytesPerSecond(1400)};
   IcapController icap_{sim_, memory_, link_};
 };
-
-TEST_F(ScrubFixture, ReadbackRequiresOptIn) {
-  ConfigMemory fresh{plan_.device()};
-  EXPECT_FALSE(fresh.readbackEnabled());
-  EXPECT_THROW((void)fresh.frameContent(0), util::DomainError);
-  EXPECT_THROW(fresh.injectUpset(0, 0, 1), util::DomainError);
-  fresh.enableReadback();
-  EXPECT_TRUE(fresh.readbackEnabled());
-  EXPECT_NO_THROW((void)fresh.frameContent(0));
-}
 
 TEST_F(ScrubFixture, RetainedContentMatchesLoadedStream) {
   const auto part = builder_.buildModulePartial(plan_.prr(0), 7);
@@ -122,7 +111,6 @@ TEST_F(ScrubFixture, ResetClearsImageAndCounters) {
   memory_.injectUpset(range.first, 0, 0xFF);
   memory_.reset();
   EXPECT_EQ(memory_.upsetsInjected(), 0u);
-  EXPECT_TRUE(memory_.readbackEnabled());
   const auto content = memory_.frameContent(range.first);
   for (const auto byte : content) EXPECT_EQ(byte, 0);
 }
